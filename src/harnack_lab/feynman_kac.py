@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import free_variables
 from .fields import ScalarField
 from .operators import CylinderDomain, OperatorSpec, estimate_sups, with_estimated_sups
 from .sde import SimConfig, simulate_batch
@@ -183,11 +184,14 @@ def make_solution(
 ) -> ScalarField:
     """Manufacture a positive field node-by-node from boundary data g > 0.
 
-    Each grid node gets its own path batch (seeded by the node's linear
-    index, so the field is reproducible node-wise and independent of worker
-    count); the node value is the mean of exp(gamma_integral) * g evaluated
-    at the stopped state — exited paths use the exit state on the sphere,
-    survivors the horizon state.
+    Y paths get no feedback from x, so every node of an x-row draws from the
+    row's stream ``iy + 1`` (``iy`` is the linear index over the y axes); the
+    field is reproducible node-wise and independent of worker count.  When
+    gamma does not depend on x, one batch from x = 0 serves the whole row by
+    translation, bit for bit; otherwise the stream is re-run from each node.
+    The node value is the mean of exp(gamma_integral) * g at the stopped
+    state — exited paths use the exit state on the sphere, survivors the
+    horizon state.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 1 + op.n_y:
@@ -196,31 +200,36 @@ def make_solution(
     for a in axes[1:]:
         if np.any(np.abs(a) >= radius):
             raise ValueError("grid y nodes must lie strictly inside the outer ball")
+    op = with_estimated_sups(op, dom)
     g_fn = _payoff_fn(g)
     cfg = dataclasses.replace(cfg, t_max=float(t_solve))
+    x_free = "x" not in free_variables(op.gamma)
 
     shape = tuple(a.shape[0] for a in axes)
     values = np.empty(shape)
-    nodes = list(np.ndindex(*shape))
 
-    def fill(job):
-        j, idx = job
-        start_x = float(axes[0][idx[0]])
-        start_y = np.array([axes[1 + k][idx[1 + k]] for k in range(op.n_y)])
-        batch = simulate_batch(op, dom, (start_x, start_y), cfg, workers=1, stream=j + 1)
-        try:
-            payoff = np.asarray(g_fn(batch.stopped_x, batch.stopped_y), dtype=float)
-        except ValueError as exc:
-            raise ValueError(
-                f"boundary data evaluation failed for the node at x={start_x:g}: {exc}"
-            ) from exc
-        values[idx] = np.mean(np.exp(batch.gamma_integral) * payoff)
+    def fill_row(job):
+        iy, y_idx = job
+        start_y = np.array([axes[1 + k][y_idx[k]] for k in range(op.n_y)])
+        batch = None
+        for ix, start_x in enumerate(axes[0]):
+            if batch is None or not x_free:
+                batch = simulate_batch(op, dom, (0.0 if x_free else start_x, start_y), cfg,
+                                       workers=1, stream=iy + 1)
+            stopped_x = start_x + batch.stopped_x if x_free else batch.stopped_x
+            try:
+                payoff = np.asarray(g_fn(stopped_x, batch.stopped_y), dtype=float)
+            except ValueError as exc:
+                raise ValueError(
+                    f"boundary data evaluation failed for the node at x={start_x:g}: {exc}"
+                ) from exc
+            values[(ix, *y_idx)] = np.mean(np.exp(batch.gamma_integral) * payoff)
 
-    jobs = list(enumerate(nodes))
+    jobs = list(enumerate(np.ndindex(*shape[1:])))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, jobs))
+            list(pool.map(fill_row, jobs))
     else:
         for job in jobs:
-            fill(job)
+            fill_row(job)
     return ScalarField(axes=axes, values=values, name=name)

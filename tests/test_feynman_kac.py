@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from harnack_lab import feynman_kac, operators
 from harnack_lab.feynman_kac import evaluate, make_solution, sandwich_check
 from harnack_lab.fields import ScalarField, box_axes
 from harnack_lab.operators import CylinderDomain, OperatorSpec
@@ -165,6 +166,41 @@ def test_make_solution_worker_count_invariance():
     one = make_solution(DRIFT_Y, DOM, kolmogorov_fn, 1.0, cfg, axes, workers=1)
     four = make_solution(DRIFT_Y, DOM, kolmogorov_fn, 1.0, cfg, axes, workers=4)
     assert np.array_equal(one.values, four.values)
+
+
+@pytest.mark.parametrize("gamma", ["0", "0.3*y1", "0.2*sin(x)*y1"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_make_solution_nodes_match_y_node_streams(gamma, workers):
+    # every node equals a fresh batch from that node on its y-node's stream,
+    # whether the row shares one batch (x-free gamma) or re-runs it per node
+    op = OperatorSpec.from_strings("y1", gamma)
+    axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=200, master_seed=5)
+    field = make_solution(op, DOM, kolmogorov_fn, 1.0, cfg, axes, workers=workers)
+    for ix, x in enumerate(axes[0]):
+        for iy, y in enumerate(axes[1]):
+            est = evaluate(op, DOM, kolmogorov_fn, (x, y), 1.0, cfg, stream=iy + 1)
+            assert field.values[ix, iy] == est.value
+
+
+@pytest.mark.parametrize("gamma, batches", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])
+def test_make_solution_work_counts(monkeypatch, gamma, batches):
+    counts = {"simulate_batch": 0, "estimate_sups": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(feynman_kac, "simulate_batch",
+                        counted("simulate_batch", feynman_kac.simulate_batch))
+    monkeypatch.setattr(operators, "estimate_sups",
+                        counted("estimate_sups", operators.estimate_sups))
+    op = OperatorSpec.from_strings("y1", gamma)
+    axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
+    make_solution(op, DOM, kolmogorov_fn, 0.5, SimConfig(t_max=1.0, dt=5e-3, n_paths=20), axes)
+    assert counts == {"simulate_batch": batches, "estimate_sups": 1}
 
 
 def test_make_solution_translation_consistency():
