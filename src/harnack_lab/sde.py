@@ -7,19 +7,25 @@ measures, and empirical comparability constants between measures started at
 different y.
 
 Reproducibility contract: path i draws from its own counter-based stream
-keyed by (master_seed, stream, i) (Philox), and every reduction is written in
-path-index order, so results are a pure function of the inputs and are
-byte-identical for any worker count or chunking.
+keyed by (master_seed, stream, i) (Philox): first one Exp(1) exit clock, then
+its Y normals in step order.  Every accumulation is a left fold seeded with
+the carried state, and every reduction is written in path-index order, so
+results are a pure function of the inputs: byte-identical for any worker
+count, chunk size or step-block size.  Path i takes the same steps whatever
+the path count, and whatever the horizon up to the last step (whose end time
+is pinned to t_max).
 
-Exit handling: by default a Brownian-bridge crossing draw runs inside each
-step, so a step whose endpoints are both inside the ball can still stop the
-path with probability exp(-(R-r_k)(R-r_{k+1})/dt); the recorded y is the
-radial projection onto the sphere and the recorded time is the endpoint of
-the step.  This keeps the exit-time discretization bias at O(dt) (it halves
-when dt does).  Pass exit_detection="endpoint" to stop only when an endpoint
+Exit handling: by default each path runs an exit clock.  It stops at the
+first step where its cumulative Brownian-bridge crossing hazard,
+sum of -log1p(-p_k) with p_k = exp(-(R-r_k)(R-r_{k+1})/dt), reaches its
+Exp(1) draw, so a step whose endpoints are both inside the ball still stops
+the path with conditional probability p_k; the recorded y is the radial
+projection onto the sphere and the recorded time is the endpoint of the
+step.  This keeps the exit-time discretization bias at O(dt) (it halves when
+dt does).  Pass exit_detection="endpoint" to stop only when an endpoint
 lands outside; that variant is simpler but biased high by O(sqrt(dt)), which
 is visible at desk scale (roughly +0.06 on a mean exit time of 2.0 at
-dt = 1e-3).
+dt = 1e-3).  Both modes draw the clock, so they share every Y increment.
 """
 
 from __future__ import annotations
@@ -48,12 +54,14 @@ __all__ = [
 
 DEFAULT_MASS_FLOOR = 20
 
-# work unit sizes; results do not depend on the chunk size, but they do depend
-# on the block size: each block interleaves its normal and uniform draws on the
-# path's one stream and restarts its cumsums (changing _BLOCK_STEPS from 1024
-# to 256 flips 1,524 of 5,000 exit flags)
+# work unit sizes; results depend on none of them.  A chunk of paths shares one
+# bit generator and is one thread task; each running path draws the normals of
+# _DRAW_STEPS steps per refill; the steps are computed in blocks of
+# _BLOCK_STEPS, small enough for the temporaries to stay in cache, and paths
+# that stopped are dropped after every block
 _CHUNK_PATHS = 2048
-_BLOCK_STEPS = 1024
+_DRAW_STEPS = 1024
+_BLOCK_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -190,16 +198,16 @@ def _time_grid(dt: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     return dt_steps, t_grid
 
 
-def _path_generators(master_seed: int, stream: int, lo: int, hi: int) -> list:
-    if not 0 <= stream < 2**32:
-        raise ValueError("stream must fit in 32 bits")
-    base = stream << 32
-    return [
-        np.random.Generator(
-            np.random.Philox(key=np.array([master_seed, base | i], dtype=np.uint64))
-        )
-        for i in range(lo, hi)
-    ]
+def _fresh_state(key: np.ndarray) -> dict:
+    """The state of ``Philox(key=key)``: counter 0 and an empty buffer."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _run_chunk(
@@ -218,90 +226,139 @@ def _run_chunk(
 ) -> None:
     n_y = op.n_y
     m = hi - lo
-    gens = _path_generators(cfg.master_seed, stream, lo, hi)
+    n_steps = dt_steps.shape[0]
     r2_max = radius * radius
     gamma_const = isinstance(op.gamma, Const)
+    sq_steps = np.sqrt(2.0 * dt_steps)
 
-    y_cur = np.broadcast_to(start_y, (m, n_y)).copy()
+    keys = np.empty((m, 2), dtype=np.uint64)
+    keys[:, 0] = cfg.master_seed
+    keys[:, 1] = np.uint64(stream << 32) | np.arange(lo, hi, dtype=np.uint64)
+    # one bit generator per chunk; every path sets its own state before drawing,
+    # so the seed given here is never used
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    states = [None] * m  # Philox state of a path that outlives a draw refill
+
+    # carried state of the running paths, aligned with ``live`` (chunk-local ids)
+    live = np.arange(m)
+    clock = np.empty(m)
+    y = np.broadcast_to(start_y, (m, n_y)).copy()
+    r2 = np.full(m, start_y @ start_y)
     x_disp = np.zeros(m)
     g_acc = np.zeros(m)
-    rows = np.arange(lo, hi)
-    n_steps = dt_steps.shape[0]
-    offset = 0
+    hazard = np.zeros(m)
 
-    while offset < n_steps and m > 0:
-        blk = min(_BLOCK_STEPS, n_steps - offset)
-        dts = dt_steps[offset : offset + blk]
-        sq = np.sqrt(2.0 * dts)
-        normals = np.empty((m, blk, n_y))
-        unis = np.empty((m, blk))
-        for j, g in enumerate(gens):
-            g.standard_normal(out=normals[j])
-            g.random(out=unis[j])
+    for w0 in range(0, n_steps, _DRAW_STEPS):
+        if live.size == 0:
+            break
+        w1 = min(w0 + _DRAW_STEPS, n_steps)
+        save = w1 < n_steps
+        normals = np.empty((live.size, w1 - w0, n_y))
+        for j, p in enumerate(live):
+            if w0 == 0:
+                bitgen.state = _fresh_state(keys[p])
+                clock[j] = gen.standard_exponential()
+            else:
+                bitgen.state = states[p]
+            gen.standard_normal(out=normals[j])
+            if save:
+                states[p] = bitgen.state
+        src = np.arange(live.size)  # row of each running path in ``normals``
 
-        ys = y_cur[:, None, :] + np.cumsum(normals * sq[None, :, None], axis=1)
-        r2 = np.einsum("ijk,ijk->ij", ys, ys)
-        outside = r2 >= r2_max
-        r_cur = np.sqrt(r2)
-        r_prev = np.empty_like(r_cur)
-        r_prev[:, 0] = np.sqrt(np.einsum("ik,ik->i", y_cur, y_cur))
-        r_prev[:, 1:] = r_cur[:, :-1]
-
-        if bridge:
-            with np.errstate(over="ignore", invalid="ignore"):
-                p_cross = np.exp(-(radius - r_prev) * (radius - r_cur) / dts[None, :])
-            hit = outside | (unis < p_cross)
-        else:
+        for b0 in range(w0, w1, _BLOCK_STEPS):
+            b1 = min(b0 + _BLOCK_STEPS, w1)
+            k = live.size
+            dts = dt_steps[b0:b1]
+            # left folds over [carry, increments...]: the bits do not depend on
+            # where a block starts
+            ys = np.empty((k, b1 - b0 + 1, n_y))
+            ys[:, 0] = y
+            np.multiply(normals[src, b0 - w0 : b1 - w0], sq_steps[b0:b1, None], out=ys[:, 1:])
+            np.cumsum(ys, axis=1, out=ys)
+            r2s = np.empty((k, b1 - b0 + 1))
+            r2s[:, 0] = r2
+            np.square(ys[:, 1:, 0], out=r2s[:, 1:])
+            for c in range(1, n_y):
+                r2s[:, 1:] += ys[:, 1:, c] ** 2
+            outside = r2s[:, 1:] >= r2_max
             hit = outside
 
-        # coefficients are evaluated at the left endpoint of each step; clamp
-        # post-exit garbage states into the ball so beta stays in its domain
-        prev = np.concatenate([y_cur[:, None, :], ys[:, :-1, :]], axis=1)
-        scale = np.minimum(1.0, radius / np.maximum(r_prev, 1e-300))
-        prev_in = prev * scale[:, :, None]
-        beta_v = op.beta_at(prev_in)
-        drift = np.cumsum(beta_v * dts[None, :], axis=1)
-        if not gamma_const:
-            x_prev = np.empty((m, blk))
-            x_prev[:, 0] = 0.0
-            x_prev[:, 1:] = drift[:, :-1]
-            x_prev += (start_x + x_disp)[:, None]
-            gam_v = op.gamma_at(x_prev, prev_in)
-            gam = np.cumsum(gam_v * dts[None, :], axis=1)
+            if bridge:
+                # exit clock: the path stops once its cumulative bridge-crossing
+                # hazard h_k = -log1p(-p_k) reaches its Exp(1) draw, so a step
+                # that starts alive stops with p_k = exp(-(R-r_k)(R-r_{k+1})/dt).
+                # Once the exponent passes 708, p_k < 1e-307 and h_k is taken as
+                # 0: a sum of such terms stays far below the smallest nonzero
+                # Exp(1) draw (about 7e-18), so no stop decision moves.  That
+                # holds on every step of a row that stays 1% further from the
+                # sphere than sqrt(708*dt), so only the other rows fold any
+                # hazard.  Below 2**-54, -log1p(-p) is p in double precision.
+                reach = max(radius - 1.01 * np.sqrt(708.0 * dts.max()), 0.0)
+                warm = np.flatnonzero(r2s.max(axis=1) > reach * reach)
+                if warm.size:
+                    d = radius - np.sqrt(r2s[warm])
+                    expo = d[:, :-1] * d[:, 1:]
+                    expo /= dts
+                    near = expo < 708.0
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        h = np.exp(-expo[near])
+                        big = np.flatnonzero(h >= 2.0**-54)
+                        h[big] = -np.log1p(-h[big])
+                    hs = np.zeros((warm.size, b1 - b0 + 1))
+                    hs[:, 0] = hazard[warm]
+                    hs[:, 1:][near] = h
+                    np.cumsum(hs, axis=1, out=hs)
+                    hit = outside.copy()
+                    hit[warm] |= hs[:, 1:] >= clock[warm, None]
+                    hazard[warm] = hs[:, -1]
 
-        first = np.argmax(hit, axis=1)
-        hit_any = hit[np.arange(m), first]
-        if np.any(hit_any):
-            idx = np.nonzero(hit_any)[0]
-            j = first[idx]
-            y_hit = ys[idx, j, :]
-            r_hit = r_cur[idx, j]
-            rows_hit = rows[idx]
-            out["stopped_y"][rows_hit] = y_hit * (radius / np.maximum(r_hit, 1e-300))[:, None]
-            out["stop_time"][rows_hit] = t_grid[offset + j + 1]
-            out["x_disp"][rows_hit] = x_disp[idx] + drift[idx, j]
+            stop = hit.any(axis=1)
+            idx = np.flatnonzero(stop)
+            j = np.argmax(hit[idx], axis=1) + 1  # ys column of the stopping step
+            rows = lo + live[idx]
+            if idx.size:
+                y_hit = ys[idx, j]
+                r_hit = np.sqrt(r2s[idx, j])
+                out["stopped_y"][rows] = y_hit * (radius / np.maximum(r_hit, 1e-300))[:, None]
+                out["stop_time"][rows] = t_grid[b0 + j]
+                out["exited"][rows] = True
+
+            # coefficients are evaluated at the left endpoint of each step.  A
+            # left endpoint outside the ball comes after its path stopped and
+            # feeds no recorded value; pull it back into the ball so beta stays
+            # in its domain
+            over = np.flatnonzero(outside[:, :-1].any(axis=1))
+            if over.size:
+                scale = np.minimum(1.0, radius / np.maximum(np.sqrt(r2s[over, 1:-1]), 1e-300))
+                ys[over, 1:-1] *= scale[:, :, None]
+            prev = ys[:, :-1]
+            xs = np.empty((k, b1 - b0 + 1))
+            xs[:, 0] = x_disp
+            np.multiply(op.beta_at(prev), dts, out=xs[:, 1:])
+            np.cumsum(xs, axis=1, out=xs)
+            if idx.size:
+                out["x_disp"][rows] = xs[idx, j]
             if not gamma_const:
-                out["gamma_integral"][rows_hit] = g_acc[idx] + gam[idx, j]
-            out["exited"][rows_hit] = True
+                gs = np.empty((k, b1 - b0 + 1))
+                gs[:, 0] = g_acc
+                np.multiply(op.gamma_at(start_x + xs[:, :-1], prev), dts, out=gs[:, 1:])
+                np.cumsum(gs, axis=1, out=gs)
+                if idx.size:
+                    out["gamma_integral"][rows] = gs[idx, j]
 
-        keep = ~hit_any
-        if np.all(hit_any):
-            m = 0
-            gens = []
-        else:
-            y_cur = ys[keep, -1, :]
-            x_disp = x_disp[keep] + drift[keep, -1]
+            keep = ~stop
+            live, src, clock = live[keep], src[keep], clock[keep]
+            y, r2, x_disp = ys[keep, -1], r2s[keep, -1], xs[keep, -1]
+            hazard = hazard[keep]
             if not gamma_const:
-                g_acc = g_acc[keep] + gam[keep, -1]
-            else:
-                g_acc = g_acc[keep]
-            rows = rows[keep]
-            gens = [g for g, k in zip(gens, keep) if k]
-            m = len(gens)
-        offset += blk
+                g_acc = gs[keep, -1]
+            if live.size == 0:
+                break
 
-    if m > 0:  # horizon reached without exit
-        out["stopped_y"][rows] = y_cur
+    if live.size > 0:  # horizon reached without exit
+        rows = lo + live
+        out["stopped_y"][rows] = y
         out["stop_time"][rows] = t_grid[-1]
         out["x_disp"][rows] = x_disp
         if not gamma_const:
@@ -340,6 +397,8 @@ def simulate_batch(
     """
     if exit_detection not in ("bridge", "endpoint"):
         raise ValueError("exit_detection must be 'bridge' or 'endpoint'")
+    if not 0 <= stream < 2**32:
+        raise ValueError("stream must fit in 32 bits")
     op = with_estimated_sups(op, dom)
     start_x, start_y = _normalize_start(start, op.n_y)
     radius = dom.y_outer_radius
@@ -461,6 +520,8 @@ def comparability_constant(
         p = np.atleast_1d(np.asarray(point, dtype=float))
         if float(p @ p) >= inner2:
             raise ValueError(f"{label} must lie strictly inside the inner ball")
+    # one grid estimate of the sup bounds serves both measures
+    op = with_estimated_sups(op, dom)
     meas_a = estimate_nu(op, dom, y_a, t, cfg, bins=bins, workers=workers)
     meas_b = estimate_nu(op, dom, y_b, t, cfg, bins=bins, workers=workers)
     counts_a = np.concatenate([meas_a.counts.reshape(-1), [meas_a.exit_count]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from harnack_lab import operators, sde
 from harnack_lab.operators import CylinderDomain, OperatorSpec, with_estimated_sups
 from harnack_lab.sde import (
     EmpiricalMeasure,
@@ -12,6 +13,21 @@ from harnack_lab.sde import (
 )
 
 DOM = CylinderDomain()
+BATCH_ARRAYS = ("stopped_x", "stopped_y", "stop_time", "gamma_integral", "exited")
+# zero, x-free and x-dependent gamma, each at n_y = 1 and 2
+ENGINE_CASES = pytest.mark.parametrize(
+    "gamma, n_y",
+    [(g, n) for g in ("0", "0.3*y1", "0.2*sin(x)*y1") for n in (1, 2)],
+)
+
+
+def engine_op(gamma, n_y):
+    beta = "y1" if n_y == 1 else "y1 - 0.5*y2"
+    return OperatorSpec.from_strings(beta, gamma, dim_n=n_y + 1)
+
+
+def engine_start(n_y):
+    return (0.2, (0.3, -0.2)[:n_y])
 
 
 def test_sim_config_validation():
@@ -109,6 +125,78 @@ def test_results_independent_of_worker_count():
         assert np.array_equal(getattr(one, attr), getattr(three, attr)), attr
 
 
+@ENGINE_CASES
+def test_results_independent_of_block_sizes(monkeypatch, gamma, n_y):
+    # 1,250 steps: more than one draw refill at the default sizes
+    op = engine_op(gamma, n_y)
+    cfg = SimConfig(t_max=2.5, dt=2e-3, n_paths=600, master_seed=77)
+    runs = []
+    for draw, block, chunk in ((1024, 128, 2048), (333, 7, 250), (4096, 4096, 4096)):
+        monkeypatch.setattr(sde, "_DRAW_STEPS", draw)
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
+        monkeypatch.setattr(sde, "_CHUNK_PATHS", chunk)
+        runs.append(simulate_batch(op, DOM, engine_start(n_y), cfg))
+    assert 0 < runs[0].exited.sum() < cfg.n_paths
+    for other in runs[1:]:
+        for attr in BATCH_ARRAYS:
+            assert np.array_equal(getattr(runs[0], attr), getattr(other, attr)), attr
+
+
+@ENGINE_CASES
+def test_early_paths_independent_of_horizon(gamma, n_y):
+    op = engine_op(gamma, n_y)
+    short = simulate_batch(op, DOM, engine_start(n_y),
+                           SimConfig(t_max=1.0, dt=2e-3, n_paths=1000, master_seed=5))
+    long = simulate_batch(op, DOM, engine_start(n_y),
+                          SimConfig(t_max=3.0, dt=2e-3, n_paths=1000, master_seed=5))
+    # a path stopping on the last step of the short run is excluded: that
+    # step's time is pinned to t_max
+    early = short.stop_time < 1.0
+    assert early.sum() > 100
+    for attr in BATCH_ARRAYS:
+        assert np.array_equal(getattr(short, attr)[early], getattr(long, attr)[early]), attr
+
+
+@ENGINE_CASES
+def test_first_paths_independent_of_path_count(gamma, n_y):
+    op = engine_op(gamma, n_y)
+    few = simulate_batch(op, DOM, engine_start(n_y),
+                         SimConfig(t_max=1.0, dt=2e-3, n_paths=200, master_seed=8))
+    many = simulate_batch(op, DOM, engine_start(n_y),
+                          SimConfig(t_max=1.0, dt=2e-3, n_paths=3000, master_seed=8))
+    for attr in BATCH_ARRAYS:
+        assert np.array_equal(getattr(few, attr), getattr(many, attr)[:200]), attr
+
+
+@ENGINE_CASES
+def test_bridge_stops_no_later_than_endpoint(gamma, n_y):
+    # both modes draw the exit clock, so they share every Y increment
+    op = engine_op(gamma, n_y)
+    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=1000, master_seed=21)
+    bridge = simulate_batch(op, DOM, engine_start(n_y), cfg, exit_detection="bridge")
+    endpoint = simulate_batch(op, DOM, engine_start(n_y), cfg, exit_detection="endpoint")
+    assert np.all(bridge.stop_time <= endpoint.stop_time)
+    assert np.any(bridge.stop_time < endpoint.stop_time)
+    same = (bridge.stop_time == endpoint.stop_time) & endpoint.exited
+    assert np.any(same)
+    assert np.array_equal(bridge.stopped_y[same], endpoint.stopped_y[same])
+
+
+def test_one_bit_generator_per_chunk(monkeypatch):
+    made = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", 500)
+    op = OperatorSpec.from_strings("y1")
+    simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=0.2, dt=2e-3, n_paths=2000, master_seed=3))
+    assert 1 <= len(made) <= 4
+
+
 def test_streams_are_independent():
     op = OperatorSpec.from_strings("y1")
     cfg = SimConfig(t_max=0.5, dt=2e-3, n_paths=200, master_seed=1)
@@ -167,6 +255,21 @@ def test_comparability_constant_properties():
         cfg_small = SimConfig(t_max=1.0, dt=2e-3, n_paths=100, master_seed=37)
         comparability_constant(op, DOM, -0.5, 0.5, t=1.0, cfg=cfg_small,
                                bins=10, mass_floor=1000)
+
+
+def test_comparability_constant_estimates_sups_once(monkeypatch):
+    calls = []
+    estimate_sups = operators.estimate_sups
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_sups(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "estimate_sups", counted)
+    op = OperatorSpec.from_strings("y1")
+    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=400, master_seed=37)
+    comparability_constant(op, DOM, -0.3, 0.3, t=0.5, cfg=cfg, bins=4)
+    assert len(calls) == 1
 
 
 def test_path_batch_csv(tmp_path):
