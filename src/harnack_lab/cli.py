@@ -37,7 +37,7 @@ import numpy as np
 from . import expressions
 from .feynman_kac import evaluate as fk_evaluate
 from .feynman_kac import make_solution, sandwich_check
-from .fields import box_axes, format_float, heatmap_svg, write_json
+from .fields import FLOAT_FMT, box_axes, heatmap_svg, write_csv, write_json
 from .harnack import (
     SubCylinder,
     counterexample_scan,
@@ -397,11 +397,10 @@ def cmd_regions(cfg: RunConfig) -> int:
     regions = classify_regions(cfg.op, cfg.dom, level, grid_step)
 
     names = [f"y{k+1}" for k in range(cfg.op.n_y)]
-    lines = [",".join(["side"] + names)]
-    for side, pts in (("plus", regions.plus_points), ("minus", regions.minus_points)):
-        for row in pts:
-            lines.append(",".join([side] + [format_float(v) for v in row]))
-    (cfg.out_dir / "regions.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    fmt = ",".join(["%s"] + [FLOAT_FMT] * cfg.op.n_y)
+    rows = [("plus", *p) for p in regions.plus_points.tolist()]
+    rows += [("minus", *p) for p in regions.minus_points.tolist()]
+    write_csv(cfg.out_dir / "regions.csv", ["side"] + names, fmt, rows)
 
     payload = {
         "level": regions.level,

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "ScalarField",
     "box_axes",
     "format_float",
+    "write_csv",
     "write_json",
     "heatmap_svg",
     "line_plot_svg",
@@ -34,6 +34,21 @@ FLOAT_FMT = "%.17g"
 def format_float(x: float) -> str:
     """17 significant digits, enough to reconstruct the exact float64."""
     return FLOAT_FMT % float(x)
+
+
+def write_csv(path, header, fmt: str, rows, footer=()) -> None:
+    """Header line, one ``fmt % row`` line per row, then the preformatted
+    ``footer`` lines.
+
+    Rows are tuples of Python numbers and strings (build them by zipping
+    ``tolist()`` columns): ``%.17g`` of a Python float is ``format_float`` of
+    the same value, so a row format made of ``FLOAT_FMT`` fields writes the
+    bytes the per-value formatter would, in one formatting call per row.
+    """
+    lines = [",".join(header)]
+    lines += [fmt % row for row in rows]
+    lines += footer
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_json(path, payload: dict) -> None:
@@ -133,6 +148,9 @@ class ScalarField:
         if y_arr.shape[0] == 1 and x_arr.shape[0] > 1:
             y_arr = np.broadcast_to(y_arr, (x_arr.shape[0], self.n_y))
         pts = np.column_stack([x_arr, y_arr])
+        # imported on first use: see solutions.separable
+        from scipy.interpolate import RegularGridInterpolator
+
         interp = RegularGridInterpolator(
             self.axes, self.values, method="linear", bounds_error=True
         )
@@ -148,13 +166,10 @@ class ScalarField:
     # -- persistence ---------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        names = self.axis_names
-        lines = [",".join(names + ("value",))]
         mesh = np.meshgrid(*self.axes, indexing="ij")
-        cols = [m.reshape(-1) for m in mesh] + [self.values.reshape(-1)]
-        for row in zip(*cols):
-            lines.append(",".join(format_float(v) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        cols = [m.reshape(-1).tolist() for m in mesh] + [self.values.reshape(-1).tolist()]
+        fmt = ",".join([FLOAT_FMT] * len(cols))
+        write_csv(path, self.axis_names + ("value",), fmt, zip(*cols))
 
     @classmethod
     def from_csv(cls, path, name: str | None = None) -> "ScalarField":
@@ -217,20 +232,15 @@ _PALETTE = (
 )
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_PALETTE) - 1)
-    i = min(int(pos), len(_PALETTE) - 2)
-    w = pos - i
-    rgb = [
-        round(255 * ((1 - w) * _PALETTE[i][c] + w * _PALETTE[i + 1][c]))
-        for c in range(3)
-    ]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
-
-
 def heatmap_svg(field: ScalarField, title: str | None = None) -> str:
-    """Deterministic SVG heatmap of a field with one y axis."""
+    """Deterministic SVG heatmap of a field with one y axis.
+
+    Node (i, j) is drawn as a cell whose edges lie halfway between nodes.
+    A cell's x edges depend only on its column i and its y edges only on its
+    row j, so the pixel coordinates and their ``.2f`` strings are computed
+    once per column and once per row; the colours of all cells come from one
+    numpy pass over the palette, and each ``<rect>`` is one concatenation.
+    """
     if field.n_y != 1:
         raise ValueError("heatmap output needs exactly one y axis")
     xs, ys = field.axes
@@ -240,29 +250,35 @@ def heatmap_svg(field: ScalarField, title: str | None = None) -> str:
     width, height, m = 640, 480, 50
     pw, ph = width - 2 * m, height - 2 * m
 
-    def px(x):
-        return m + pw * (x - xs[0]) / (xs[-1] - xs[0])
-
-    def py(y):
-        return m + ph * (ys[-1] - y) / (ys[-1] - ys[0])
-
-    # cell edges halfway between nodes
+    # cell edges halfway between nodes, then their pixel positions
     xe = np.concatenate([[xs[0]], (xs[1:] + xs[:-1]) / 2, [xs[-1]]])
     ye = np.concatenate([[ys[0]], (ys[1:] + ys[:-1]) / 2, [ys[-1]]])
+    xp = m + pw * (xe - xs[0]) / (xs[-1] - xs[0])
+    yp = m + ph * (ys[-1] - ye) / (ys[-1] - ys[0])
+    col_x = [f"{v:.2f}" for v in xp[:-1].tolist()]
+    col_w = [f"{v:.2f}" for v in (xp[1:] - xp[:-1]).tolist()]
+    row_y = [f"{v:.2f}" for v in yp[1:].tolist()]
+    row_h = [f"{v:.2f}" for v in (yp[:-1] - yp[1:]).tolist()]
+
+    # linear interpolation between palette knots; np.rint rounds half to
+    # even like round()
+    palette = np.array(_PALETTE)
+    pos = np.clip((vals - lo) / span, 0.0, 1.0) * (len(_PALETTE) - 1)
+    knot = np.minimum(pos.astype(np.int64), len(_PALETTE) - 2)
+    w = (pos - knot)[..., None]
+    rgb = np.rint(255 * ((1 - w) * palette[knot] + w * palette[knot + 1])).astype(np.int64)
+    fills = (rgb[..., 0] << 16 | rgb[..., 1] << 8 | rgb[..., 2]).tolist()
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for i in range(xs.size):
-        for j in range(ys.size):
-            x0, x1 = px(xe[i]), px(xe[i + 1])
-            y1_, y0 = py(ye[j]), py(ye[j + 1])
-            c = _color((vals[i, j] - lo) / span)
-            parts.append(
-                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-                f'height="{y1_ - y0:.2f}" fill="{c}"/>'
-            )
+    for x0, cw, col_fills in zip(col_x, col_w, fills):
+        head = '<rect x="' + x0 + '" y="'
+        tail = '" width="' + cw + '" height="'
+        for y0, rh, c in zip(row_y, row_h, col_fills):
+            parts.append(head + y0 + tail + rh + '" fill="#%06x"/>' % c)
     parts.append(
         f'<rect x="{m}" y="{m}" width="{pw}" height="{ph}" fill="none" '
         'stroke="black" stroke-width="1"/>'

@@ -22,11 +22,10 @@ be run against when pointwise values are too rough.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .fields import ScalarField, format_float, line_plot_svg
+from .fields import FLOAT_FMT, ScalarField, line_plot_svg, write_csv
 from .operators import CylinderDomain, OperatorSpec, ball_lattice, classify_regions
 from .solutions import AnalyticSolution, counterexample_family
 
@@ -340,14 +339,10 @@ def scan_to_csv(scan: FamilyScan, path) -> None:
     header = ["solution", "sup", "inf", "ratio"]
     header += [f"argmax_{n}" for n in ("x", *[f"y{k+1}" for k in range(n_y)])]
     header += [f"argmin_{n}" for n in ("x", *[f"y{k+1}" for k in range(n_y)])]
-    lines = [",".join(header)]
-    for rep in scan.reports:
-        row = [rep.solution, format_float(rep.sup), format_float(rep.inf),
-               format_float(rep.ratio)]
-        row += [format_float(v) for v in rep.argmax]
-        row += [format_float(v) for v in rep.argmin]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    fmt = ",".join(["%s"] + [FLOAT_FMT] * (3 + 2 * (n_y + 1)))
+    rows = [(rep.solution, rep.sup, rep.inf, rep.ratio, *rep.argmax, *rep.argmin)
+            for rep in scan.reports]
+    write_csv(path, header, fmt, rows)
 
 
 def ratio_plot_svg(scan: FamilyScan) -> str:

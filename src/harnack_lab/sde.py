@@ -33,12 +33,11 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .expressions import Const
-from .fields import format_float
+from .fields import FLOAT_FMT, format_float, write_csv
 from .operators import CylinderDomain, OperatorSpec, with_estimated_sups
 
 __all__ = [
@@ -114,17 +113,16 @@ class PathBatch:
     def to_csv(self, path) -> None:
         y_cols = [f"stopped_y{k + 1}" for k in range(self.n_y)]
         header = ["path_id", "stopped_x", *y_cols, "stop_time", "gamma_integral", "exited"]
-        lines = [",".join(header)]
-        for i in range(self.n_paths):
-            row = [str(i), format_float(self.stopped_x[i])]
-            row += [format_float(v) for v in self.stopped_y[i]]
-            row += [
-                format_float(self.stop_time[i]),
-                format_float(self.gamma_integral[i]),
-                "1" if self.exited[i] else "0",
-            ]
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        fmt = ",".join(["%d"] + [FLOAT_FMT] * (self.n_y + 3) + ["%d"])
+        rows = zip(
+            range(self.n_paths),
+            self.stopped_x.tolist(),
+            *self.stopped_y.T.tolist(),
+            self.stop_time.tolist(),
+            self.gamma_integral.tolist(),
+            self.exited.astype(np.int64).tolist(),
+        )
+        write_csv(path, header, fmt, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,19 +159,18 @@ class EmpiricalMeasure:
     def to_csv(self, path) -> None:
         n_y = len(self.bin_edges)
         header = ["bin"] + [f"y{k + 1}_center" for k in range(n_y)] + ["count", "mass"]
-        lines = [",".join(header)]
-        centers = self.bin_centers
-        flat_counts = self.counts.reshape(-1)
-        for flat_idx, multi in enumerate(np.ndindex(self.counts.shape)):
-            row = [str(flat_idx)]
-            row += [format_float(centers[k][multi[k]]) for k in range(n_y)]
-            c = int(flat_counts[flat_idx])
-            row += [str(c), format_float(c / self.n_paths)]
-            lines.append(",".join(row))
-        lines.append(
-            ",".join(["exit"] + [""] * n_y + [str(self.exit_count), format_float(self.exit_mass)])
+        fmt = ",".join(["%d"] + [FLOAT_FMT] * n_y + ["%d", FLOAT_FMT])
+        # bins in C order, like np.ndindex over the counts
+        centers = np.meshgrid(*self.bin_centers, indexing="ij")
+        rows = zip(
+            range(self.counts.size),
+            *(c.reshape(-1).tolist() for c in centers),
+            self.counts.reshape(-1).tolist(),
+            self.masses.reshape(-1).tolist(),
         )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        exit_row = ",".join(
+            ["exit"] + [""] * n_y + [str(self.exit_count), format_float(self.exit_mass)])
+        write_csv(path, header, fmt, rows, footer=[exit_row])
 
 
 def _normalize_start(start, n_y: int) -> tuple[float, np.ndarray]:

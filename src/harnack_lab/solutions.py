@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .expressions import Const, simplify
 from .fields import ScalarField
@@ -187,16 +186,17 @@ def constant(c: float, op: OperatorSpec | None = None,
 
 def _rk4_sweep(q_half: np.ndarray, h: float, p0: float, v0: float):
     """March (phi, phi') through n = (len(q_half)-1)/2 uniform RK4 steps;
-    q_half holds q at the half-step grid y0, y0+h/2, y0+h, ..."""
-    n = (q_half.shape[0] - 1) // 2
-    p = np.empty(n + 1)
-    v = np.empty(n + 1)
-    p[0], v[0] = p0, v0
-    cp, cv = p0, v0
-    for i in range(n):
-        qa = q_half[2 * i]
-        qm = q_half[2 * i + 1]
-        qb = q_half[2 * i + 2]
+    q_half holds q at the half-step grid y0, y0+h/2, y0+h, ...
+
+    The loop runs on Python floats (numpy scalars cost several times more
+    per operation); IEEE double arithmetic in the same order gives the same
+    bits either way."""
+    q = q_half.tolist()
+    h = float(h)
+    cp, cv = float(p0), float(v0)
+    p = [cp]
+    v = [cv]
+    for qa, qm, qb in zip(q[::2], q[1::2], q[2::2]):
         k1p = cv
         k1v = qa * cp
         k2p = cv + 0.5 * h * k1v
@@ -207,8 +207,9 @@ def _rk4_sweep(q_half: np.ndarray, h: float, p0: float, v0: float):
         k4v = qb * (cp + h * k3p)
         cp += h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         cv += h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-        p[i + 1], v[i + 1] = cp, cv
-    return p, v
+        p.append(cp)
+        v.append(cv)
+    return np.array(p), np.array(v)
 
 
 def _integrate_profile(op: OperatorSpec, lam: float, gamma0: float,
@@ -291,6 +292,10 @@ def separable(
         raise ValueError(
             f"separable profile vanishes on the inner interval; first zero near y = {zero_at:.6g}"
         )
+
+    # imported here: scipy.interpolate takes longer to import than the rest
+    # of the package, and only this constructor and ScalarField.at use it
+    from scipy.interpolate import CubicHermiteSpline
 
     profile = CubicHermiteSpline(nodes, phi, dphi)
 

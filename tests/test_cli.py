@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +211,24 @@ def test_harnack_rerun_bitwise_identical(tmp_path):
     _, out_b = run(tmp_path / "b", "harnack", "--svg")
     for name in ("harnack.csv", "harnack.json", "harnack.svg"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_scipy_interpolate_loaded_only_on_first_use(tmp_path):
+    # a fresh interpreter: importing the package and running `check` must not
+    # pay for scipy.interpolate; the first ScalarField.at call loads it
+    code = f"""
+import sys
+import harnack_lab
+from harnack_lab import cli
+assert "scipy.interpolate" not in sys.modules, "loaded by import harnack_lab"
+assert cli.main(["check", "--out", {str(tmp_path)!r}]) == 0
+assert "scipy.interpolate" not in sys.modules, "loaded by check"
+field = harnack_lab.ScalarField.sample(lambda x, y: x, harnack_lab.box_axes(0, 1, 2, 1, 2))
+assert field.at(0.5, [0.0]) == 0.5
+assert "scipy.interpolate" in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
