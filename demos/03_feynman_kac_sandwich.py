@@ -44,9 +44,10 @@ for s in catalog:
           f"value {rep.value_at_start:8.4f}  passed = {rep.passed}")
 
 # -- manufacture a solution from boundary data ---------------------------------
-# Run the diffusion once per y-node, translate its paths to every x-node of
-# that row (gamma does not depend on x), and average the boundary payoff:
-# the resulting field is (approximately) L-harmonic with the given data.
+# Run the diffusion from every y-node on common random numbers, translate its
+# paths to every x-node of that row (gamma does not depend on x), and average
+# the boundary payoff: the resulting field is (approximately) L-harmonic with
+# the given data.
 g = lambda x, y: 10.0 + x - y[:, 0] ** 3 / 6          # boundary payoff
 axes = (np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 1.0, 9))
 field = make_solution(op, dom, g, t_solve=2.0,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sde
 from .expressions import free_variables
 from .fields import ScalarField
 from .operators import CylinderDomain, OperatorSpec, estimate_sups, with_estimated_sups
@@ -184,14 +185,18 @@ def make_solution(
 ) -> ScalarField:
     """Manufacture a positive field node-by-node from boundary data g > 0.
 
-    Y paths get no feedback from x, so every node of an x-row draws from the
-    row's stream ``iy + 1`` (``iy`` is the linear index over the y axes); the
-    field is reproducible node-wise and independent of worker count.  When
-    gamma does not depend on x, one batch from x = 0 serves the whole row by
-    translation, bit for bit; otherwise the stream is re-run from each node.
-    The node value is the mean of exp(gamma_integral) * g at the stopped
-    state — exited paths use the exit state on the sphere, survivors the
-    horizon state.
+    Every node draws from stream 1 (common random numbers), so each node
+    equals ``evaluate(op, dom, g, node, t_solve, cfg, stream=1)`` bit for
+    bit, and the field is independent of worker count.  Stream 1 keeps the
+    field off stream 0, the default of ``evaluate`` and ``sandwich_check``,
+    so checking a node with those draws fresh paths.  Y paths get no
+    feedback from x, so when gamma does not depend on x the paths from a
+    y-node at x = 0 serve its whole x-row by translation; otherwise every
+    node is a start of its own.  The starts run as multi-start
+    ``simulate_batch`` calls of at most one chunk each, spread over
+    ``workers`` threads.  The node value is the mean of
+    exp(gamma_integral) * g at the stopped state — exited paths use the exit
+    state on the sphere, survivors the horizon state.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 1 + op.n_y:
@@ -206,30 +211,39 @@ def make_solution(
     x_free = "x" not in free_variables(op.gamma)
 
     shape = tuple(a.shape[0] for a in axes)
-    values = np.empty(shape)
+    # the starts in C order: the y-nodes at x = 0, each standing for its
+    # x-row, when gamma does not depend on x; every grid node otherwise
+    mesh = np.meshgrid(*((np.zeros(1),) + axes[1:] if x_free else axes), indexing="ij")
+    starts_x = mesh[0].reshape(-1)
+    starts_y = np.stack([m.reshape(-1) for m in mesh[1:]], axis=-1)
+    node_x = axes[0] if x_free else np.zeros(1)
+    n = cfg.n_paths
+    # start-major node values: one column per x-node a start serves
+    node_vals = np.empty((starts_x.shape[0], node_x.shape[0]))
+    per_call = max(1, sde._CHUNK_PATHS // n)
 
-    def fill_row(job):
-        iy, y_idx = job
-        start_y = np.array([axes[1 + k][y_idx[k]] for k in range(op.n_y)])
-        batch = None
-        for ix, start_x in enumerate(axes[0]):
-            if batch is None or not x_free:
-                batch = simulate_batch(op, dom, (0.0 if x_free else start_x, start_y), cfg,
-                                       workers=1, stream=iy + 1)
-            stopped_x = start_x + batch.stopped_x if x_free else batch.stopped_x
-            try:
-                payoff = np.asarray(g_fn(stopped_x, batch.stopped_y), dtype=float)
-            except ValueError as exc:
-                raise ValueError(
-                    f"boundary data evaluation failed for the node at x={start_x:g}: {exc}"
-                ) from exc
-            values[(ix, *y_idx)] = np.mean(np.exp(batch.gamma_integral) * payoff)
+    def fill(s0):
+        s1 = min(s0 + per_call, starts_x.shape[0])
+        batch = simulate_batch(op, dom, (starts_x[s0:s1], starts_y[s0:s1]), cfg,
+                               workers=1, stream=1)
+        k = s1 - s0
+        # (start, x-node, path): a start's stopped states moved to each x-node
+        px = node_x[None, :, None] + batch.stopped_x.reshape(k, 1, n)
+        py = np.broadcast_to(batch.stopped_y.reshape(k, 1, n, op.n_y), px.shape + (op.n_y,))
+        try:
+            payoff = np.asarray(g_fn(px.reshape(-1), py.reshape(-1, op.n_y)), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"boundary data evaluation failed at a stopped state: {exc}") from exc
+        payoff = np.broadcast_to(payoff, (px.size,)).reshape(px.shape)  # g may be constant
+        weights = np.exp(batch.gamma_integral).reshape(k, 1, n)
+        node_vals[s0:s1] = np.mean(weights * payoff, axis=2)
 
-    jobs = list(enumerate(np.ndindex(*shape[1:])))
-    if workers > 1:
+    groups = range(0, starts_x.shape[0], per_call)
+    if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, jobs))
+            list(pool.map(fill, groups))
     else:
-        for job in jobs:
-            fill_row(job)
-    return ScalarField(axes=axes, values=values, name=name)
+        for s0 in groups:
+            fill(s0)
+    values = node_vals.T if x_free else node_vals
+    return ScalarField(axes=axes, values=values.reshape(shape), name=name)

@@ -11,6 +11,7 @@ a self-contained SVG heatmap for the two-dimensional case.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -147,14 +148,34 @@ class ScalarField:
         y_arr = y_arr.reshape(-1, self.n_y) if y_arr.ndim > 0 else y_arr.reshape(1, 1)
         if y_arr.shape[0] == 1 and x_arr.shape[0] > 1:
             y_arr = np.broadcast_to(y_arr, (x_arr.shape[0], self.n_y))
-        pts = np.column_stack([x_arr, y_arr])
-        # imported on first use: see solutions.separable
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            self.axes, self.values, method="linear", bounds_error=True
-        )
-        out = interp(pts)
+        coords = [x_arr] + [y_arr[:, k] for k in range(self.n_y)]
+        for k, (a, p) in enumerate(zip(self.axes, coords)):
+            if not np.logical_and(np.all(a[0] <= p), np.all(p <= a[-1])):
+                raise ValueError(f"One of the requested xi is out of bounds in dimension {k}")
+        # the cell of each point (a node on a cell's right edge belongs to the
+        # next cell, the last node to the last cell) and the normalized
+        # distances from its lower corner
+        idx, dist = [], []
+        for a, p in zip(self.axes, coords):
+            i = np.clip(np.searchsorted(a, p, side="right") - 1, 0, a.size - 2)
+            idx.append(i)
+            dist.append((p - a[i]) / (a[i + 1] - a[i]))
+        v = self.values
+        # the corner terms summed in the order of scipy's RegularGridInterpolator
+        # (linear), which this replaces bit for bit
+        if len(idx) == 2:
+            (i0, i1), (d0, d1) = idx, dist
+            out = 0.0 + v[i0, i1] * (1 - d0) * (1 - d1)
+            out = out + v[i0, i1 + 1] * (1 - d0) * d1
+            out = out + v[i0 + 1, i1] * d0 * (1 - d1)
+            out = out + v[i0 + 1, i1 + 1] * d0 * d1
+        else:
+            out = 0.0
+            for corner in itertools.product((0, 1), repeat=len(idx)):
+                weight = 1.0
+                for c, d in zip(corner, dist):
+                    weight = weight * (d if c else 1 - d)
+                out = out + v[tuple(i + c for i, c in zip(idx, corner))] * weight
         return float(out[0]) if scalar else out
 
     def node_points(self) -> tuple[np.ndarray, np.ndarray]:

@@ -445,6 +445,8 @@ def estimate_sups(
     beta_max = float(np.abs(op.beta_at(y_pts)).max())
     nx = max(int(round((dom.x_hi - dom.x_lo) / grid_step)), 1) + 1
     xs = np.linspace(dom.x_lo, dom.x_hi, nx)
+    if "x" not in free_variables(op.gamma):
+        xs = xs[:1]  # every x slice gives the same values
     gamma_max = 0.0
     for x in xs:  # one x slice at a time keeps the product grid small
         g = op.gamma_at(np.full(y_pts.shape[0], x), y_pts)

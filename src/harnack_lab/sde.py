@@ -15,6 +15,11 @@ count, chunk size or step-block size.  Path i takes the same steps whatever
 the path count, and whatever the horizon up to the last step (whose end time
 is pinned to t_max).
 
+A batch may run from k starts at once.  Path i of every start uses the same
+key, whose clock and normals are drawn once for all k rows (common random
+numbers), so each start's rows are bit for bit the batch run from that start
+alone; ``make_solution`` runs its grid nodes this way.
+
 Exit handling: by default each path runs an exit clock.  It stops at the
 first step where its cumulative Brownian-bridge crossing hazard,
 sum of -log1p(-p_k) with p_k = exp(-(R-r_k)(R-r_{k+1})/dt), reaches its
@@ -53,10 +58,11 @@ __all__ = [
 
 DEFAULT_MASS_FLOOR = 20
 
-# work unit sizes; results depend on none of them.  A chunk of paths shares one
-# bit generator and is one thread task; each running path draws the normals of
-# _DRAW_STEPS steps per refill; the steps are computed in blocks of
-# _BLOCK_STEPS, small enough for the temporaries to stay in cache, and paths
+# work unit sizes; results depend on none of them.  A chunk is a range of path
+# ids across all starts (at most _CHUNK_PATHS rows, at least one path); it
+# shares one bit generator and is one thread task.  Each running path draws
+# the normals of _DRAW_STEPS steps per refill; the steps are computed in blocks
+# of _BLOCK_STEPS, small enough for the temporaries to stay in cache, and rows
 # that stopped are dropped after every block
 _CHUNK_PATHS = 2048
 _DRAW_STEPS = 1024
@@ -89,9 +95,14 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathBatch:
-    """Stopped states of one batch; arrays are indexed by path id."""
+    """Stopped states of one batch; arrays are indexed by row.
 
-    start_x: float
+    From one start, ``start_x`` is a number, ``start_y`` has shape (n_y,) and
+    row i is path i.  From k starts, they have shapes (k,) and (k, n_y), and
+    rows are start-major: ``n_paths`` counts the rows of all starts.
+    """
+
+    start_x: float | np.ndarray
     start_y: np.ndarray
     stopped_x: np.ndarray
     stopped_y: np.ndarray
@@ -173,12 +184,22 @@ class EmpiricalMeasure:
         write_csv(path, header, fmt, rows, footer=[exit_row])
 
 
-def _normalize_start(start, n_y: int) -> tuple[float, np.ndarray]:
+def _normalize_starts(start, n_y: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Starts as x (k,) and y (k, n_y), and whether ``start`` was one point."""
     x, y = start
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if y_arr.shape != (n_y,):
-        raise ValueError(f"start y must have {n_y} coordinates, got shape {y_arr.shape}")
-    return float(x), y_arr
+    if np.ndim(x) == 0:
+        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+        if y_arr.shape != (n_y,):
+            raise ValueError(f"start y must have {n_y} coordinates, got shape {y_arr.shape}")
+        return np.array([float(x)]), y_arr[None, :], True
+    x_arr = np.asarray(x, dtype=float)
+    y_arr = np.asarray(y, dtype=float)
+    if x_arr.ndim != 1 or x_arr.size == 0 or y_arr.shape != (x_arr.size, n_y):
+        raise ValueError(
+            f"k starts need x of shape (k,) and y of shape (k, {n_y}), "
+            f"got {x_arr.shape} and {y_arr.shape}"
+        )
+    return x_arr, y_arr, False
 
 
 def _time_grid(dt: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +231,9 @@ def _fresh_state(key: np.ndarray) -> dict:
 def _run_chunk(
     op: OperatorSpec,
     radius: float,
-    start_x: float,
-    start_y: np.ndarray,
+    starts_x: np.ndarray,
+    starts_y: np.ndarray,
+    starts_r2: np.ndarray,
     dt_steps: np.ndarray,
     t_grid: np.ndarray,
     cfg: SimConfig,
@@ -221,6 +243,8 @@ def _run_chunk(
     bridge: bool,
     out: dict,
 ) -> None:
+    """Paths lo..hi-1 of every start; row s*n_paths + i of ``out`` is path i
+    from start s, and all rows of path i share its key."""
     n_y = op.n_y
     m = hi - lo
     n_steps = dt_steps.shape[0]
@@ -236,32 +260,43 @@ def _run_chunk(
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     states = [None] * m  # Philox state of a path that outlives a draw refill
+    key_clock = np.empty(m)
 
-    # carried state of the running paths, aligned with ``live`` (chunk-local ids)
-    live = np.arange(m)
-    clock = np.empty(m)
-    y = np.broadcast_to(start_y, (m, n_y)).copy()
-    r2 = np.full(m, start_y @ start_y)
-    x_disp = np.zeros(m)
-    g_acc = np.zeros(m)
-    hazard = np.zeros(m)
+    # chunk rows are start-major: row r runs path lo + r % m from start r // m
+    start_of = np.repeat(np.arange(starts_x.shape[0]), m)
+    key_of = np.tile(np.arange(m), starts_x.shape[0])
+    out_row = start_of * cfg.n_paths + lo + key_of
+
+    # carried state of the running rows, aligned with ``live`` (chunk rows)
+    live = np.arange(start_of.shape[0])
+    y = starts_y[start_of]
+    r2 = starts_r2[start_of]
+    sx = starts_x[start_of]
+    x_disp = np.zeros(live.shape[0])
+    g_acc = np.zeros(live.shape[0])
+    hazard = np.zeros(live.shape[0])
 
     for w0 in range(0, n_steps, _DRAW_STEPS):
         if live.size == 0:
             break
         w1 = min(w0 + _DRAW_STEPS, n_steps)
         save = w1 < n_steps
-        normals = np.empty((live.size, w1 - w0, n_y))
-        for j, p in enumerate(live):
+        # each key still running in some row draws once for all its rows
+        live_keys = key_of[live]
+        drawn = np.unique(live_keys)
+        normals = np.empty((drawn.size, w1 - w0, n_y))
+        for j, p in enumerate(drawn):
             if w0 == 0:
                 bitgen.state = _fresh_state(keys[p])
-                clock[j] = gen.standard_exponential()
+                key_clock[p] = gen.standard_exponential()
             else:
                 bitgen.state = states[p]
             gen.standard_normal(out=normals[j])
             if save:
                 states[p] = bitgen.state
-        src = np.arange(live.size)  # row of each running path in ``normals``
+        src = np.searchsorted(drawn, live_keys)  # ``normals`` row of each running row
+        if w0 == 0:
+            clock = key_clock[live_keys]
 
         for b0 in range(w0, w1, _BLOCK_STEPS):
             b1 = min(b0 + _BLOCK_STEPS, w1)
@@ -313,7 +348,7 @@ def _run_chunk(
             stop = hit.any(axis=1)
             idx = np.flatnonzero(stop)
             j = np.argmax(hit[idx], axis=1) + 1  # ys column of the stopping step
-            rows = lo + live[idx]
+            rows = out_row[live[idx]]
             if idx.size:
                 y_hit = ys[idx, j]
                 r_hit = np.sqrt(r2s[idx, j])
@@ -339,7 +374,7 @@ def _run_chunk(
             if not gamma_const:
                 gs = np.empty((k, b1 - b0 + 1))
                 gs[:, 0] = g_acc
-                np.multiply(op.gamma_at(start_x + xs[:, :-1], prev), dts, out=gs[:, 1:])
+                np.multiply(op.gamma_at(sx[:, None] + xs[:, :-1], prev), dts, out=gs[:, 1:])
                 np.cumsum(gs, axis=1, out=gs)
                 if idx.size:
                     out["gamma_integral"][rows] = gs[idx, j]
@@ -349,12 +384,12 @@ def _run_chunk(
             y, r2, x_disp = ys[keep, -1], r2s[keep, -1], xs[keep, -1]
             hazard = hazard[keep]
             if not gamma_const:
-                g_acc = gs[keep, -1]
+                sx, g_acc = sx[keep], gs[keep, -1]
             if live.size == 0:
                 break
 
     if live.size > 0:  # horizon reached without exit
-        rows = lo + live
+        rows = out_row[live]
         out["stopped_y"][rows] = y
         out["stop_time"][rows] = t_grid[-1]
         out["x_disp"][rows] = x_disp
@@ -364,7 +399,8 @@ def _run_chunk(
 
 
 def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> None:
-    disp = np.abs(batch.stopped_x - batch.start_x)
+    starts_x = np.atleast_1d(batch.start_x)
+    disp = np.abs(batch.stopped_x - np.repeat(starts_x, batch.n_paths // starts_x.size))
     bound = op.beta_sup * (batch.stop_time + batch.dt) + 1e-9
     if np.any(disp > bound):
         raise RuntimeError("internal error: a path broke the x-displacement bound")
@@ -388,18 +424,25 @@ def simulate_batch(
 ) -> PathBatch:
     """Run one batch of stopped paths from ``start = (x, y)``.
 
-    ``stream`` selects an independent substream under the same master seed
-    (``make_solution`` runs one per y-node of its grid).  Results are
-    identical for every ``workers`` value.
+    ``start`` is one point (x a number, y of shape (n_y,)) or k points (x of
+    shape (k,), y of shape (k, n_y)).  Every start runs ``cfg.n_paths`` paths
+    in the same engine pass, and path i of every start draws from the same
+    key (common random numbers), so each start's rows equal, bit for bit,
+    a batch run from that start alone.  The returned arrays hold the rows
+    start-major: row s * cfg.n_paths + i is path i from start s.
+
+    ``stream`` selects an independent substream under the same master seed.
+    Results are identical for every ``workers`` value.
     """
     if exit_detection not in ("bridge", "endpoint"):
         raise ValueError("exit_detection must be 'bridge' or 'endpoint'")
     if not 0 <= stream < 2**32:
         raise ValueError("stream must fit in 32 bits")
     op = with_estimated_sups(op, dom)
-    start_x, start_y = _normalize_start(start, op.n_y)
+    starts_x, starts_y, single = _normalize_starts(start, op.n_y)
+    starts_r2 = np.array([y @ y for y in starts_y])
     radius = dom.y_outer_radius
-    if float(start_y @ start_y) >= radius * radius:
+    if np.any(starts_r2 >= radius * radius):
         raise ValueError("start y must lie strictly inside the outer ball")
     if op.beta_sup * cfg.dt >= 0.1 * radius:
         raise ValueError(
@@ -408,7 +451,7 @@ def simulate_batch(
         )
     dt_steps, t_grid = _time_grid(cfg.dt, cfg.t_max)
 
-    n = cfg.n_paths
+    n = cfg.n_paths * starts_x.shape[0]
     out = {
         "stopped_y": np.empty((n, op.n_y)),
         "stop_time": np.empty(n),
@@ -416,12 +459,15 @@ def simulate_batch(
         "gamma_integral": np.empty(n),
         "exited": np.zeros(n, dtype=bool),
     }
-    spans = [(lo, min(lo + _CHUNK_PATHS, n)) for lo in range(0, n, _CHUNK_PATHS)]
+    # a chunk is a range of path ids across all starts: at most _CHUNK_PATHS
+    # rows, at least one path
+    per = max(1, _CHUNK_PATHS // starts_x.shape[0])
+    spans = [(lo, min(lo + per, cfg.n_paths)) for lo in range(0, cfg.n_paths, per)]
     bridge = exit_detection == "bridge"
 
     def run(span):
         _run_chunk(
-            op, radius, start_x, start_y, dt_steps, t_grid, cfg, stream,
+            op, radius, starts_x, starts_y, starts_r2, dt_steps, t_grid, cfg, stream,
             span[0], span[1], bridge, out,
         )
 
@@ -437,9 +483,9 @@ def simulate_batch(
         out["gamma_integral"] = op.gamma.value * out["stop_time"]
 
     batch = PathBatch(
-        start_x=start_x,
-        start_y=start_y,
-        stopped_x=start_x + out["x_disp"],
+        start_x=float(starts_x[0]) if single else starts_x,
+        start_y=starts_y[0] if single else starts_y,
+        stopped_x=np.repeat(starts_x, cfg.n_paths) + out["x_disp"],
         stopped_y=out["stopped_y"],
         stop_time=out["stop_time"],
         gamma_integral=out["gamma_integral"],

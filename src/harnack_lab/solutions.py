@@ -246,6 +246,25 @@ def _integrate_profile(op: OperatorSpec, lam: float, gamma0: float,
     return np.concatenate(nodes), np.concatenate(phis), np.concatenate(dphis)
 
 
+def _cubic_hermite(nodes: np.ndarray, phi: np.ndarray, dphi: np.ndarray) -> Callable:
+    """The cubic Hermite interpolant of (nodes, phi, dphi), extrapolated by the
+    end cubics.  Coefficients and evaluation follow scipy's CubicHermiteSpline
+    and PPoly (power basis in s = y - node, summed from the constant term up),
+    so the values match it bit for bit."""
+    dx = np.diff(nodes)
+    slope = np.diff(phi) / dx
+    t = (dphi[:-1] + dphi[1:] - 2 * slope) / dx
+    c3, c2, c1, c0 = t / dx, (slope - dphi[:-1]) / dx - t, dphi[:-1], phi[:-1]
+
+    def profile(y):
+        i = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, nodes.size - 2)
+        s = y - nodes[i]
+        s2 = s * s
+        return 0.0 + c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+
+    return profile
+
+
 def separable(
     lam: float,
     op: OperatorSpec,
@@ -293,11 +312,7 @@ def separable(
             f"separable profile vanishes on the inner interval; first zero near y = {zero_at:.6g}"
         )
 
-    # imported here: scipy.interpolate takes longer to import than the rest
-    # of the package, and only this constructor and ScalarField.at use it
-    from scipy.interpolate import CubicHermiteSpline
-
-    profile = CubicHermiteSpline(nodes, phi, dphi)
+    profile = _cubic_hermite(nodes, phi, dphi)
 
     def fn(x, y):
         return np.exp(lam * x) * profile(y[:, 0])

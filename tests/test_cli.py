@@ -213,22 +213,25 @@ def test_harnack_rerun_bitwise_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_scipy_interpolate_loaded_only_on_first_use(tmp_path):
-    # a fresh interpreter: importing the package and running `check` must not
-    # pay for scipy.interpolate; the first ScalarField.at call loads it
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter in which importing scipy fails: the commands that
+    # interpolate a field or build a separable profile still run
     code = f"""
 import sys
-import harnack_lab
+sys.modules["scipy"] = None
 from harnack_lab import cli
-assert "scipy.interpolate" not in sys.modules, "loaded by import harnack_lab"
-assert cli.main(["check", "--out", {str(tmp_path)!r}]) == 0
-assert "scipy.interpolate" not in sys.modules, "loaded by check"
-field = harnack_lab.ScalarField.sample(lambda x, y: x, harnack_lab.box_axes(0, 1, 2, 1, 2))
-assert field.at(0.5, [0.0]) == 0.5
-assert "scipy.interpolate" in sys.modules
+out = {str(tmp_path)!r}
+runs = [
+    ["make-solution", "--set", "sim.n_paths=200", "--set", "make_solution.grid_nx=5",
+     "--set", "make_solution.grid_ny=5"],
+    ["harnack", "--set", "harnack.family=catalog", "--set", "harnack.solutions=separable(1.5)"],
+    ["average", "--svg"],
+]
+for argv in runs:
+    assert cli.main([*argv, "--out", out]) == 0, argv
 """
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnack_lab import feynman_kac, operators
+from harnack_lab import feynman_kac, operators, sde
 from harnack_lab.feynman_kac import evaluate, make_solution, sandwich_check
 from harnack_lab.fields import ScalarField, box_axes
 from harnack_lab.operators import CylinderDomain, OperatorSpec
@@ -171,36 +171,81 @@ def test_make_solution_worker_count_invariance():
 @pytest.mark.parametrize("gamma", ["0", "0.3*y1", "0.2*sin(x)*y1"])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_make_solution_nodes_match_y_node_streams(gamma, workers):
-    # every node equals a fresh batch from that node on its y-node's stream,
-    # whether the row shares one batch (x-free gamma) or re-runs it per node
+    # every node equals a fresh batch from that node on stream 1, the stream
+    # all y-nodes share, whether a y-node's batch serves its x-row (x-free
+    # gamma) or every node is a start of its own
     op = OperatorSpec.from_strings("y1", gamma)
     axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
     cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=200, master_seed=5)
     field = make_solution(op, DOM, kolmogorov_fn, 1.0, cfg, axes, workers=workers)
     for ix, x in enumerate(axes[0]):
         for iy, y in enumerate(axes[1]):
-            est = evaluate(op, DOM, kolmogorov_fn, (x, y), 1.0, cfg, stream=iy + 1)
+            est = evaluate(op, DOM, kolmogorov_fn, (x, y), 1.0, cfg, stream=1)
             assert field.values[ix, iy] == est.value
 
 
-@pytest.mark.parametrize("gamma, batches", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])
-def test_make_solution_work_counts(monkeypatch, gamma, batches):
+def test_make_solution_two_y_axes_match_evaluate():
+    op = OperatorSpec.from_strings("y1 - 0.5*y2", "0.2*sin(x)*y2", dim_n=3)
+    axes = (np.linspace(0.0, 1.0, 3), np.linspace(-0.5, 0.5, 2), np.linspace(-0.4, 0.4, 3))
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=150, master_seed=3)
+
+    def g(x, y):
+        return 10.0 + x - y[:, 0] * y[:, 1]
+
+    field = make_solution(op, DOM, g, 0.8, cfg, axes)
+    x, y = field.node_points()
+    for k, value in enumerate(field.values.reshape(-1)):
+        assert value == evaluate(op, DOM, g, (x[k], y[k]), 0.8, cfg, stream=1).value
+
+
+def counted_calls(monkeypatch):
     counts = {"simulate_batch": 0, "estimate_sups": 0}
+    rows = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "simulate_batch":
+                rows.append(result.n_paths)
+            return result
         return wrapper
 
     monkeypatch.setattr(feynman_kac, "simulate_batch",
                         counted("simulate_batch", feynman_kac.simulate_batch))
     monkeypatch.setattr(operators, "estimate_sups",
                         counted("estimate_sups", operators.estimate_sups))
+    return counts, rows
+
+
+@pytest.mark.parametrize("gamma, batches", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])
+def test_make_solution_work_counts(monkeypatch, gamma, batches):
+    # above half a chunk of paths, each call holds one start: one per y-node
+    # for an x-free gamma, one per grid node otherwise
+    counts, rows = counted_calls(monkeypatch)
     op = OperatorSpec.from_strings("y1", gamma)
     axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
-    make_solution(op, DOM, kolmogorov_fn, 0.5, SimConfig(t_max=1.0, dt=5e-3, n_paths=20), axes)
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=sde._CHUNK_PATHS // 2 + 1)
+    make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, axes)
     assert counts == {"simulate_batch": batches, "estimate_sups": 1}
+    assert rows == [cfg.n_paths] * batches
+
+
+@pytest.mark.parametrize("gamma, chunk, batches",
+                         [("0.3*y1", 2048, 1), ("0.2*sin(x)*y1", 2048, 1),
+                          ("0.2*sin(x)*y1", 100, 3)])
+def test_make_solution_groups_starts_by_chunk(monkeypatch, gamma, chunk, batches):
+    # as many starts per call as fit in one chunk; the grouping moves no bit
+    op = OperatorSpec.from_strings("y1", gamma)
+    axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=20, master_seed=4)
+    plain = make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, axes)
+    monkeypatch.setattr(sde, "_CHUNK_PATHS", chunk)
+    counts, rows = counted_calls(monkeypatch)
+    grouped = make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, axes)
+    assert counts == {"simulate_batch": batches, "estimate_sups": 1}
+    assert max(rows) <= chunk
+    assert np.array_equal(plain.values, grouped.values)
 
 
 def test_make_solution_translation_consistency():

@@ -102,3 +102,25 @@ def test_svg_outputs_are_deterministic():
         heatmap_svg(f3)
     curve = line_plot_svg([1, 2, 4, 8], [4.2, 14.0, 205.0, 25000.0], log_y=True)
     assert curve == line_plot_svg([1, 2, 4, 8], [4.2, 14.0, 205.0, 25000.0], log_y=True)
+
+
+@pytest.mark.parametrize("n_axes", [2, 3])
+def test_interpolation_matches_scipy_bitwise(n_axes):
+    # scipy is the reference only: ScalarField.at sums the same corner terms
+    # in the same order, nodes and grid edges included
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(40 + n_axes)
+    for _ in range(100):
+        axes = tuple(np.unique(rng.uniform(-2, 2, rng.integers(2, 9))) for _ in range(n_axes))
+        if any(a.size < 2 for a in axes):
+            continue
+        values = rng.normal(size=tuple(a.size for a in axes)) * 10
+        pts = np.column_stack([rng.uniform(a[0], a[-1], 200) for a in axes])
+        for k, a in enumerate(axes):
+            pts[:20, k] = rng.choice(a, 20)
+            pts[20:25, k] = a[0]
+            pts[25:30, k] = a[-1]
+        want = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)(pts)
+        got = ScalarField(axes, values).at(pts[:, 0], pts[:, 1:])
+        assert np.array_equal(got, want)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,63 @@ def test_measure_csv(tmp_path):
     assert lines[-1].startswith("exit,")
     total = sum(float(line.split(",")[-1]) for line in lines[1:])
     assert total == pytest.approx(1.0)
+
+
+MULTI_X = np.array([0.2, -0.4, 0.9])
+MULTI_Y = np.array([[0.3, -0.2], [-1.0, 0.5], [0.0, 0.0]])
+
+
+@ENGINE_CASES
+def test_multi_start_rows_equal_single_start_batches(gamma, n_y):
+    op = engine_op(gamma, n_y)
+    cfg = SimConfig(t_max=1.5, dt=2e-3, n_paths=300, master_seed=19)
+    multi = simulate_batch(op, DOM, (MULTI_X, MULTI_Y[:, :n_y]), cfg)
+    assert multi.n_paths == 3 * cfg.n_paths
+    assert multi.start_x.shape == (3,) and multi.start_y.shape == (3, n_y)
+    for s in range(3):
+        one = simulate_batch(op, DOM, (MULTI_X[s], MULTI_Y[s, :n_y]), cfg)
+        rows = slice(s * cfg.n_paths, (s + 1) * cfg.n_paths)
+        for attr in BATCH_ARRAYS:
+            assert np.array_equal(getattr(multi, attr)[rows], getattr(one, attr)), (s, attr)
+
+
+@pytest.mark.parametrize("gamma", ["0", "0.2*sin(x)*y1"])
+def test_multi_start_bits_independent_of_chunk_size(monkeypatch, gamma):
+    # 2,048 rows per chunk holds every path of the three starts; 100 splits
+    # the paths into ranges of 33; 1 still runs one path (three rows) per chunk
+    op = engine_op(gamma, 2)
+    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=120, master_seed=23)
+    runs = []
+    for chunk in (2048, 100, 1):
+        monkeypatch.setattr(sde, "_CHUNK_PATHS", chunk)
+        runs.append(simulate_batch(op, DOM, (MULTI_X, MULTI_Y), cfg, workers=2))
+    for other in runs[1:]:
+        for attr in BATCH_ARRAYS:
+            assert np.array_equal(getattr(runs[0], attr), getattr(other, attr)), attr
+
+
+def test_multi_start_validation():
+    op = OperatorSpec.from_strings("y1")
+    cfg = SimConfig(t_max=0.5, n_paths=10)
+    with pytest.raises(ValueError, match="shape"):
+        simulate_batch(op, DOM, (np.zeros(2), np.zeros(2)), cfg)  # y needs (2, 1)
+    with pytest.raises(ValueError, match="shape"):
+        simulate_batch(op, DOM, (np.zeros(0), np.zeros((0, 1))), cfg)
+    with pytest.raises(ValueError, match="outer ball"):
+        simulate_batch(op, DOM, (np.zeros(2), np.array([[0.0], [2.0]])), cfg)
+
+
+def test_check_batch_fires_on_multi_start_batch():
+    # every row is checked against its own start: rows swapped between two
+    # starts far apart in x break the displacement bound
+    op = with_estimated_sups(OperatorSpec.from_strings("y1", "0.3*y1"), DOM)
+    cfg = SimConfig(t_max=0.5, dt=2e-3, n_paths=50, master_seed=2)
+    batch = simulate_batch(op, DOM, (np.array([0.0, 5.0]), np.array([[0.1], [-0.1]])), cfg)
+    sde._check_batch(batch, op, DOM)
+    swapped = np.concatenate([batch.stopped_x[50:], batch.stopped_x[:50]])
+    with pytest.raises(RuntimeError, match="x-displacement"):
+        sde._check_batch(dataclasses.replace(batch, stopped_x=swapped), op, DOM)
+    big = batch.gamma_integral.copy()
+    big[75] = 10.0
+    with pytest.raises(RuntimeError, match="gamma-integral"):
+        sde._check_batch(dataclasses.replace(batch, gamma_integral=big), op, DOM)

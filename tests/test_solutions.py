@@ -7,6 +7,8 @@ from scipy.special import airy
 from harnack_lab.operators import CylinderDomain, OperatorSpec, residual
 from harnack_lab.solutions import (
     AnalyticSolution,
+    _cubic_hermite,
+    _integrate_profile,
     catalog_entry,
     constant,
     counterexample_family,
@@ -185,3 +187,32 @@ def test_catalog_entry_rejects_malformed():
                 "counterexample(1,2)"):
         with pytest.raises(ValueError):
             catalog_entry(bad)
+
+
+def test_cubic_hermite_matches_scipy_bitwise():
+    # scipy is the reference only: the same coefficients, summed in PPoly's
+    # order, at random points, the nodes and beyond both ends
+    from scipy.interpolate import CubicHermiteSpline
+
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        nodes = np.unique(rng.uniform(-2, 2, rng.integers(2, 50)))
+        if nodes.size < 2:
+            continue
+        phi, dphi = rng.normal(size=(2, nodes.size))
+        y = np.concatenate([rng.uniform(-2.5, 2.5, 300), nodes])
+        want = CubicHermiteSpline(nodes, phi, dphi)(y)
+        assert np.array_equal(_cubic_hermite(nodes, phi, dphi)(y), want)
+
+
+def test_separable_profile_matches_scipy_bitwise():
+    from scipy.interpolate import CubicHermiteSpline
+
+    op = OperatorSpec.from_strings("y1", "0.5")
+    dom = CylinderDomain()
+    sol = separable(1.5, op, dom=dom)
+    nodes, phi, dphi = _integrate_profile(op, 1.5, 0.5, 0.0, -2.0, 2.0, 1e-3)
+    ys = np.concatenate([np.linspace(-2.0, 2.0, 301), nodes[::97]])
+    xs = np.linspace(-1.0, 1.0, ys.size)
+    want = np.exp(1.5 * xs) * CubicHermiteSpline(nodes, phi, dphi)(ys)
+    assert np.array_equal(sol.at(xs, ys[:, None]), want)
