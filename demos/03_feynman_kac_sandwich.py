@@ -8,13 +8,13 @@ from harnack_lab import (
     CylinderDomain,
     OperatorSpec,
     SimConfig,
-    fk_evaluate,
     kolmogorov_poly,
     make_solution,
     residual,
     sandwich_check,
     separable,
 )
+from harnack_lab.feynman_kac import evaluate as fk_evaluate
 
 dom = CylinderDomain()
 op = OperatorSpec.from_strings("y1", "0")

@@ -21,7 +21,6 @@ from .expressions import (
     to_string,
 )
 from .feynman_kac import FKEstimate, SandwichReport, make_solution, sandwich_check
-from .feynman_kac import evaluate as fk_evaluate
 from .fields import ScalarField, box_axes, heatmap_svg, line_plot_svg, write_json
 from .harnack import (
     FamilyScan,
@@ -98,7 +97,6 @@ __all__ = [
     "differentiate",
     "estimate_nu",
     "evaluate",
-    "fk_evaluate",
     "heatmap_svg",
     "kolmogorov_poly",
     "line_plot_svg",

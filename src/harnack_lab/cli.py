@@ -1,26 +1,12 @@
 """Command-line runner: wires an INI config plus flag overrides into the
 library modules and writes machine-readable reports.
 
-Subcommands: check, simulate, evaluate, make-solution, harnack,
-counterexample, regions, average.  Every run is reproducible: outputs are a
-pure function of (config, seed), independent of --workers, and contain no
-timestamps.  Exit codes: 0 success/pass, 1 domain-level failure (hypothesis
-fails, sandwich fails, positivity violated), 2 usage or config error.
-
-Config layout (all keys optional; shown with defaults):
-
-    [operator]              [domain]                [sim]
-    beta = y1               x_lo = -5               dt = 0.001
-    gamma = 0               x_hi = 6                t_max = 1.0
-    dim_n = 2               inner_x_lo = 0          n_paths = 100000
-                            inner_x_hi = 1          master_seed = 0
-                            y_outer_radius = 2
-                            y_inner_radius = 1
-
-plus one section per subcommand (see the command functions below).  Any
-key is overridable with --set SECTION.KEY=VALUE; --seed overrides
-sim.master_seed; the HARNACK_LAB_SEED environment variable is the fallback
-when neither is given.
+Outputs are a pure function of (config, seed), independent of --workers, and
+contain no timestamps.  Exit codes: 0 success/pass, 1 domain-level failure
+(hypothesis fails, sandwich fails, positivity violated), 2 usage or config
+error.  ``SCHEMA`` declares every config key.  A value comes from, in rising
+precedence, its default, HARNACK_LAB_SEED (seed only), --config, --set
+SECTION.KEY=VALUE and --seed.
 """
 
 from __future__ import annotations
@@ -35,28 +21,106 @@ from pathlib import Path
 import numpy as np
 
 from . import expressions
-from .feynman_kac import evaluate as fk_evaluate
-from .feynman_kac import make_solution, sandwich_check
+from .feynman_kac import evaluate as fk_evaluate, make_solution, sandwich_check
 from .fields import FLOAT_FMT, box_axes, heatmap_svg, write_csv, write_json
-from .harnack import (
-    SubCylinder,
-    counterexample_scan,
-    ratio_plot_svg,
-    region_inequality_check,
-    scan_family,
-    scan_to_csv,
-    window_average_x,
-)
-from .operators import (
-    CylinderDomain,
-    OperatorSpec,
-    check_hypothesis,
-    classify_regions,
-)
+from .harnack import (SubCylinder, counterexample_scan, ratio_plot_svg, region_inequality_check,
+                      scan_family, scan_to_csv, window_average_x)
+from .operators import CylinderDomain, OperatorSpec, check_hypothesis, classify_regions
 from .sde import SimConfig, measure_from_batch, simulate_batch
 from .solutions import catalog_entry, constant, kolmogorov_poly, parse_solution_name
 
 __all__ = ["main", "RunConfig", "ConfigError"]
+
+FLOATS = "floats"  # type of a comma-separated list of numbers
+
+# (section, key, type, default, help).  The type is float, int, str, FLOATS
+# or a tuple of allowed strings; a default of None is resolved as the help
+# says.  The domain and sim keys are the fields of CylinderDomain and
+# SimConfig; a subcommand reads the section named after it.
+SCHEMA = [
+    ("operator", "beta", str, "y1", "drift beta(y1, ...)"),
+    ("operator", "gamma", str, "0", "zero-order coefficient gamma(x, y1, ...)"),
+    ("operator", "dim_n", int, 2, "dimension: x plus dim_n - 1 y axes"),
+    ("domain", "x_lo", float, -5.0, "lower x end of the cylinder"),
+    ("domain", "x_hi", float, 6.0, "upper x end of the cylinder"),
+    ("domain", "inner_x_lo", float, 0.0, "lower x end of the inner subcylinder"),
+    ("domain", "inner_x_hi", float, 1.0, "upper x end of the inner subcylinder"),
+    ("domain", "y_outer_radius", float, 2.0, "radius of the y ball where paths stop"),
+    ("domain", "y_inner_radius", float, 1.0, "y radius of the inner subcylinder"),
+    ("sim", "dt", float, 1e-3, "time step"),
+    ("sim", "t_max", float, 1.0, "horizon of simulate"),
+    ("sim", "n_paths", int, 100_000, "paths per start"),
+    ("sim", "master_seed", int, 0, "master seed (--seed wins; HARNACK_LAB_SEED if unset)"),
+    ("check", "r", int, 2, "derivative order, 1 to 4"),
+    ("check", "grid_step", float, 0.01, "y grid step"),
+    ("simulate", "start_x", float, 0.0, "start x"),
+    ("simulate", "start_y", FLOATS, None, "start y, one value per y axis (default: origin)"),
+    ("simulate", "bins", int, 20, "histogram bins of measure.csv"),
+    ("evaluate", "solution", str, "kolmogorov(10)", "catalog solution"),
+    ("evaluate", "mode", ("value", "sandwich"), "value", "estimate, or weight inequality"),
+    ("evaluate", "start_x", float, 0.0, "start x"),
+    ("evaluate", "start_y", FLOATS, None, "start y, one value per y axis (default: origin)"),
+    ("evaluate", "t", float, 0.5, "horizon (unset in sandwich mode: 1/sup|beta|)"),
+    ("evaluate", "k_sigma", float, 3.0, "sandwich margin in standard errors"),
+    ("make_solution", "boundary", str, "1", "boundary data g > 0 in x, y1, ..."),
+    ("make_solution", "t_solve", float, 2.0, "horizon"),
+    ("make_solution", "grid_x_lo", float, None, "lower x of the grid (default: domain.inner_x_lo)"),
+    ("make_solution", "grid_x_hi", float, None, "upper x of the grid (default: domain.inner_x_hi)"),
+    ("make_solution", "grid_nx", int, 11, "grid nodes in x"),
+    ("make_solution", "grid_y_radius", float, None, "y radius (default: domain.y_inner_radius)"),
+    ("make_solution", "grid_ny", int, 11, "grid nodes per y axis"),
+    ("harnack", "family", ("kolmogorov", "constants", "catalog"), "kolmogorov", "family to scan"),
+    ("harnack", "offsets", FLOATS, (2.0, 5.0, 10.0, 100.0), "kolmogorov offsets C"),
+    ("harnack", "constants", FLOATS, (1.0, 5.0, 100.0), "values of the constant solutions"),
+    ("harnack", "solutions", str, "", "comma-separated catalog solutions (family catalog)"),
+    ("harnack", "sub_x_lo", float, None, "lower x of the box (default: domain.inner_x_lo)"),
+    ("harnack", "sub_x_hi", float, None, "upper x of the box (default: domain.inner_x_hi)"),
+    ("harnack", "sub_y_radius", float, None, "y radius (default: domain.y_inner_radius)"),
+    ("harnack", "grid", int, 101, "grid nodes per axis of the box"),
+    ("counterexample", "lambdas", FLOATS, (1.0, 2.0, 4.0, 8.0), "increasing lambdas > 0"),
+    ("counterexample", "sub_x_lo", float, None, "lower x of the box (default: domain.inner_x_lo)"),
+    ("counterexample", "sub_x_hi", float, None, "upper x of the box (default: domain.inner_x_hi)"),
+    ("counterexample", "sub_y_radius", float, None, "y radius (default: domain.y_inner_radius)"),
+    ("counterexample", "grid", int, 101, "grid nodes per axis of the box"),
+    ("regions", "d", float, 0.5, "drift level"),
+    ("regions", "grid_step", float, 0.01, "y grid step"),
+    ("regions", "solution", str, None, "catalog solution to check (unset: no check)"),
+    ("regions", "cap", float, 10.0, "bound on the checked sup/inf ratio"),
+    ("average", "solution", str, "kolmogorov(10)", "catalog solution"),
+    ("average", "z", float, 0.25, "window half-width, at most 1/3"),
+    ("average", "grid_nx", int, 111, "sample nodes in x"),
+    ("average", "grid_ny", int, 61, "sample nodes per y axis"),
+]
+_TYPES = {(s, k): kind for s, k, kind, _default, _help in SCHEMA}
+_SECTIONS = dict.fromkeys(s for s, *_ in SCHEMA)
+_WHAT = {float: "a number", int: "an integer", FLOATS: "a number list"}
+
+
+def _parse(kind, text):
+    """The typed value of one config string; ValueError says what is wrong."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"expected one of {', '.join(kind)}, got {text!r}")
+        return text
+    try:
+        if kind == FLOATS:
+            return tuple(float(v) for v in text.split(",") if v.strip())
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"not {_WHAT[kind]}: {text!r}") from None
+
+
+def _key_lines(section) -> str:
+    """--help lines for the keys of one section: name, help, choices, default."""
+    lines = []
+    for s, key, kind, default, text in SCHEMA:
+        if s == section:
+            if isinstance(kind, tuple):
+                text += f" ({' | '.join(kind)})"
+            if default not in (None, ""):
+                text += f"; default {','.join(map(str, default)) if kind == FLOATS else default}"
+            lines.append(f"  {s + '.' + key:<28} {text}")
+    return "\n".join(lines)
 
 
 class ConfigError(Exception):
@@ -68,7 +132,9 @@ class ConfigError(Exception):
 
 
 class RunConfig:
-    """Merged view of config file, --set overrides, flags, and environment."""
+    """Typed config values merged from SCHEMA defaults, environment, config
+    file, --set overrides and flags.  Every given value is checked against
+    SCHEMA in one pass and every problem is raised in one ConfigError."""
 
     def __init__(self, args):
         errors = []
@@ -93,133 +159,88 @@ class RunConfig:
                 continue
             sections.setdefault(section.strip(), {})[key.strip()] = value.strip()
 
-        self.sections = sections
-        self._errors = errors
+        self.values = {(s, k): default for s, k, _kind, default, _help in SCHEMA}
+        self.given = set()
+        for section, items in sections.items():
+            if section not in _SECTIONS:
+                errors.append(f"unknown section [{section}]; known: {', '.join(_SECTIONS)}")
+                continue
+            for key, text in items.items():
+                kind = _TYPES.get((section, key))
+                if kind is None:
+                    known = ", ".join(k for s, k in _TYPES if s == section)
+                    errors.append(f"{section}.{key}: unknown key; [{section}] has {known}")
+                    continue
+                self.given.add((section, key))
+                try:
+                    self.values[section, key] = _parse(kind, text)
+                except ValueError as exc:
+                    errors.append(f"{section}.{key}: {exc}")
+
         self.out_dir = Path(args.out)
         self.svg = bool(args.svg)
         self.workers = args.workers
         if self.workers < 1:
             errors.append("--workers must be at least 1")
 
-        seed = args.seed
-        if seed is None and "master_seed" in sections.get("sim", {}):
-            seed = self._parse_int("sim", "master_seed", 0)
-        if seed is None and "HARNACK_LAB_SEED" in os.environ:
-            raw = os.environ["HARNACK_LAB_SEED"]
+        env_seed = os.environ.get("HARNACK_LAB_SEED")
+        if args.seed is not None:
+            self.values["sim", "master_seed"] = args.seed
+        elif env_seed is not None and ("sim", "master_seed") not in self.given:
             try:
-                seed = int(raw)
+                self.values["sim", "master_seed"] = int(env_seed)
             except ValueError:
-                errors.append(f"HARNACK_LAB_SEED must be an integer, got {raw!r}")
-        if seed is None:
-            seed = 0
-        if not 0 <= seed < 2**64:
-            errors.append(f"seed must be an unsigned 64-bit integer, got {seed}")
-            seed = 0
-        self.seed = seed
+                errors.append(f"HARNACK_LAB_SEED must be an integer, got {env_seed!r}")
 
         # each block validates independently so one bad value does not hide
         # problems elsewhere; everything is reported in one pass
-        beta = self.get("operator", "beta", "y1")
-        gamma = self.get("operator", "gamma", "0")
-        dim_n = self._parse_int("operator", "dim_n", 2)
+        dim_n = self.get("operator", "dim_n")
         self.op = None
         try:
-            self.op = OperatorSpec.from_strings(beta, gamma, dim_n=max(dim_n, 2))
+            self.op = OperatorSpec.from_strings(self.get("operator", "beta"),
+                                                self.get("operator", "gamma"),
+                                                dim_n=max(dim_n, 2))
         except (expressions.ExprError, ValueError) as exc:
             errors.append(f"operator: {exc}")
         if dim_n < 2:
             errors.append(f"operator.dim_n: must be at least 2, got {dim_n}")
 
-        dom_kwargs = {}
-        for key in ("x_lo", "x_hi", "inner_x_lo", "inner_x_hi",
-                    "y_outer_radius", "y_inner_radius"):
-            if key in sections.get("domain", {}):
-                dom_kwargs[key] = self._parse_float("domain", key, 0.0)
         self.dom = None
         try:
-            self.dom = CylinderDomain(**dom_kwargs)
+            self.dom = CylinderDomain(**self._section("domain"))
         except ValueError as exc:
             errors.append(f"domain: {exc}")
 
         self.sim = None
         try:
-            self.sim = SimConfig(
-                t_max=self._parse_float("sim", "t_max", 1.0),
-                dt=self._parse_float("sim", "dt", 1e-3),
-                n_paths=self._parse_int("sim", "n_paths", 100_000),
-                master_seed=self.seed if 0 <= self.seed < 2**64 else 0,
-            )
+            self.sim = SimConfig(**self._section("sim"))
         except ValueError as exc:
             errors.append(f"sim: {exc}")
 
         if errors:
             raise ConfigError(errors)
 
-    # -- typed getters; failures raise ConfigError with the offending key ----
+    def get(self, section, key):
+        """The typed value of SECTION.KEY: as given, else its SCHEMA default."""
+        return self.values[section, key]
 
-    def get(self, section, key, default):
-        return self.sections.get(section, {}).get(key, default)
-
-    def _parse_float(self, section, key, default):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            self._errors.append(f"{section}.{key}: not a number: {raw!r}")
-            return default
-
-    def _parse_int(self, section, key, default):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            self._errors.append(f"{section}.{key}: not an integer: {raw!r}")
-            return default
-
-    def req_float(self, section, key, default):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError([f"{section}.{key}: not a number: {raw!r}"]) from None
-
-    def req_int(self, section, key, default):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError([f"{section}.{key}: not an integer: {raw!r}"]) from None
-
-    def req_floats(self, section, key, default):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return list(default)
-        try:
-            return [float(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError([f"{section}.{key}: not a number list: {raw!r}"]) from None
+    def _section(self, section):
+        return {k: v for (s, k), v in self.values.items() if s == section}
 
     def start_point(self, section):
-        x = self.req_float(section, "start_x", 0.0)
-        ys = self.req_floats(section, "start_y", [0.0] * self.op.n_y)
-        if len(ys) != self.op.n_y:
+        ys = self.get(section, "start_y")
+        if ys is None:
+            ys = [0.0] * self.op.n_y
+        elif len(ys) != self.op.n_y:
             raise ConfigError([f"{section}.start_y: expected {self.op.n_y} value(s)"])
-        return x, np.array(ys)
+        return self.get(section, "start_x"), np.array(ys)
 
-    def subcylinder(self, section):
-        return SubCylinder(
-            self.req_float(section, "sub_x_lo", self.dom.inner_x_lo),
-            self.req_float(section, "sub_x_hi", self.dom.inner_x_hi),
-            self.req_float(section, "sub_y_radius", self.dom.y_inner_radius),
-        )
+    def subcylinder(self, section, prefix):
+        """The box SECTION.{prefix}x_lo, x_hi, y_radius; an unset bound
+        follows the domain's inner subcylinder."""
+        bounds = {end: self.get(section, prefix + end) for end in ("x_lo", "x_hi", "y_radius")}
+        return dataclasses.replace(SubCylinder.from_domain(self.dom),
+                                   **{k: v for k, v in bounds.items() if v is not None})
 
     def solution(self, text):
         """Catalog solution with parse problems reported as config errors."""
@@ -248,12 +269,12 @@ class RunConfig:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    """[check] r = 2, grid_step = 0.01 -> hormander_report.json"""
-    order = cfg.req_int("check", "r", 2)
+    """sign-change and derivative-mass hypothesis on beta -> hormander_report.json"""
+    order = cfg.get("check", "r")
     if not 1 <= order <= 4:
         raise ConfigError([f"check.r: order must be between 1 and 4, got {order}"])
-    grid_step = cfg.req_float("check", "grid_step", 0.01)
-    report = check_hypothesis(cfg.op, cfg.dom, order=order, grid_step=grid_step)
+    report = check_hypothesis(cfg.op, cfg.dom, order=order,
+                              grid_step=cfg.get("check", "grid_step"))
     write_json(cfg.out_dir / "hormander_report.json", report.to_json_dict())
     status = "pass" if report.passed else "fail"
     print(f"hypothesis {status}: r={order} min_derivative_mass={report.min_derivative_mass:g}")
@@ -261,12 +282,11 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    """[simulate] start_x, start_y, bins = 20 -> paths.csv, measure.csv"""
+    """stopped paths from one start -> paths.csv, measure.csv"""
     start = cfg.start_point("simulate")
-    bins = cfg.req_int("simulate", "bins", 20)
     batch = simulate_batch(cfg.op, cfg.dom, start, cfg.sim, workers=cfg.workers)
     batch.to_csv(cfg.out_dir / "paths.csv")
-    measure = measure_from_batch(batch, cfg.dom, bins)
+    measure = measure_from_batch(batch, cfg.dom, cfg.get("simulate", "bins"))
     measure.to_csv(cfg.out_dir / "measure.csv")
     exited = float(np.mean(batch.exited))
     print(f"simulated {batch.n_paths} paths: mean stop_time "
@@ -275,28 +295,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    """[evaluate] solution, start_x/start_y, t, mode = value|sandwich,
-    k_sigma = 3 -> evaluate.json"""
-    mode = cfg.get("evaluate", "mode", "value")
-    if mode not in ("value", "sandwich"):
-        raise ConfigError([f"evaluate.mode: expected value or sandwich, got {mode!r}"])
-    sol = cfg.solution(cfg.get("evaluate", "solution", "kolmogorov(10)"))
+    """Feynman-Kac value or sandwich check of a catalog solution -> evaluate.json"""
+    mode = cfg.get("evaluate", "mode")
+    sol = cfg.solution(cfg.get("evaluate", "solution"))
     start = cfg.start_point("evaluate")
     payload = {"mode": mode, "solution": sol.name,
                "start": [start[0], *map(float, start[1])]}
 
     if mode == "value":
-        t = cfg.req_float("evaluate", "t", 0.5)
+        t = cfg.get("evaluate", "t")
         est = fk_evaluate(sol.op, cfg.dom, sol, start, t, cfg.sim, workers=cfg.workers)
         payload["estimate"] = est.to_json_dict()
         write_json(cfg.out_dir / "evaluate.json", payload)
         print(f"value {est.value:.6g} +/- {est.std_error:.3g} (t={t:g})")
         return 0
 
-    t = cfg.req_float("evaluate", "t", None)
+    t = cfg.get("evaluate", "t") if ("evaluate", "t") in cfg.given else None
     rep = sandwich_check(sol.op, cfg.dom, sol, start, t=t, cfg=cfg.sim,
-                         k_sigma=cfg.req_float("evaluate", "k_sigma", 3.0),
-                         workers=cfg.workers)
+                         k_sigma=cfg.get("evaluate", "k_sigma"), workers=cfg.workers)
     payload.update(rep.to_json_dict())
     write_json(cfg.out_dir / "evaluate.json", payload)
     status = "pass" if rep.passed else "fail"
@@ -306,23 +322,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_make_solution(cfg: RunConfig) -> int:
-    """[make_solution] boundary = 1 (expression in x, y1, ...), t_solve = 2,
-    grid_x_lo/hi, grid_nx = 11, grid_y_radius, grid_ny = 11
-    -> solution.csv, solution.json [, solution.svg]"""
-    g = cfg.boundary_fn(cfg.get("make_solution", "boundary", "1"))
-    t_solve = cfg.req_float("make_solution", "t_solve", 2.0)
-    nx = cfg.req_int("make_solution", "grid_nx", 11)
-    ny = cfg.req_int("make_solution", "grid_ny", 11)
-    axes = box_axes(
-        cfg.req_float("make_solution", "grid_x_lo", cfg.dom.inner_x_lo),
-        cfg.req_float("make_solution", "grid_x_hi", cfg.dom.inner_x_hi),
-        nx,
-        cfg.req_float("make_solution", "grid_y_radius", cfg.dom.y_inner_radius),
-        ny,
-        n_y_axes=cfg.op.n_y,
-    )
-    field = make_solution(cfg.op, cfg.dom, g, t_solve, cfg.sim, axes,
-                          workers=cfg.workers, name="fk_solution")
+    """positive field from boundary data -> solution.csv, solution.json [, solution.svg]"""
+    g = cfg.boundary_fn(cfg.get("make_solution", "boundary"))
+    box = cfg.subcylinder("make_solution", "grid_")
+    axes = box_axes(box.x_lo, box.x_hi, cfg.get("make_solution", "grid_nx"),
+                    box.y_radius, cfg.get("make_solution", "grid_ny"), n_y_axes=cfg.op.n_y)
+    field = make_solution(cfg.op, cfg.dom, g, cfg.get("make_solution", "t_solve"), cfg.sim,
+                          axes, workers=cfg.workers, name="fk_solution")
     if not np.all(field.values > 0):
         raise ValueError("manufactured field is not positive; boundary data must be > 0")
     field.save(cfg.out_dir, "solution")
@@ -334,31 +340,23 @@ def cmd_make_solution(cfg: RunConfig) -> int:
     return 0
 
 
-def _family_solutions(cfg: RunConfig):
-    family = cfg.get("harnack", "family", "kolmogorov")
+def _family_solutions(cfg: RunConfig, family):
     if family == "constants":
-        values = cfg.req_floats("harnack", "constants", [1.0, 5.0, 100.0])
-        return family, [constant(c, dom=cfg.dom) for c in values]
+        return [constant(c, dom=cfg.dom) for c in cfg.get("harnack", "constants")]
     if family == "kolmogorov":
-        offsets = cfg.req_floats("harnack", "offsets", [2.0, 5.0, 10.0, 100.0])
-        return family, [kolmogorov_poly(c) for c in offsets]
-    if family == "catalog":
-        names = [s.strip() for s in cfg.get("harnack", "solutions", "").split(",")
-                 if s.strip()]
-        if not names:
-            raise ConfigError(["harnack.solutions: empty catalog list"])
-        return family, [cfg.solution(n) for n in names]
-    raise ConfigError(
-        [f"harnack.family: expected constants, kolmogorov, or catalog, got {family!r}"])
+        return [kolmogorov_poly(c) for c in cfg.get("harnack", "offsets")]
+    names = [s.strip() for s in cfg.get("harnack", "solutions").split(",") if s.strip()]
+    if not names:
+        raise ConfigError(["harnack.solutions: empty catalog list"])
+    return [cfg.solution(n) for n in names]
 
 
 def cmd_harnack(cfg: RunConfig) -> int:
-    """[harnack] family = kolmogorov | constants | catalog, offsets/constants/
-    solutions, sub_*, grid = 101 -> harnack.csv, harnack.json [, harnack.svg]"""
-    family, solutions = _family_solutions(cfg)
-    sub = cfg.subcylinder("harnack")
-    grid = cfg.req_int("harnack", "grid", 101)
-    scan = scan_family(solutions, sub, grid, family=family)
+    """sup/inf ratios of a solution family -> harnack.csv, harnack.json [, harnack.svg]"""
+    family = cfg.get("harnack", "family")
+    solutions = _family_solutions(cfg, family)
+    scan = scan_family(solutions, cfg.subcylinder("harnack", "sub_"),
+                       cfg.get("harnack", "grid"), family=family)
     scan_to_csv(scan, cfg.out_dir / "harnack.csv")
     write_json(cfg.out_dir / "harnack.json", scan.to_json_dict())
     if cfg.svg:
@@ -369,16 +367,11 @@ def cmd_harnack(cfg: RunConfig) -> int:
 
 
 def cmd_counterexample(cfg: RunConfig) -> int:
-    """[counterexample] lambdas = 1,2,4,8, sub_*, grid = 101
+    """ratios along the one-signed-drift family
     -> counterexample.csv, counterexample.json [, counterexample.svg]"""
-    lams = cfg.req_floats("counterexample", "lambdas", [1.0, 2.0, 4.0, 8.0])
-    sub = SubCylinder(
-        cfg.req_float("counterexample", "sub_x_lo", cfg.dom.inner_x_lo),
-        cfg.req_float("counterexample", "sub_x_hi", cfg.dom.inner_x_hi),
-        cfg.req_float("counterexample", "sub_y_radius", cfg.dom.y_inner_radius),
-    )
-    grid = cfg.req_int("counterexample", "grid", 101)
-    scan = counterexample_scan(lams, sub, grid, dom=cfg.dom)
+    lams = cfg.get("counterexample", "lambdas")
+    scan = counterexample_scan(lams, cfg.subcylinder("counterexample", "sub_"),
+                               cfg.get("counterexample", "grid"), dom=cfg.dom)
     scan_to_csv(scan, cfg.out_dir / "counterexample.csv")
     write_json(cfg.out_dir / "counterexample.json", scan.to_json_dict())
     if cfg.svg:
@@ -390,10 +383,9 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
 
 def cmd_regions(cfg: RunConfig) -> int:
-    """[regions] d = 0.5, grid_step = 0.01 [, solution + cap]
-    -> regions.csv, regions.json"""
-    level = cfg.req_float("regions", "d", 0.5)
-    grid_step = cfg.req_float("regions", "grid_step", 0.01)
+    """drift regions, with an optional restricted ratio check -> regions.csv, regions.json"""
+    level = cfg.get("regions", "d")
+    grid_step = cfg.get("regions", "grid_step")
     regions = classify_regions(cfg.op, cfg.dom, level, grid_step)
 
     names = [f"y{k+1}" for k in range(cfg.op.n_y)]
@@ -410,9 +402,9 @@ def cmd_regions(cfg: RunConfig) -> int:
         "warning": regions.warning,
     }
     exit_code = 0
-    sol_text = cfg.get("regions", "solution", None)
+    sol_text = cfg.get("regions", "solution")
     if sol_text is not None:
-        cap = cfg.req_float("regions", "cap", 10.0)
+        cap = cfg.get("regions", "cap")
         check = region_inequality_check(
             cfg.solution(sol_text), cfg.op, cfg.dom, level, cap, grid_step)
         payload["check"] = check.to_json_dict()
@@ -426,13 +418,10 @@ def cmd_regions(cfg: RunConfig) -> int:
 
 
 def cmd_average(cfg: RunConfig) -> int:
-    """[average] solution = kolmogorov(10), z = 0.25, grid_nx = 111,
-    grid_ny = 61 -> average.csv, average.json [, average.svg]"""
-    sol = cfg.solution(cfg.get("average", "solution", "kolmogorov(10)"))
-    z = cfg.req_float("average", "z", 0.25)
-    nx = cfg.req_int("average", "grid_nx", 111)
-    ny = cfg.req_int("average", "grid_ny", 61)
-    field = sol.as_field(nx, ny)
+    """window average in x of a catalog solution -> average.csv, average.json [, average.svg]"""
+    sol = cfg.solution(cfg.get("average", "solution"))
+    z = cfg.get("average", "z")
+    field = sol.as_field(cfg.get("average", "grid_nx"), cfg.get("average", "grid_ny"))
     averaged = window_average_x(field, z)
     averaged.save(cfg.out_dir, "average")
     if cfg.svg and averaged.n_y == 1:
@@ -456,24 +445,31 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    raw = argparse.RawDescriptionHelpFormatter
     parser = argparse.ArgumentParser(
         prog="harnack-lab",
         description="Simulation and verification toolkit for degenerate-drift "
                     "elliptic operators on a cylinder.",
+        epilog="config keys shared by the subcommands (each subcommand's --help "
+               "lists its own):\n" + "\n".join(map(_key_lines, ("operator", "domain", "sim"))),
+        formatter_class=raw,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=(fn.__doc__ or "").split("->")[0].strip())
-        p.add_argument("--config", type=Path, default=None,
-                       help="INI config file")
+        section = name.replace("-", "_")
+        doc = " ".join((fn.__doc__ or "").split())
+        keys = ", ".join(k for s, k in _TYPES if s == section)
+        p = sub.add_parser(name, help=f"{doc}; [{section}] {keys}", description=doc,
+                           epilog=f"config keys (--set {section}.KEY=VALUE or [{section}] "
+                                  f"in --config):\n{_key_lines(section)}",
+                           formatter_class=raw)
+        p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides config and environment)")
         p.add_argument("--workers", type=int, default=1,
                        help="worker threads; never changes output bytes")
-        p.add_argument("--out", type=Path, default=Path("."),
-                       help="output directory")
-        p.add_argument("--svg", action="store_true",
-                       help="also emit SVG plots")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        p.add_argument("--svg", action="store_true", help="also emit SVG plots")
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="SECTION.KEY=VALUE",
                        help="override one config value (repeatable)")

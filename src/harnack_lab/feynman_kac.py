@@ -70,19 +70,6 @@ class SandwichReport:
         }
 
 
-def _payoff_fn(u_data):
-    """Normalize a payoff (ScalarField, catalog solution, or plain callable)
-    to a vectorized fn(x (k,), y (k, n_y)) -> (k,)."""
-    if isinstance(u_data, ScalarField):
-        return u_data.at
-    at = getattr(u_data, "at", None)
-    if at is not None and not callable(u_data):
-        return at
-    if callable(u_data):
-        return u_data
-    raise TypeError(f"cannot evaluate payoff of type {type(u_data).__name__}")
-
-
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     n = vals.shape[0]
     mean = float(np.mean(vals))
@@ -104,11 +91,13 @@ def evaluate(
     """Weighted Monte Carlo evaluation of u_data through stopped paths.
 
     Runs a fresh path batch from ``start`` to horizon ``t`` and averages
-    exp(gamma_integral) * u_data(stopped state).
+    exp(gamma_integral) * u_data(stopped state).  ``u_data`` is evaluated
+    through its ``at(x (k,), y (k, n_y)) -> (k,)`` method (ScalarField,
+    AnalyticSolution), or called when it has none.
     """
     cfg = dataclasses.replace(cfg, t_max=float(t))
     batch = simulate_batch(op, dom, start, cfg, workers=workers, stream=stream)
-    fn = _payoff_fn(u_data)
+    fn = getattr(u_data, "at", u_data)
     try:
         payoff = np.asarray(fn(batch.stopped_x, batch.stopped_y), dtype=float)
     except ValueError as exc:
@@ -153,7 +142,7 @@ def sandwich_check(
 
     cfg = dataclasses.replace(cfg, t_max=t)
     batch = simulate_batch(op, dom, start, cfg, workers=workers, stream=stream)
-    fn = _payoff_fn(u)
+    fn = getattr(u, "at", u)
     payoff = np.asarray(fn(batch.stopped_x, batch.stopped_y), dtype=float)
     e_mean, se = _mean_se(payoff)
     value = float(
@@ -206,7 +195,7 @@ def make_solution(
         if np.any(np.abs(a) >= radius):
             raise ValueError("grid y nodes must lie strictly inside the outer ball")
     op = with_estimated_sups(op, dom)
-    g_fn = _payoff_fn(g)
+    g_fn = getattr(g, "at", g)
     cfg = dataclasses.replace(cfg, t_max=float(t_solve))
     x_free = "x" not in free_variables(op.gamma)
 

@@ -234,10 +234,6 @@ class ScalarField:
         write_json(json_path, self.header_dict())
         return csv_path, json_path
 
-    @classmethod
-    def load(cls, csv_path) -> "ScalarField":
-        return cls.from_csv(csv_path)
-
 
 # ---------------------------------------------------------------------------
 # SVG output.  Hand-rolled so the bytes are a pure function of the data; no

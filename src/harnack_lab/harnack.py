@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import FLOAT_FMT, ScalarField, line_plot_svg, write_csv
 from .operators import CylinderDomain, OperatorSpec, ball_lattice, classify_regions
-from .solutions import AnalyticSolution, counterexample_family
+from .solutions import counterexample_family
 
 __all__ = [
     "SubCylinder",
@@ -130,45 +130,35 @@ class RegionCheck:
         }
 
 
-def _solution_parts(u):
-    """(name, n_y, vectorized fn) for a catalog solution or a sampled field."""
-    if isinstance(u, ScalarField):
-        return u.name, u.n_y, u.at
-    if isinstance(u, AnalyticSolution):
-        return u.name, u.op.n_y, u.at
-    raise TypeError(f"cannot scan a {type(u).__name__}")
-
-
 def _eval_subgrid(u, sub: SubCylinder, grid: int):
     """Evaluate u on the closed subcylinder lattice; returns (x, y, values)."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
-    name, n_y, fn = _solution_parts(u)
     axes = (np.linspace(sub.x_lo, sub.x_hi, grid),) + (
         np.linspace(-sub.y_radius, sub.y_radius, grid),
-    ) * n_y
+    ) * u.n_y
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = [m.reshape(-1) for m in mesh]
     x = flat[0]
     y = np.stack(flat[1:], axis=-1)
     keep = (y * y).sum(axis=-1) <= sub.y_radius**2 * (1 + 1e-12)
     x, y = x[keep], y[keep]
-    return name, x, y, np.asarray(fn(x, y), dtype=float)
+    return x, y, np.asarray(u.at(x, y), dtype=float)
 
 
 def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> HarnackReport:
     """Exact grid extrema and their quotient; refuses nonpositive fields."""
     sub = sub or SubCylinder()
-    name, x, y, vals = _eval_subgrid(u, sub, grid)
+    x, y, vals = _eval_subgrid(u, sub, grid)
     i_min = int(np.argmin(vals))
     i_max = int(np.argmax(vals))
     if vals[i_min] <= 0:
         loc = ", ".join(format(v, "g") for v in (x[i_min], *y[i_min]))
         raise ValueError(
-            f"{name} is not positive on the subdomain: min {vals[i_min]:g} at ({loc})"
+            f"{u.name} is not positive on the subdomain: min {vals[i_min]:g} at ({loc})"
         )
     return HarnackReport(
-        solution=name,
+        solution=u.name,
         sup=float(vals[i_max]),
         inf=float(vals[i_min]),
         ratio=float(vals[i_max] / vals[i_min]),
@@ -248,8 +238,7 @@ def region_inequality_check(
         sides = ", ".join(f"A_{level:g}^{tag}" for tag in missing)
         raise ValueError(f"empty drift region(s) {sides}; no restricted bound applies")
 
-    name, n_y, fn = _solution_parts(u)
-    if n_y != op.n_y:
+    if u.n_y != op.n_y:
         raise ValueError("solution and operator dimensions differ")
     n_x = int(round((dom.inner_x_hi - dom.inner_x_lo) / grid_step)) + 1
     x_nodes = np.linspace(dom.inner_x_lo, dom.inner_x_hi, max(n_x, 2))
@@ -257,7 +246,7 @@ def region_inequality_check(
     def extremum(y_pts, take_max):
         best = None
         for x0 in x_nodes:
-            vals = np.asarray(fn(np.full(y_pts.shape[0], x0), y_pts), dtype=float)
+            vals = np.asarray(u.at(np.full(y_pts.shape[0], x0), y_pts), dtype=float)
             v = float(vals.max() if take_max else vals.min())
             best = v if best is None else (max(best, v) if take_max else min(best, v))
         return best
@@ -267,7 +256,7 @@ def region_inequality_check(
     ball_pts, _ = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=True)
     inf_val = extremum(ball_pts, take_max=False)
     if inf_val <= 0:
-        raise ValueError(f"{name} is not positive on the inner subcylinder: min {inf_val:g}")
+        raise ValueError(f"{u.name} is not positive on the inner subcylinder: min {inf_val:g}")
     ratio = sup_val / inf_val
     return RegionCheck(
         level=float(level),

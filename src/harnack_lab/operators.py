@@ -25,7 +25,6 @@ from .expressions import (
     differentiate,
     free_variables,
     parse,
-    to_string,
 )
 from .fields import ScalarField
 
@@ -130,12 +129,6 @@ class OperatorSpec:
         env["x"] = np.asarray(x, dtype=float)
         out = evaluate(self.gamma, env)
         return np.full(shape, out) if np.ndim(out) == 0 else np.asarray(out)
-
-    def describe(self) -> str:
-        return (
-            f"L = Delta_y + ({to_string(self.beta)}) d/dx + ({to_string(self.gamma)})"
-            f" on R x R^{self.n_y}"
-        )
 
 
 @dataclass(frozen=True)

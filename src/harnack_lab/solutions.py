@@ -65,6 +65,10 @@ class AnalyticSolution:
     positive_region_min: float
     ode_error: float = 0.0
 
+    @property
+    def n_y(self) -> int:
+        return self.op.n_y
+
     def at(self, x, y):
         """Evaluate u; x shape (k,) and y shape (k, n_y), or scalars."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))

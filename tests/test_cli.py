@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnack_lab.cli import main
+from harnack_lab import cli
+from harnack_lab.cli import SCHEMA, main
+from harnack_lab.operators import CylinderDomain
+from harnack_lab.sde import SimConfig
 
 
 def run(tmp_path, *argv):
@@ -44,6 +49,33 @@ def test_config_errors_are_aggregated(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("config error:") >= 3
+
+
+@pytest.mark.parametrize("command, item, named", [
+    ("counterexample", "counterexample.lambdaz=1,2", "counterexample.lambdaz"),
+    ("check", "chek.r=9", "[chek]"),
+])
+def test_unknown_key_or_section_is_an_error(tmp_path, capsys, command, item, named):
+    rc, out = run(tmp_path, command, "--set", item)
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_values_in_one_section_are_all_reported(tmp_path, capsys):
+    rc, _ = run(tmp_path, "evaluate", "--set", "evaluate.t=abc", "--set", "evaluate.k_sigma=x")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "evaluate.t: not a number: 'abc'" in err
+    assert "evaluate.k_sigma: not a number: 'x'" in err
+
+
+def test_subcommand_help_lists_its_keys(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["harnack", "--help"])
+    assert exc.value.code == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "harnack.grid" in ln]
+    assert len(lines) == 1 and "101" in lines[0]
 
 
 def test_malformed_set_flag(tmp_path, capsys):
@@ -235,3 +267,88 @@ for argv in runs:
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# the runs that between them read every key of every subcommand section
+SCHEMA_RUNS = [
+    ["check"],
+    ["simulate", *SMALL_SIM],
+    ["evaluate", *SMALL_SIM],
+    ["evaluate", *SMALL_SIM, "--set", "evaluate.mode=sandwich"],
+    ["make-solution", *SMALL_SIM, "--set", "make_solution.grid_nx=3",
+     "--set", "make_solution.grid_ny=3"],
+    ["harnack"],
+    ["harnack", "--set", "harnack.family=constants"],
+    ["harnack", "--set", "harnack.family=catalog", "--set", "harnack.solutions=kolmogorov(5)"],
+    ["counterexample"],
+    ["regions"],
+    ["regions", "--set", "regions.solution=kolmogorov(10)"],
+    ["average"],
+]
+
+
+def test_schema_is_the_only_config_schema(tmp_path, monkeypatch):
+    table = {(s, k): default for s, k, _kind, default, _help in SCHEMA}
+    assert len(table) == len(SCHEMA)
+    # the domain and sim keys are exactly the fields they construct
+    for section, cls in (("domain", CylinderDomain), ("sim", SimConfig)):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert {k for s, k in table if s == section} == fields
+    # README's config block holds shared keys only, at their table defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    assert set(parser.sections()) == {"operator", "domain", "sim"}
+    for section in parser.sections():
+        for key, text in parser.items(section):
+            default = table[section, key]
+            assert type(default)(text) == default, (section, key)
+    # every key a subcommand reads is in the table, and none goes unread
+    reads = set()
+    get = cli.RunConfig.get
+
+    def spy(self, section, key):
+        reads.add((section, key))
+        return get(self, section, key)
+
+    monkeypatch.setattr(cli.RunConfig, "get", spy)
+    for i, argv in enumerate(SCHEMA_RUNS):
+        rc, _ = run(tmp_path / str(i), *argv)
+        assert rc == 0, argv
+    shared = {(s, k) for s, k in table if s in ("domain", "sim")}
+    assert reads | shared == set(table)
+
+
+# --set text of an unset start_y (the origin) and of an unset box bound (the
+# domain's inner subcylinder)
+UNSET_TEXT = {"start_y": "0.0", "x_lo": "0.0", "x_hi": "1.0", "y_radius": "1.0"}
+
+
+def _default_text(key, default):
+    if default is None:
+        return next(text for end, text in UNSET_TEXT.items() if key.endswith(end))
+    if isinstance(default, tuple):
+        return ",".join(map(repr, default))
+    return repr(default) if isinstance(default, float) else str(default)
+
+
+# in sandwich mode an unset evaluate.t means 1/sup|beta|, not the default 0.5
+DEFAULT_RUNS = [argv for argv in SCHEMA_RUNS if "evaluate.mode=sandwich" not in argv]
+
+
+@pytest.mark.parametrize("argv", DEFAULT_RUNS,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(DEFAULT_RUNS)])
+def test_every_key_accepts_its_default(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("HARNACK_LAB_SEED", raising=False)
+    # regions.solution has no default value: unset means no check
+    defaults = [f"{s}.{k}={_default_text(k, d)}" for s, k, _kind, d, _help in SCHEMA
+                if (s, k) != ("regions", "solution")]
+    rc_a, out_a = run(tmp_path / "a", *argv)
+    rc_b, out_b = run(tmp_path / "b", argv[0], *[a for d in defaults for a in ("--set", d)],
+                      *argv[1:])
+    assert rc_a == rc_b == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

@@ -62,7 +62,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     axes = box_axes(-2.0, 3.0, 9, 2.0, 7)
     f = ScalarField(axes, rng.standard_normal((9, 7)) * 1e3, name="noise")
     csv_path, json_path = f.save(tmp_path, "noise")
-    g = ScalarField.load(csv_path)
+    g = ScalarField.from_csv(csv_path)
     assert all(np.array_equal(a, b) for a, b in zip(f.axes, g.axes))
     assert np.array_equal(f.values, g.values)
     assert json_path.exists()
