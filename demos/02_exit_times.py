@@ -43,6 +43,8 @@ for dt in (0.32, 0.16, 0.08, 0.04):
 # -- where do paths land? -----------------------------------------------------
 # Empirical stopped-y measure for two nearby starts, and the two-sided
 # comparability h = min over well-populated bins of min(m_a/m_b, m_b/m_a).
+# The stopped-y law cannot see beta (Y is sqrt(2) B for every drift), so h
+# is the same for beta = y and beta = 1.
 cfg_m = SimConfig(t_max=1.0, dt=1e-3, n_paths=50_000, master_seed=3)
 batch_a = simulate_batch(op, dom, (0.0, 0.3), cfg_m)
 mu_a = measure_from_batch(batch_a, dom, bins=16)

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import dataclasses
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -110,6 +111,12 @@ def _parse(kind, text):
         raise ValueError(f"not {_WHAT[kind]}: {text!r}") from None
 
 
+def _catalog_names(text) -> list[str]:
+    """The names of a comma-separated catalog list; commas inside
+    parentheses separate arguments, not names."""
+    return [n.strip() for n in re.split(r",(?![^(]*\))", text) if n.strip()]
+
+
 def _key_lines(section) -> str:
     """--help lines for the keys of one section: name, help, choices, default."""
     lines = []
@@ -134,7 +141,9 @@ class ConfigError(Exception):
 class RunConfig:
     """Typed config values merged from SCHEMA defaults, environment, config
     file, --set overrides and flags.  Every given value is checked against
-    SCHEMA in one pass and every problem is raised in one ConfigError."""
+    SCHEMA, and the values are checked together (ranges, start_y lengths,
+    catalog names, the boundary expression), in one pass; every problem is
+    raised in one ConfigError."""
 
     def __init__(self, args):
         errors = []
@@ -217,6 +226,34 @@ class RunConfig:
         except ValueError as exc:
             errors.append(f"sim: {exc}")
 
+        order = self.get("check", "r")
+        if not 1 <= order <= 4:
+            errors.append(f"check.r: order must be between 1 and 4, got {order}")
+        catalog = _catalog_names(self.get("harnack", "solutions"))
+        if self.get("harnack", "family") == "catalog" and not catalog:
+            errors.append("harnack.solutions: empty catalog list")
+        names = [("harnack.solutions", n) for n in catalog]
+        names += [(f"{s}.solution", self.get(s, "solution"))
+                  for s in ("evaluate", "regions", "average")]
+        for key, text in names:
+            if text is None:  # regions.solution unset: no check
+                continue
+            try:
+                parse_solution_name(text)
+            except ValueError as exc:
+                errors.append(f"{key}: {exc}")
+        # these need the y axes of a valid operator; a bad one is reported above
+        if self.op is not None:
+            for section in ("simulate", "evaluate"):
+                ys = self.get(section, "start_y")
+                if ys is not None and len(ys) != self.op.n_y:
+                    errors.append(f"{section}.start_y: expected {self.op.n_y} value(s)")
+            try:
+                self.boundary = expressions.parse(self.get("make_solution", "boundary"),
+                                                  ("x",) + self.op.y_names)
+            except expressions.ExprError as exc:
+                errors.append(f"make_solution.boundary: {exc}")
+
         if errors:
             raise ConfigError(errors)
 
@@ -229,11 +266,7 @@ class RunConfig:
 
     def start_point(self, section):
         ys = self.get(section, "start_y")
-        if ys is None:
-            ys = [0.0] * self.op.n_y
-        elif len(ys) != self.op.n_y:
-            raise ConfigError([f"{section}.start_y: expected {self.op.n_y} value(s)"])
-        return self.get(section, "start_x"), np.array(ys)
+        return self.get(section, "start_x"), np.array(ys or [0.0] * self.op.n_y)
 
     def subcylinder(self, section, prefix):
         """The box SECTION.{prefix}x_lo, x_hi, y_radius; an unset bound
@@ -243,24 +276,16 @@ class RunConfig:
                                    **{k: v for k, v in bounds.items() if v is not None})
 
     def solution(self, text):
-        """Catalog solution with parse problems reported as config errors."""
-        try:
-            parse_solution_name(text)
-        except ValueError as exc:
-            raise ConfigError([str(exc)]) from None
+        """The catalog solution TEXT, built on this operator and domain."""
         return catalog_entry(text, op=self.op, dom=self.dom)
 
-    def boundary_fn(self, text):
-        names = ("x",) + self.op.y_names
-        try:
-            expr = expressions.parse(text, names)
-        except expressions.ExprError as exc:
-            raise ConfigError([f"boundary data: {exc}"]) from None
+    def boundary_fn(self):
+        """make_solution.boundary as a function of x (k,) and y (k, n_y)."""
 
         def fn(x, y):
             env = {"x": x}
             env.update({n: y[:, k] for k, n in enumerate(self.op.y_names)})
-            return expressions.evaluate(expr, env)
+            return expressions.evaluate(self.boundary, env)
 
         return fn
 
@@ -271,8 +296,6 @@ class RunConfig:
 def cmd_check(cfg: RunConfig) -> int:
     """sign-change and derivative-mass hypothesis on beta -> hormander_report.json"""
     order = cfg.get("check", "r")
-    if not 1 <= order <= 4:
-        raise ConfigError([f"check.r: order must be between 1 and 4, got {order}"])
     report = check_hypothesis(cfg.op, cfg.dom, order=order,
                               grid_step=cfg.get("check", "grid_step"))
     write_json(cfg.out_dir / "hormander_report.json", report.to_json_dict())
@@ -323,7 +346,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_make_solution(cfg: RunConfig) -> int:
     """positive field from boundary data -> solution.csv, solution.json [, solution.svg]"""
-    g = cfg.boundary_fn(cfg.get("make_solution", "boundary"))
+    g = cfg.boundary_fn()
     box = cfg.subcylinder("make_solution", "grid_")
     axes = box_axes(box.x_lo, box.x_hi, cfg.get("make_solution", "grid_nx"),
                     box.y_radius, cfg.get("make_solution", "grid_ny"), n_y_axes=cfg.op.n_y)
@@ -345,10 +368,7 @@ def _family_solutions(cfg: RunConfig, family):
         return [constant(c, dom=cfg.dom) for c in cfg.get("harnack", "constants")]
     if family == "kolmogorov":
         return [kolmogorov_poly(c) for c in cfg.get("harnack", "offsets")]
-    names = [s.strip() for s in cfg.get("harnack", "solutions").split(",") if s.strip()]
-    if not names:
-        raise ConfigError(["harnack.solutions: empty catalog list"])
-    return [cfg.solution(n) for n in names]
+    return [cfg.solution(n) for n in _catalog_names(cfg.get("harnack", "solutions"))]
 
 
 def cmd_harnack(cfg: RunConfig) -> int:

@@ -40,12 +40,7 @@ class FKEstimate:
     horizon: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "horizon": self.horizon,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -60,14 +55,7 @@ class SandwichReport:
     k_sigma: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "lower": self.lower,
-            "upper": self.upper,
-            "value_at_start": self.value_at_start,
-            "estimate": self.estimate.to_json_dict(),
-            "k_sigma": self.k_sigma,
-        }
+        return dataclasses.asdict(self)
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -76,6 +64,31 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return mean, 0.0
     return mean, float(np.std(vals, ddof=1) / np.sqrt(n))
+
+
+def _payoff(u, x, y, what="payoff", at="a stopped state") -> np.ndarray:
+    """u at the states x (n,), y (n, n_y) as n floats, through ``u.at`` when
+    u has one; a constant result is broadcast to every state."""
+    try:
+        vals = np.asarray(getattr(u, "at", u)(x, y), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{what} evaluation failed at {at}: {exc}") from exc
+    if vals.ndim == 0:
+        return np.broadcast_to(vals, x.shape)
+    if vals.shape != x.shape:
+        raise ValueError(f"{what} returned shape {vals.shape} at {x.shape[0]} point(s); "
+                         f"expected ({x.shape[0]},) or a constant")
+    return vals
+
+
+def _run_one_start(op, dom, u, start, t, cfg, workers, stream):
+    """cfg.n_paths stopped paths from one start to horizon t: the batch and
+    the payoff u at its stopped states."""
+    if np.ndim(start[0]) != 0:
+        raise ValueError("expected one start (x a number, y of shape (n_y,))")
+    batch = simulate_batch(op, dom, start, dataclasses.replace(cfg, t_max=t),
+                           workers=workers, stream=stream)
+    return batch, _payoff(u, batch.stopped_x, batch.stopped_y)
 
 
 def evaluate(
@@ -90,21 +103,17 @@ def evaluate(
 ) -> FKEstimate:
     """Weighted Monte Carlo evaluation of u_data through stopped paths.
 
-    Runs a fresh path batch from ``start`` to horizon ``t`` and averages
-    exp(gamma_integral) * u_data(stopped state).  ``u_data`` is evaluated
-    through its ``at(x (k,), y (k, n_y)) -> (k,)`` method (ScalarField,
-    AnalyticSolution), or called when it has none.
+    Runs a fresh path batch from the one point ``start = (x, y)`` to horizon
+    ``t`` and averages exp(gamma_integral) * u_data(stopped state).
+    ``u_data`` is evaluated through its ``at(x (n,), y (n, n_y)) -> (n,)``
+    method (ScalarField, AnalyticSolution), or called when it has none.  A
+    constant result counts for every path; any other shape than (n,) is a
+    ValueError, as is a k-point ``start``.
     """
-    cfg = dataclasses.replace(cfg, t_max=float(t))
-    batch = simulate_batch(op, dom, start, cfg, workers=workers, stream=stream)
-    fn = getattr(u_data, "at", u_data)
-    try:
-        payoff = np.asarray(fn(batch.stopped_x, batch.stopped_y), dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"payoff evaluation failed at a stopped state: {exc}") from exc
-    vals = np.exp(batch.gamma_integral) * payoff
-    mean, se = _mean_se(vals)
-    return FKEstimate(value=mean, std_error=se, n_paths=cfg.n_paths, horizon=float(t))
+    t = float(t)
+    batch, payoff = _run_one_start(op, dom, u_data, start, t, cfg, workers, stream)
+    mean, se = _mean_se(np.exp(batch.gamma_integral) * payoff)
+    return FKEstimate(value=mean, std_error=se, n_paths=cfg.n_paths, horizon=t)
 
 
 def sandwich_check(
@@ -122,7 +131,10 @@ def sandwich_check(
     unweighted mean of u at stopped states.
 
     Needs |gamma| <= 1 (rescale the operator first otherwise).  The default
-    horizon is 1/sup|beta|, trading x-spread against weight growth.
+    horizon is 1/sup|beta|, trading x-spread against weight growth.  ``u``
+    is evaluated as in ``evaluate``, at the stopped states and at the one
+    point ``start``: a constant result is broadcast, any other wrong shape
+    and a k-point ``start`` are ValueErrors.
     """
     # gate on the raw grid maximum: the 1.05 step-size margin would reject
     # the boundary case |gamma| = 1, which the bound does cover
@@ -140,14 +152,10 @@ def sandwich_check(
         t = 1.0 / op.beta_sup
     t = float(t)
 
-    cfg = dataclasses.replace(cfg, t_max=t)
-    batch = simulate_batch(op, dom, start, cfg, workers=workers, stream=stream)
-    fn = getattr(u, "at", u)
-    payoff = np.asarray(fn(batch.stopped_x, batch.stopped_y), dtype=float)
+    batch, payoff = _run_one_start(op, dom, u, start, t, cfg, workers, stream)
     e_mean, se = _mean_se(payoff)
-    value = float(
-        np.asarray(fn(np.array([batch.start_x]), batch.start_y[None, :]), dtype=float)[0]
-    )
+    value = float(_payoff(u, np.array([batch.start_x]), batch.start_y[None, :],
+                          at="the start")[0])
 
     lower = np.exp(-t) * (e_mean - k_sigma * se)
     upper = np.exp(t) * (e_mean + k_sigma * se)
@@ -185,7 +193,9 @@ def make_solution(
     ``simulate_batch`` calls of at most one chunk each, spread over
     ``workers`` threads.  The node value is the mean of
     exp(gamma_integral) * g at the stopped state — exited paths use the exit
-    state on the sphere, survivors the horizon state.
+    state on the sphere, survivors the horizon state.  ``g`` is evaluated as
+    in ``evaluate``: a constant result is broadcast, and a result that is not
+    one value per stopped state is a ValueError.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 1 + op.n_y:
@@ -195,7 +205,6 @@ def make_solution(
         if np.any(np.abs(a) >= radius):
             raise ValueError("grid y nodes must lie strictly inside the outer ball")
     op = with_estimated_sups(op, dom)
-    g_fn = getattr(g, "at", g)
     cfg = dataclasses.replace(cfg, t_max=float(t_solve))
     x_free = "x" not in free_variables(op.gamma)
 
@@ -219,11 +228,8 @@ def make_solution(
         # (start, x-node, path): a start's stopped states moved to each x-node
         px = node_x[None, :, None] + batch.stopped_x.reshape(k, 1, n)
         py = np.broadcast_to(batch.stopped_y.reshape(k, 1, n, op.n_y), px.shape + (op.n_y,))
-        try:
-            payoff = np.asarray(g_fn(px.reshape(-1), py.reshape(-1, op.n_y)), dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"boundary data evaluation failed at a stopped state: {exc}") from exc
-        payoff = np.broadcast_to(payoff, (px.size,)).reshape(px.shape)  # g may be constant
+        payoff = _payoff(g, px.reshape(-1), py.reshape(-1, op.n_y), "boundary data")
+        payoff = payoff.reshape(px.shape)
         weights = np.exp(batch.gamma_integral).reshape(k, 1, n)
         node_vals[s0:s1] = np.mean(weights * payoff, axis=2)
 

@@ -21,6 +21,7 @@ be run against when pointwise values are too rough.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,6 @@ class SubCylinder:
     def from_domain(cls, dom: CylinderDomain) -> "SubCylinder":
         return cls(dom.inner_x_lo, dom.inner_x_hi, dom.y_inner_radius)
 
-    def to_json_dict(self) -> dict:
-        return {"x_lo": self.x_lo, "x_hi": self.x_hi, "y_radius": self.y_radius}
-
 
 @dataclass(frozen=True)
 class HarnackReport:
@@ -77,17 +75,6 @@ class HarnackReport:
     argmax: tuple
     argmin: tuple
     subdomain: SubCylinder
-
-    def to_json_dict(self) -> dict:
-        return {
-            "solution": self.solution,
-            "sup": self.sup,
-            "inf": self.inf,
-            "ratio": self.ratio,
-            "argmax": list(self.argmax),
-            "argmin": list(self.argmin),
-            "subdomain": self.subdomain.to_json_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -118,16 +105,7 @@ class RegionCheck:
     minus_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "sup": self.sup,
-            "inf": self.inf,
-            "ratio": self.ratio,
-            "cap": self.cap,
-            "passed": self.passed,
-            "plus_count": self.plus_count,
-            "minus_count": self.minus_count,
-        }
+        return dataclasses.asdict(self)
 
 
 def _eval_subgrid(u, sub: SubCylinder, grid: int):
@@ -198,23 +176,14 @@ def counterexample_scan(lams, sub: SubCylinder | None = None, grid: int = 101,
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda values must be increasing")
     dom = dom or CylinderDomain()
-    reports = tuple(
-        sup_inf_ratio(counterexample_family(lam, dom), sub, grid) for lam in lams
-    )
-    ratios = [r.ratio for r in reports]
-    if len(ratios) < 2:
-        verdict = None
-    elif all(b > a for a, b in zip(ratios, ratios[1:])) and ratios[-1] > 10 * ratios[0]:
-        verdict = "divergent"
-    else:
-        verdict = "bounded"
-    return FamilyScan(
-        family="counterexample",
-        reports=reports,
-        max_ratio=max(ratios),
-        verdict=verdict,
-        params=tuple(lams),
-    )
+    scan = scan_family((counterexample_family(lam, dom) for lam in lams), sub, grid,
+                       family="counterexample")
+    ratios = [r.ratio for r in scan.reports]
+    verdict = None
+    if len(ratios) > 1:
+        rising = all(b > a for a, b in zip(ratios, ratios[1:]))
+        verdict = "divergent" if rising and ratios[-1] > 10 * ratios[0] else "bounded"
+    return dataclasses.replace(scan, verdict=verdict, params=tuple(lams))
 
 
 def region_inequality_check(
@@ -243,18 +212,15 @@ def region_inequality_check(
     n_x = int(round((dom.inner_x_hi - dom.inner_x_lo) / grid_step)) + 1
     x_nodes = np.linspace(dom.inner_x_lo, dom.inner_x_hi, max(n_x, 2))
 
-    def extremum(y_pts, take_max):
-        best = None
+    def node_values(y_pts):
+        """u over y_pts at each x-node in turn, one u.at call per node."""
         for x0 in x_nodes:
-            vals = np.asarray(u.at(np.full(y_pts.shape[0], x0), y_pts), dtype=float)
-            v = float(vals.max() if take_max else vals.min())
-            best = v if best is None else (max(best, v) if take_max else min(best, v))
-        return best
+            yield np.asarray(u.at(np.full(y_pts.shape[0], x0), y_pts), dtype=float)
 
     a_d = np.concatenate([regions.plus_points, regions.minus_points], axis=0)
-    sup_val = extremum(a_d, take_max=True)
+    sup_val = max(float(vals.max()) for vals in node_values(a_d))
     ball_pts, _ = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=True)
-    inf_val = extremum(ball_pts, take_max=False)
+    inf_val = min(float(vals.min()) for vals in node_values(ball_pts))
     if inf_val <= 0:
         raise ValueError(f"{u.name} is not positive on the inner subcylinder: min {inf_val:g}")
     ratio = sup_val / inf_val

@@ -555,6 +555,8 @@ def comparability_constant(
 
     A lower estimate on coarse bins; bins with fewer than ``mass_floor``
     counts in either histogram are excluded and reported in the details.
+    The stopped-y law cannot see beta: Y is sqrt(2) B and the stop depends
+    on y alone, so h is the same, bit for bit, for every drift.
     """
     if not t > 0:
         raise ValueError("t must be positive")

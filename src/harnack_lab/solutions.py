@@ -17,7 +17,13 @@ Each solution records a positivity certificate with margin reporting:
 ``positivity_min`` is the minimum of u over a verification grid on the full
 validity cylinder (possibly <= 0 for solutions that are only locally
 positive), while ``positive_region`` is the subregion on which the
-constructor *requires* u > 0 and raises otherwise.
+constructor *requires* u > 0 and raises otherwise.  One helper builds every
+sampled solution.  It samples the 101 x 101 grid of the validity cylinder
+once, and samples a second grid only when ``positive_region`` is smaller
+than the cylinder: always for ``kolmogorov_poly``, never for
+``counterexample_family``, and for ``separable`` only when phi is not
+positive on the whole outer interval.  ``constant`` has an exact
+certificate and samples nothing.
 """
 
 from __future__ import annotations
@@ -99,16 +105,23 @@ def _grid_min(fn, n_y, x_lo, x_hi, radius, nx=101, ny=101):
     return float(field.values[i_min]), where
 
 
-def _certify(name, fn, op, dom, region):
-    """Full-domain margin report plus enforced positivity on `region`."""
-    full_min, _ = _grid_min(fn, op.n_y, dom.x_lo, dom.x_hi, dom.y_outer_radius)
-    region_min, where = _grid_min(fn, op.n_y, *region)
+def _certify(name, fn, op, dom, region, ode_error=0.0) -> AnalyticSolution:
+    """The solution with its certificate: the grid minimum over the validity
+    cylinder, and positivity enforced on ``region`` (x_lo, x_hi, y_radius),
+    whose grid is the cylinder's when ``region`` is the whole cylinder."""
+    cylinder = (dom.x_lo, dom.x_hi, dom.y_outer_radius)
+    full_min, where = _grid_min(fn, op.n_y, *cylinder)
+    region_min = full_min
+    if tuple(region) != cylinder:
+        region_min, where = _grid_min(fn, op.n_y, *region)
     if region_min <= 0:
         loc = ", ".join(f"{w:g}" for w in where)
         raise ValueError(
             f"{name} is not positive on its certified region: min {region_min:g} at ({loc})"
         )
-    return full_min, region_min
+    return AnalyticSolution(name=name, op=op, domain=dom, fn=fn, positivity_min=full_min,
+                            positive_region=region, positive_region_min=region_min,
+                            ode_error=ode_error)
 
 
 def kolmogorov_poly(C: float, dom: CylinderDomain = KOLMOGOROV_DOMAIN) -> AnalyticSolution:
@@ -124,18 +137,8 @@ def kolmogorov_poly(C: float, dom: CylinderDomain = KOLMOGOROV_DOMAIN) -> Analyt
     def fn(x, y):
         return x - y[:, 0] ** 3 / 6 + C
 
-    name = f"kolmogorov({C:g})"
     region = (dom.inner_x_lo, dom.inner_x_hi, dom.y_inner_radius)
-    full_min, region_min = _certify(name, fn, op, dom, region)
-    return AnalyticSolution(
-        name=name,
-        op=op,
-        domain=dom,
-        fn=fn,
-        positivity_min=full_min,
-        positive_region=region,
-        positive_region_min=region_min,
-    )
+    return _certify(f"kolmogorov({C:g})", fn, op, dom, region)
 
 
 def counterexample_family(lam: float, dom: CylinderDomain = CylinderDomain()) -> AnalyticSolution:
@@ -150,18 +153,8 @@ def counterexample_family(lam: float, dom: CylinderDomain = CylinderDomain()) ->
     def fn(x, y):
         return np.exp(-lam * x) * np.cosh(root * y[:, 0])
 
-    name = f"counterexample({lam:g})"
     region = (dom.x_lo, dom.x_hi, dom.y_outer_radius)
-    full_min, region_min = _certify(name, fn, op, dom, region)
-    return AnalyticSolution(
-        name=name,
-        op=op,
-        domain=dom,
-        fn=fn,
-        positivity_min=full_min,
-        positive_region=region,
-        positive_region_min=region_min,
-    )
+    return _certify(f"counterexample({lam:g})", fn, op, dom, region)
 
 
 def constant(c: float, op: OperatorSpec | None = None,
@@ -321,20 +314,9 @@ def separable(
     def fn(x, y):
         return np.exp(lam * x) * profile(y[:, 0])
 
-    name = f"separable(lambda={lam:g},gamma={gamma0:g})"
-    pos_radius = radius if np.all(phi > 0) else dom.y_inner_radius
-    region = (dom.x_lo, dom.x_hi, pos_radius)
-    full_min, region_min = _certify(name, fn, op, dom, region)
-    return AnalyticSolution(
-        name=name,
-        op=op,
-        domain=dom,
-        fn=fn,
-        positivity_min=full_min,
-        positive_region=region,
-        positive_region_min=region_min,
-        ode_error=ode_error,
-    )
+    region = (dom.x_lo, dom.x_hi, radius if np.all(phi > 0) else dom.y_inner_radius)
+    return _certify(f"separable(lambda={lam:g},gamma={gamma0:g})", fn, op, dom, region,
+                    ode_error)
 
 
 def parse_solution_name(text: str) -> tuple[str, list[float]]:

@@ -70,6 +70,32 @@ def test_bad_values_in_one_section_are_all_reported(tmp_path, capsys):
     assert "evaluate.k_sigma: not a number: 'x'" in err
 
 
+@pytest.mark.parametrize("command, item, message", [
+    ("check", "check.r=9", "check.r: order must be between 1 and 4, got 9"),
+    ("simulate", "simulate.start_y=1,2", "simulate.start_y: expected 1 value(s)"),
+    ("evaluate", "evaluate.solution=bogus", "evaluate.solution: unknown solution 'bogus'"),
+    ("make-solution", "make_solution.boundary=x+", "make_solution.boundary: unexpected end"),
+    ("harnack", "harnack.family=catalog", "harnack.solutions: empty catalog list"),
+], ids=["check", "simulate", "evaluate", "make-solution", "harnack"])
+def test_checks_across_values_join_the_one_error_pass(tmp_path, capsys, command, item, message):
+    rc, out = run(tmp_path, command, "--set", item, "--set", "sim.dt=fast")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: sim.dt: not a number: 'fast'" in err
+    assert f"config error: {message}" in err
+    assert not out.exists()
+
+
+def test_catalog_list_takes_two_argument_names(tmp_path):
+    rc, out = run(tmp_path, "harnack", "--set", "harnack.family=catalog",
+                  "--set", "harnack.solutions=separable(1.5,2),kolmogorov(5)")
+    assert rc == 0
+    rows = (out / "harnack.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert rows[0].startswith("separable(lambda=1.5,gamma=2),")
+    assert rows[1].startswith("kolmogorov(5),")
+
+
 def test_subcommand_help_lists_its_keys(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harnack", "--help"])

@@ -274,3 +274,32 @@ def test_make_solution_grid_validation():
     with pytest.raises(ValueError, match="axes"):
         make_solution(DRIFT_Y, DOM, lambda x, y: np.ones_like(x), 0.5, cfg,
                       (np.linspace(0, 1, 3),))
+
+
+def test_sandwich_accepts_a_constant_callable():
+    rep = sandwich_check(DRIFT_Y, DOM, lambda x, y: 1.0, (0.0, 0.0),
+                         cfg=SimConfig(t_max=1.0, n_paths=200))
+    assert rep.passed
+    assert rep.value_at_start == 1.0
+    assert rep.estimate.value == 1.0 and rep.estimate.std_error == 0.0
+
+
+@pytest.mark.parametrize("check", [
+    lambda start: evaluate(DRIFT_Y, DOM, kolmogorov_fn, start, t=0.5,
+                           cfg=SimConfig(t_max=1.0, n_paths=50)),
+    lambda start: sandwich_check(DRIFT_Y, DOM, kolmogorov_fn, start,
+                                 cfg=SimConfig(t_max=1.0, n_paths=50)),
+], ids=["evaluate", "sandwich_check"])
+def test_one_start_only(check):
+    with pytest.raises(ValueError, match="expected one start"):
+        check((np.array([0.0, 0.5]), np.zeros((2, 1))))
+
+
+def test_wrongly_shaped_payoff_is_an_error():
+    # a (n, 1) payoff used to broadcast against the (n,) weights into an n x n mean
+    with pytest.raises(ValueError, match=r"payoff returned shape \(50, 1\)"):
+        evaluate(DRIFT_Y, DOM, lambda x, y: y, (0.0, 0.0), t=0.5,
+                 cfg=SimConfig(t_max=1.0, n_paths=50))
+    with pytest.raises(ValueError, match="boundary data returned shape"):
+        make_solution(DRIFT_Y, DOM, lambda x, y: y, 0.5, SimConfig(t_max=1.0, n_paths=50),
+                      box_axes(0.0, 1.0, 2, 0.5, 2))

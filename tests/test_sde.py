@@ -274,6 +274,16 @@ def test_comparability_constant_estimates_sups_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_comparability_constant_cannot_see_beta():
+    # Y is sqrt(2) B whatever beta is, so the stopped-y laws, and h, agree
+    # bit for bit for a sign-changing and a one-signed drift
+    cfg = SimConfig(t_max=1.0, n_paths=300, master_seed=1)
+    results = [comparability_constant(OperatorSpec.from_strings(beta), DOM, -0.5, 0.5, t=1.0,
+                                      cfg=cfg, bins=4, return_details=True)
+               for beta in ("y1", "1")]
+    assert results[0] == results[1]
+
+
 def test_path_batch_csv(tmp_path):
     op = OperatorSpec.from_strings("y1", gamma="1", dim_n=3)
     cfg = SimConfig(t_max=0.5, dt=2e-3, n_paths=50, master_seed=2)

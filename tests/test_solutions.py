@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
+from harnack_lab.fields import ScalarField
 from harnack_lab.operators import CylinderDomain, OperatorSpec, residual
 from harnack_lab.solutions import (
     AnalyticSolution,
@@ -216,3 +217,26 @@ def test_separable_profile_matches_scipy_bitwise():
     xs = np.linspace(-1.0, 1.0, ys.size)
     want = np.exp(1.5 * xs) * CubicHermiteSpline(nodes, phi, dphi)(ys)
     assert np.array_equal(sol.at(xs, ys[:, None]), want)
+
+
+@pytest.mark.parametrize("build, samples", [
+    (lambda: counterexample_family(2.0), 1),
+    (lambda: separable(0.5, OperatorSpec.from_strings("y1", "0")), 1),
+    (lambda: kolmogorov_poly(10.0), 2),
+], ids=["counterexample", "separable", "kolmogorov"])
+def test_whole_cylinder_certificate_samples_one_grid(monkeypatch, build, samples):
+    calls = []
+    sample = ScalarField.sample
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "sample", classmethod(counted))
+    sol = build()
+    assert len(calls) == samples
+    dom = sol.domain
+    whole = sol.positive_region == (dom.x_lo, dom.x_hi, dom.y_outer_radius)
+    assert whole == (samples == 1)
+    if whole:
+        assert sol.positivity_min == sol.positive_region_min
