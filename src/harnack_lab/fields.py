@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "ScalarField",
     "box_axes",
+    "csv_field",
     "format_float",
     "write_csv",
     "write_json",
@@ -35,6 +36,16 @@ FLOAT_FMT = "%.17g"
 def format_float(x: float) -> str:
     """17 significant digits, enough to reconstruct the exact float64."""
     return FLOAT_FMT % float(x)
+
+
+def csv_field(text: str) -> str:
+    """``text`` as Python's csv module writes it with QUOTE_MINIMAL: quoted,
+    with inner quotes doubled, when it holds a comma, a quote or a line break
+    (``separable(lambda=1.5,gamma=2)`` does).  Pass text fields of a
+    ``write_csv`` row through it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header, fmt: str, rows, footer=()) -> None:

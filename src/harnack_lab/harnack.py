@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FLOAT_FMT, ScalarField, line_plot_svg, write_csv
+from .fields import FLOAT_FMT, ScalarField, csv_field, line_plot_svg, write_csv
 from .operators import CylinderDomain, OperatorSpec, ball_lattice, classify_regions
 from .solutions import counterexample_family
 
@@ -295,7 +295,7 @@ def scan_to_csv(scan: FamilyScan, path) -> None:
     header += [f"argmax_{n}" for n in ("x", *[f"y{k+1}" for k in range(n_y)])]
     header += [f"argmin_{n}" for n in ("x", *[f"y{k+1}" for k in range(n_y)])]
     fmt = ",".join(["%s"] + [FLOAT_FMT] * (3 + 2 * (n_y + 1)))
-    rows = [(rep.solution, rep.sup, rep.inf, rep.ratio, *rep.argmax, *rep.argmin)
+    rows = [(csv_field(rep.solution), rep.sup, rep.inf, rep.ratio, *rep.argmax, *rep.argmin)
             for rep in scan.reports]
     write_csv(path, header, fmt, rows)
 

@@ -14,21 +14,21 @@ Four constructors:
 * ``constant(c)``: u = c, valid whenever gamma = 0.
 
 Each solution records a positivity certificate with margin reporting:
-``positivity_min`` is the minimum of u over a verification grid on the full
-validity cylinder (possibly <= 0 for solutions that are only locally
-positive), while ``positive_region`` is the subregion on which the
-constructor *requires* u > 0 and raises otherwise.  One helper builds every
-sampled solution.  It samples the 101 x 101 grid of the validity cylinder
-once, and samples a second grid only when ``positive_region`` is smaller
-than the cylinder: always for ``kolmogorov_poly``, never for
-``counterexample_family``, and for ``separable`` only when phi is not
-positive on the whole outer interval.  ``constant`` has an exact
-certificate and samples nothing.
+``positive_region`` is the subregion on which the constructor *requires*
+u > 0, checked on a 101 x 101 grid at construction, and ``positivity_min``
+is the grid minimum over the full validity cylinder (possibly <= 0 for
+solutions that are only locally positive).  The report-only values are
+computed on first read and then kept: ``positivity_min`` samples the
+cylinder then unless the region is the whole cylinder (never for
+``counterexample_family``, always for ``kolmogorov_poly``), and
+``ode_error`` of ``separable`` reruns the profile at half the step then.
+``constant`` has an exact certificate and samples nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,19 +57,33 @@ class AnalyticSolution:
     """A reference solution with its operator and positivity certificate.
 
     ``positive_region`` is (x_lo, x_hi, y_radius): the subcylinder on which
-    u > 0 was verified on a grid (``positive_region_min`` is the margin).
-    ``positivity_min`` reports the grid minimum over the full validity
-    cylinder and may be nonpositive for locally-positive solutions.
+    u > 0 was verified on a grid at construction (``positive_region_min`` is
+    the margin).  Two values only report and are computed on first read:
+    ``positivity_min``, the grid minimum over the full validity cylinder,
+    which may be nonpositive for locally-positive solutions, and
+    ``ode_error``, the profile error estimate (0 for closed forms).
     """
 
     name: str
     op: OperatorSpec
     domain: CylinderDomain
     fn: Callable
-    positivity_min: float
     positive_region: tuple
     positive_region_min: float
-    ode_error: float = 0.0
+    # runs on the first read of ode_error; separable's reruns its profile at
+    # half the step
+    _ode_error: Callable[[], float] = dataclasses.field(default=lambda: 0.0, repr=False)
+
+    @functools.cached_property
+    def positivity_min(self) -> float:
+        cylinder = (self.domain.x_lo, self.domain.x_hi, self.domain.y_outer_radius)
+        if tuple(self.positive_region) == cylinder:
+            return self.positive_region_min
+        return _grid_min(self.fn, self.n_y, *cylinder)[0]
+
+    @functools.cached_property
+    def ode_error(self) -> float:
+        return self._ode_error()
 
     @property
     def n_y(self) -> int:
@@ -105,23 +119,18 @@ def _grid_min(fn, n_y, x_lo, x_hi, radius, nx=101, ny=101):
     return float(field.values[i_min]), where
 
 
-def _certify(name, fn, op, dom, region, ode_error=0.0) -> AnalyticSolution:
-    """The solution with its certificate: the grid minimum over the validity
-    cylinder, and positivity enforced on ``region`` (x_lo, x_hi, y_radius),
-    whose grid is the cylinder's when ``region`` is the whole cylinder."""
-    cylinder = (dom.x_lo, dom.x_hi, dom.y_outer_radius)
-    full_min, where = _grid_min(fn, op.n_y, *cylinder)
-    region_min = full_min
-    if tuple(region) != cylinder:
-        region_min, where = _grid_min(fn, op.n_y, *region)
+def _certify(name, fn, op, dom, region, **lazy) -> AnalyticSolution:
+    """The solution with its certificate: positivity enforced now on the grid
+    of ``region`` (x_lo, x_hi, y_radius).  ``lazy`` passes on the
+    ``_ode_error`` thunk of a solution that has one."""
+    region_min, where = _grid_min(fn, op.n_y, *region)
     if region_min <= 0:
         loc = ", ".join(f"{w:g}" for w in where)
         raise ValueError(
             f"{name} is not positive on its certified region: min {region_min:g} at ({loc})"
         )
-    return AnalyticSolution(name=name, op=op, domain=dom, fn=fn, positivity_min=full_min,
-                            positive_region=region, positive_region_min=region_min,
-                            ode_error=ode_error)
+    return AnalyticSolution(name=name, op=op, domain=dom, fn=fn, positive_region=region,
+                            positive_region_min=region_min, **lazy)
 
 
 def kolmogorov_poly(C: float, dom: CylinderDomain = KOLMOGOROV_DOMAIN) -> AnalyticSolution:
@@ -175,7 +184,6 @@ def constant(c: float, op: OperatorSpec | None = None,
         op=op,
         domain=dom,
         fn=fn,
-        positivity_min=float(c),
         positive_region=(dom.x_lo, dom.x_hi, dom.y_outer_radius),
         positive_region_min=float(c),
     )
@@ -275,9 +283,9 @@ def separable(
     step across the outer interval, in both directions from y0 where
     phi(y0) = 1, phi'(y0) = 0; values between nodes come from cubic Hermite
     interpolation, matching the integrator's fourth order.  A full rerun at
-    half the step provides the reported error estimate.  Profiles that are
-    not positive throughout the inner interval are rejected with the first
-    zero location.
+    half the step provides the reported error estimate when ``ode_error`` is
+    first read.  Profiles that are not positive throughout the inner
+    interval are rejected with the first zero location.
     """
     if op.n_y != 1:
         raise ValueError("separable solutions need a one-dimensional y")
@@ -290,9 +298,11 @@ def separable(
         raise ValueError("y0 must lie in the outer interval")
 
     nodes, phi, dphi = _integrate_profile(op, lam, gamma0, y0, -radius, radius, step)
-    _, phi_h, _ = _integrate_profile(op, lam, gamma0, y0, -radius, radius, step / 2)
-    # both runs share their first and last node (the interval endpoints)
-    ode_error = float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
+
+    def ode_error():
+        _, phi_h, _ = _integrate_profile(op, lam, gamma0, y0, -radius, radius, step / 2)
+        # both runs share their first and last node (the interval endpoints)
+        return float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
 
     inner = np.abs(nodes) <= dom.y_inner_radius + 1e-12
     if np.any(phi[inner] <= 0):
@@ -316,7 +326,7 @@ def separable(
 
     region = (dom.x_lo, dom.x_hi, radius if np.all(phi > 0) else dom.y_inner_radius)
     return _certify(f"separable(lambda={lam:g},gamma={gamma0:g})", fn, op, dom, region,
-                    ode_error)
+                    _ode_error=ode_error)
 
 
 def parse_solution_name(text: str) -> tuple[str, list[float]]:

@@ -1,4 +1,5 @@
 import configparser
+import csv
 import dataclasses
 import json
 import os
@@ -90,10 +91,12 @@ def test_catalog_list_takes_two_argument_names(tmp_path):
     rc, out = run(tmp_path, "harnack", "--set", "harnack.family=catalog",
                   "--set", "harnack.solutions=separable(1.5,2),kolmogorov(5)")
     assert rc == 0
-    rows = (out / "harnack.csv").read_text().strip().split("\n")[1:]
+    with open(out / "harnack.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert len(rows) == 2
-    assert rows[0].startswith("separable(lambda=1.5,gamma=2),")
-    assert rows[1].startswith("kolmogorov(5),")
+    assert all(len(row) == len(header) for row in rows)
+    assert rows[0][0] == "separable(lambda=1.5,gamma=2)"
+    assert rows[1][0] == "kolmogorov(5)"
 
 
 def test_subcommand_help_lists_its_keys(capsys):

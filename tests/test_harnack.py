@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
@@ -194,3 +198,22 @@ def test_scan_csv_and_svg(tmp_path):
     svg = ratio_plot_svg(scan)
     assert svg.startswith("<svg") or svg.startswith("<?xml")
     assert ratio_plot_svg(scan) == svg
+
+
+def test_scan_csv_quotes_names_like_the_csv_module(tmp_path):
+    scan = counterexample_scan([1.0, 2.0, 4.0, 8.0])
+    names = ["separable(lambda=1.5,gamma=2)", 'say "hi"', "two\nlines", "kolmogorov(5)"]
+    scan = dataclasses.replace(scan, reports=tuple(
+        dataclasses.replace(rep, solution=name) for rep, name in zip(scan.reports, names)))
+    path = tmp_path / "scan.csv"
+    scan_to_csv(scan, path)
+    text = path.read_text()
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [row[0] for row in rows] == names
+    assert all(len(row) == len(header) for row in rows)
+    for name in names:
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\n").writerow([name])
+        assert "\n" + sink.getvalue()[:-1] + "," in text
+    assert "\nkolmogorov(5)," in text  # no quotes where none are needed

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import airy
 
+from harnack_lab import solutions
 from harnack_lab.fields import ScalarField
 from harnack_lab.operators import CylinderDomain, OperatorSpec, residual
 from harnack_lab.solutions import (
@@ -219,12 +220,14 @@ def test_separable_profile_matches_scipy_bitwise():
     assert np.array_equal(sol.at(xs, ys[:, None]), want)
 
 
-@pytest.mark.parametrize("build, samples", [
-    (lambda: counterexample_family(2.0), 1),
-    (lambda: separable(0.5, OperatorSpec.from_strings("y1", "0")), 1),
-    (lambda: kolmogorov_poly(10.0), 2),
+@pytest.mark.parametrize("build, built, read", [
+    (lambda: counterexample_family(2.0), 1, 1),
+    (lambda: separable(0.5, OperatorSpec.from_strings("y1", "0")), 1, 1),
+    (lambda: kolmogorov_poly(10.0), 1, 2),
 ], ids=["counterexample", "separable", "kolmogorov"])
-def test_whole_cylinder_certificate_samples_one_grid(monkeypatch, build, samples):
+def test_whole_cylinder_certificate_samples_one_grid(monkeypatch, build, built, read):
+    # construction samples the certified region; the cylinder's grid waits for
+    # the first read of positivity_min and is skipped when it is the region
     calls = []
     sample = ScalarField.sample
 
@@ -234,9 +237,53 @@ def test_whole_cylinder_certificate_samples_one_grid(monkeypatch, build, samples
 
     monkeypatch.setattr(ScalarField, "sample", classmethod(counted))
     sol = build()
-    assert len(calls) == samples
+    assert len(calls) == built
+    sol.positivity_min
+    sol.positivity_min
+    assert len(calls) == read
     dom = sol.domain
     whole = sol.positive_region == (dom.x_lo, dom.x_hi, dom.y_outer_radius)
-    assert whole == (samples == 1)
+    assert whole == (read == 1)
     if whole:
         assert sol.positivity_min == sol.positive_region_min
+
+
+def test_separable_sweeps_once_per_direction_until_ode_error_is_read(monkeypatch):
+    steps = []
+    sweep = solutions._rk4_sweep
+
+    def counted(q_half, h, p0, v0):
+        steps.append(abs(h))
+        return sweep(q_half, h, p0, v0)
+
+    monkeypatch.setattr(solutions, "_rk4_sweep", counted)
+    sol = separable(1.3, OperatorSpec.from_strings("y1", "0"))
+    assert steps == [1e-3, 1e-3]
+    assert sol.ode_error < 1e-6
+    assert steps == [1e-3, 1e-3, 5e-4, 5e-4]
+    sol.ode_error
+    assert len(steps) == 4
+
+
+@pytest.mark.parametrize("build, lam", [
+    (lambda: separable(0.5, OperatorSpec.from_strings("y1", "0")), 0.5),
+    (lambda: separable(-2.0, OperatorSpec.from_strings("y1", "0")), -2.0),
+    (lambda: separable(3.1, OperatorSpec.from_strings("y1", "0")), 3.1),
+    (lambda: kolmogorov_poly(2.0), None),
+    (lambda: counterexample_family(2.0), None),
+    (lambda: constant(3.0), None),
+], ids=["separable0.5", "separable-2", "separable3.1", "kolmogorov", "counterexample",
+        "constant"])
+def test_lazy_certificate_values_equal_the_eager_ones(build, lam):
+    # the values as constructors computed them before they were deferred: the
+    # minimum over the 101 x 101 grid of the validity cylinder, and the
+    # profile's endpoint change when the step is halved
+    sol = build()
+    assert sol.positivity_min == float(sol.as_field().values.min())
+    ode_error = 0.0
+    if lam is not None:
+        radius = sol.domain.y_outer_radius
+        _, phi, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 1e-3)
+        _, phi_h, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 5e-4)
+        ode_error = float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
+    assert sol.ode_error == ode_error
