@@ -229,6 +229,9 @@ class RunConfig:
         order = self.get("check", "r")
         if not 1 <= order <= 4:
             errors.append(f"check.r: order must be between 1 and 4, got {order}")
+        bins = self.get("simulate", "bins")
+        if bins < 1:
+            errors.append(f"simulate.bins: must be at least 1, got {bins}")
         catalog = _catalog_names(self.get("harnack", "solutions"))
         if self.get("harnack", "family") == "catalog" and not catalog:
             errors.append("harnack.solutions: empty catalog list")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import sde
 from .expressions import free_variables
-from .fields import ScalarField
+from .fields import ScalarField, grid_points
 from .operators import CylinderDomain, OperatorSpec, estimate_sups, with_estimated_sups
 from .sde import SimConfig, simulate_batch
 
@@ -136,6 +136,8 @@ def sandwich_check(
     point ``start``: a constant result is broadcast, any other wrong shape
     and a k-point ``start`` are ValueErrors.
     """
+    if not k_sigma >= 0:
+        raise ValueError(f"k_sigma must be nonnegative, got {k_sigma:g}")
     # gate on the raw grid maximum: the 1.05 step-size margin would reject
     # the boundary case |gamma| = 1, which the bound does cover
     gamma_gate = op.gamma_sup
@@ -211,9 +213,8 @@ def make_solution(
     shape = tuple(a.shape[0] for a in axes)
     # the starts in C order: the y-nodes at x = 0, each standing for its
     # x-row, when gamma does not depend on x; every grid node otherwise
-    mesh = np.meshgrid(*((np.zeros(1),) + axes[1:] if x_free else axes), indexing="ij")
-    starts_x = mesh[0].reshape(-1)
-    starts_y = np.stack([m.reshape(-1) for m in mesh[1:]], axis=-1)
+    starts = grid_points((np.zeros(1),) + axes[1:] if x_free else axes)
+    starts_x, starts_y = starts[:, 0], starts[:, 1:]
     node_x = axes[0] if x_free else np.zeros(1)
     n = cfg.n_paths
     # start-major node values: one column per x-node a start serves

@@ -22,6 +22,8 @@ import numpy as np
 __all__ = [
     "ScalarField",
     "box_axes",
+    "grid_points",
+    "step_axis",
     "csv_field",
     "format_float",
     "write_csv",
@@ -67,6 +69,19 @@ def write_json(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
     text = json.dumps(payload, sort_keys=True, indent=2)
     Path(path).write_text(text + "\n", encoding="ascii")
+
+
+def grid_points(axes) -> np.ndarray:
+    """The nodes of the tensor grid on ``axes`` as rows of shape
+    (n, len(axes)), in C order: the last axis varies fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+def step_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """Nodes from lo to hi about ``step`` apart: the span over the step,
+    rounded, intervals of equal length, and at least one."""
+    return np.linspace(lo, hi, max(int(round((hi - lo) / step)), 1) + 1)
 
 
 def box_axes(
@@ -138,12 +153,9 @@ class ScalarField:
     def sample(cls, fn, axes, name: str = "field") -> "ScalarField":
         """Sample ``fn(x, y)`` on the grid; x shape (k,), y shape (k, n_y)."""
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        x = flat[0]
-        y = np.stack(flat[1:], axis=-1)
-        vals = np.asarray(fn(x, y), dtype=float).reshape(mesh[0].shape)
-        return cls(axes, vals, name)
+        pts = grid_points(axes)
+        vals = np.asarray(fn(pts[:, 0], pts[:, 1:]), dtype=float)
+        return cls(axes, vals.reshape(tuple(a.size for a in axes)), name)
 
     def at(self, x, y):
         """Multilinear interpolation at (x, y); y has shape (..., n_y).
@@ -191,15 +203,13 @@ class ScalarField:
 
     def node_points(self) -> tuple[np.ndarray, np.ndarray]:
         """All grid nodes as (x of shape (k,), y of shape (k, n_y)), C-order."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        return flat[0], np.stack(flat[1:], axis=-1)
+        pts = grid_points(self.axes)
+        return pts[:, 0], pts[:, 1:]
 
     # -- persistence ---------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        cols = [m.reshape(-1).tolist() for m in mesh] + [self.values.reshape(-1).tolist()]
+        cols = grid_points(self.axes).T.tolist() + [self.values.reshape(-1).tolist()]
         fmt = ",".join([FLOAT_FMT] * len(cols))
         write_csv(path, self.axis_names + ("value",), fmt, zip(*cols))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FLOAT_FMT, ScalarField, csv_field, line_plot_svg, write_csv
+from .fields import FLOAT_FMT, ScalarField, csv_field, line_plot_svg, step_axis, write_csv
 from .operators import CylinderDomain, OperatorSpec, ball_lattice, classify_regions
 from .solutions import counterexample_family
 
@@ -112,15 +112,10 @@ def _eval_subgrid(u, sub: SubCylinder, grid: int):
     """Evaluate u on the closed subcylinder lattice; returns (x, y, values)."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
-    axes = (np.linspace(sub.x_lo, sub.x_hi, grid),) + (
-        np.linspace(-sub.y_radius, sub.y_radius, grid),
-    ) * u.n_y
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    x = flat[0]
-    y = np.stack(flat[1:], axis=-1)
-    keep = (y * y).sum(axis=-1) <= sub.y_radius**2 * (1 + 1e-12)
-    x, y = x[keep], y[keep]
+    ball, _ = ball_lattice(sub.y_radius, 2 * sub.y_radius / (grid - 1), u.n_y, closed=True)
+    # x-major, like the C order of the (x, y) grid the ball is cut from
+    x = np.repeat(np.linspace(sub.x_lo, sub.x_hi, grid), ball.shape[0])
+    y = np.tile(ball, (grid, 1))
     return x, y, np.asarray(u.at(x, y), dtype=float)
 
 
@@ -209,8 +204,7 @@ def region_inequality_check(
 
     if u.n_y != op.n_y:
         raise ValueError("solution and operator dimensions differ")
-    n_x = int(round((dom.inner_x_hi - dom.inner_x_lo) / grid_step)) + 1
-    x_nodes = np.linspace(dom.inner_x_lo, dom.inner_x_hi, max(n_x, 2))
+    x_nodes = step_axis(dom.inner_x_lo, dom.inner_x_hi, grid_step)
 
     def node_values(y_pts):
         """u over y_pts at each x-node in turn, one u.at call per node."""
@@ -265,7 +259,7 @@ def window_average_x(u: ScalarField, z: float) -> ScalarField:
     """v(x, y) = integral of u(x+s, y) ds for s in [-z, z], by trapezoid.
 
     Keeps the grid nodes whose window stays inside the x support; the
-    half-width is capped at 1/3.
+    half-width z must satisfy 0 < z <= 1/3.
     """
     if not 0 < z <= 1.0 / 3.0 + 1e-12:
         raise ValueError("window half-width z must satisfy 0 < z <= 1/3")

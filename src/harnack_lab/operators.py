@@ -26,7 +26,7 @@ from .expressions import (
     free_variables,
     parse,
 )
-from .fields import ScalarField
+from .fields import ScalarField, grid_points, step_axis
 
 __all__ = [
     "MASS_TOLERANCE",
@@ -227,11 +227,9 @@ def ball_lattice(
     """
     if radius <= 0 or grid_step <= 0:
         raise ValueError("radius and grid_step must be positive")
-    count = max(int(round(2 * radius / grid_step)), 1) + 1
-    axis = np.linspace(-radius, radius, count)
-    actual = 2 * radius / (count - 1)
-    mesh = np.meshgrid(*([axis] * n_axes), indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    axis = step_axis(-radius, radius, grid_step)
+    actual = 2 * radius / (axis.size - 1)
+    pts = grid_points([axis] * n_axes)
     r2 = np.einsum("ij,ij->i", pts, pts)
     if closed:
         keep = r2 <= radius * radius + 1e-12
@@ -418,11 +416,9 @@ def residual(u: ScalarField, op: OperatorSpec) -> ScalarField:
     ux = (shifted(0, slice(2, None)) - shifted(0, slice(None, -2))) / (2 * steps[0])
 
     interior = tuple(a[1:-1] for a in u.axes)
-    mesh = np.meshgrid(*interior, indexing="ij")
-    x_flat = mesh[0].reshape(-1)
-    y_flat = np.stack([m.reshape(-1) for m in mesh[1:]], axis=-1)
-    beta_vals = op.beta_at(y_flat).reshape(core.shape)
-    gamma_vals = op.gamma_at(x_flat, y_flat).reshape(core.shape)
+    pts = grid_points(interior)
+    beta_vals = op.beta_at(pts[:, 1:]).reshape(core.shape)
+    gamma_vals = op.gamma_at(pts[:, 0], pts[:, 1:]).reshape(core.shape)
     out += beta_vals * ux + gamma_vals * core
     return ScalarField(interior, out, name=f"residual of {u.name}")
 
@@ -436,8 +432,7 @@ def estimate_sups(
     margin=1.0 for the raw grid maximum."""
     y_pts, _ = ball_lattice(dom.y_outer_radius, grid_step, op.n_y, closed=True)
     beta_max = float(np.abs(op.beta_at(y_pts)).max())
-    nx = max(int(round((dom.x_hi - dom.x_lo) / grid_step)), 1) + 1
-    xs = np.linspace(dom.x_lo, dom.x_hi, nx)
+    xs = step_axis(dom.x_lo, dom.x_hi, grid_step)
     if "x" not in free_variables(op.gamma):
         xs = xs[:1]  # every x slice gives the same values
     gamma_max = 0.0

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Const
-from .fields import FLOAT_FMT, format_float, write_csv
+from .fields import FLOAT_FMT, format_float, grid_points, write_csv
 from .operators import CylinderDomain, OperatorSpec, with_estimated_sups
 
 __all__ = [
@@ -172,10 +172,9 @@ class EmpiricalMeasure:
         header = ["bin"] + [f"y{k + 1}_center" for k in range(n_y)] + ["count", "mass"]
         fmt = ",".join(["%d"] + [FLOAT_FMT] * n_y + ["%d", FLOAT_FMT])
         # bins in C order, like np.ndindex over the counts
-        centers = np.meshgrid(*self.bin_centers, indexing="ij")
         rows = zip(
             range(self.counts.size),
-            *(c.reshape(-1).tolist() for c in centers),
+            *grid_points(self.bin_centers).T.tolist(),
             self.counts.reshape(-1).tolist(),
             self.masses.reshape(-1).tolist(),
         )

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .expressions import Const, simplify
-from .fields import ScalarField
+from .fields import ScalarField, box_axes
 from .operators import CylinderDomain, OperatorSpec
 
 __all__ = [
@@ -104,18 +104,15 @@ class AnalyticSolution:
         """Sample onto a regular grid (defaults to the validity cylinder)."""
         x_lo, x_hi = x_span if x_span is not None else (self.domain.x_lo, self.domain.x_hi)
         radius = y_radius if y_radius is not None else self.domain.y_outer_radius
-        axes = (np.linspace(x_lo, x_hi, nx),) + (
-            np.linspace(-radius, radius, ny),
-        ) * self.op.n_y
-        return ScalarField.sample(self.fn, axes, name=self.name)
+        return ScalarField.sample(self.fn, box_axes(x_lo, x_hi, nx, radius, ny, self.op.n_y),
+                                  name=self.name)
 
 
 def _grid_min(fn, n_y, x_lo, x_hi, radius, nx=101, ny=101):
     """Minimum of fn over the [x_lo,x_hi] x ball grid, with its location."""
-    axes = (np.linspace(x_lo, x_hi, nx),) + (np.linspace(-radius, radius, ny),) * n_y
-    field = ScalarField.sample(fn, axes)
+    field = ScalarField.sample(fn, box_axes(x_lo, x_hi, nx, radius, ny, n_y))
     i_min = np.unravel_index(np.argmin(field.values), field.values.shape)
-    where = tuple(float(field.axes[k][i_min[k]]) for k in range(len(axes)))
+    where = tuple(float(a[i]) for a, i in zip(field.axes, i_min))
     return float(field.values[i_min]), where
 
 

@@ -77,7 +77,8 @@ def test_bad_values_in_one_section_are_all_reported(tmp_path, capsys):
     ("evaluate", "evaluate.solution=bogus", "evaluate.solution: unknown solution 'bogus'"),
     ("make-solution", "make_solution.boundary=x+", "make_solution.boundary: unexpected end"),
     ("harnack", "harnack.family=catalog", "harnack.solutions: empty catalog list"),
-], ids=["check", "simulate", "evaluate", "make-solution", "harnack"])
+    ("simulate", "simulate.bins=0", "simulate.bins: must be at least 1, got 0"),
+], ids=["check", "simulate", "evaluate", "make-solution", "harnack", "simulate-bins"])
 def test_checks_across_values_join_the_one_error_pass(tmp_path, capsys, command, item, message):
     rc, out = run(tmp_path, command, "--set", item, "--set", "sim.dt=fast")
     assert rc == 2

@@ -215,7 +215,18 @@ def counted_calls(monkeypatch):
                         counted("simulate_batch", feynman_kac.simulate_batch))
     monkeypatch.setattr(operators, "estimate_sups",
                         counted("estimate_sups", operators.estimate_sups))
+    monkeypatch.setattr(feynman_kac, "estimate_sups",
+                        counted("estimate_sups", feynman_kac.estimate_sups))
     return counts, rows
+
+
+@pytest.mark.parametrize("k_sigma", [-1.0, float("nan")])
+def test_sandwich_rejects_a_bad_k_sigma_before_any_work(monkeypatch, k_sigma):
+    counts, _ = counted_calls(monkeypatch)
+    with pytest.raises(ValueError, match="k_sigma must be nonnegative"):
+        sandwich_check(DRIFT_Y, DOM, kolmogorov_fn, (0.0, 0.0), k_sigma=k_sigma,
+                       cfg=SimConfig(t_max=1.0, n_paths=100))
+    assert counts == {"simulate_batch": 0, "estimate_sups": 0}
 
 
 @pytest.mark.parametrize("gamma, batches", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])

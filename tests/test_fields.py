@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from harnack_lab.fields import ScalarField, box_axes, heatmap_svg, line_plot_svg
+from harnack_lab.fields import (
+    ScalarField,
+    box_axes,
+    grid_points,
+    heatmap_svg,
+    line_plot_svg,
+    step_axis,
+)
 
 
 def make_field():
@@ -14,6 +21,36 @@ def test_sample_and_node_values():
     assert f.values.shape == (7, 5)
     assert f.values[0, 0] == 2 * (-1) - 3 * (-1.5) + 1
     assert f.axis_names == ("x", "y1")
+
+
+@pytest.mark.parametrize("axes", [
+    (np.linspace(-1.0, 2.0, 7), np.linspace(-1.5, 1.5, 5)),
+    (np.linspace(0.0, 1.0, 3), np.array([-0.7, 0.1, 0.4, 2.0]), np.linspace(-2.0, 2.0, 6)),
+])
+def test_grid_points_is_the_meshgrid_stack(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    expected = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    assert np.array_equal(grid_points(axes), expected)
+
+
+@pytest.mark.parametrize("lo, hi, step", [
+    (-2.0, 2.0, 0.05), (-1.7, 1.7, 0.085), (-5.0, 6.0, 0.05), (0.0, 1.0, 0.01),
+    (-1.0, 1.0, 0.3),   # the step does not divide the span
+    (-0.5, 0.5, 0.7),   # 1.43 intervals round to one
+    (-0.5, 0.5, 3.0),   # a step larger than the span
+])
+def test_step_axis_equals_the_three_step_rules_it_replaces(lo, hi, step):
+    # ball_lattice, on a ball as wide as the span
+    r = (hi - lo) / 2
+    count = max(int(round(2 * r / step)), 1) + 1
+    assert np.array_equal(step_axis(-r, r, step), np.linspace(-r, r, count))
+    got = step_axis(lo, hi, step)
+    # estimate_sups
+    nx = max(int(round((hi - lo) / step)), 1) + 1
+    assert np.array_equal(got, np.linspace(lo, hi, nx))
+    # region_inequality_check
+    n_x = int(round((hi - lo) / step)) + 1
+    assert np.array_equal(got, np.linspace(lo, hi, max(n_x, 2)))
 
 
 def test_interpolation_exact_for_multilinear():

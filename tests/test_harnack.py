@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import types
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from harnack_lab.fields import ScalarField, box_axes
 from harnack_lab.harnack import (
     FamilyScan,
     SubCylinder,
+    _eval_subgrid,
     counterexample_scan,
     ratio_plot_svg,
     region_inequality_check,
@@ -51,6 +53,22 @@ def test_counterexample_ratio_closed_form():
     assert rep.argmax[0] == 0.0
     assert abs(rep.argmax[1]) == 1.0
     assert rep.argmin == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("radius, n_y, grid", [(1.7, 2, 41), (2.0, 1, 101)])
+def test_subgrid_is_the_masked_box_lattice(radius, n_y, grid):
+    # the points and their order, so argmin and argmax stay where they were
+    sub = SubCylinder(-0.3, 0.8, radius)
+    probe = types.SimpleNamespace(n_y=n_y, at=lambda x, y: x + y.sum(axis=-1))
+    axes = (np.linspace(sub.x_lo, sub.x_hi, grid),) + (np.linspace(-radius, radius, grid),) * n_y
+    mesh = np.meshgrid(*axes, indexing="ij")
+    x = mesh[0].reshape(-1)
+    y = np.stack([m.reshape(-1) for m in mesh[1:]], axis=-1)
+    keep = (y * y).sum(axis=-1) <= radius**2 * (1 + 1e-12)
+    got_x, got_y, vals = _eval_subgrid(probe, sub, grid)
+    assert np.array_equal(got_x, x[keep])
+    assert np.array_equal(got_y, y[keep])
+    assert np.array_equal(vals, x[keep] + y[keep].sum(axis=-1))
 
 
 def test_refuses_nonpositive_field():
