@@ -497,6 +497,8 @@ def main(argv=None) -> int:
                        metavar="SECTION.KEY=VALUE",
                        help="override one config value (repeatable)")
     args = parser.parse_args(argv)
+    # directories this run makes, deepest first; an exit-1 run removes the empty ones
+    made = [d for d in (args.out, *args.out.parents) if not d.exists()]
 
     try:
         cfg = RunConfig(args)
@@ -508,6 +510,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, expressions.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for d in made:
+            try:
+                d.rmdir()  # fails on a directory that holds anything
+            except OSError:
+                break
         return 1
 
 

@@ -63,8 +63,13 @@ DEFAULT_MASS_FLOOR = 20
 # shares one bit generator and is one thread task.  Each running path draws
 # the normals of _DRAW_STEPS steps per refill; the steps are computed in blocks
 # of _BLOCK_STEPS, small enough for the temporaries to stay in cache, and rows
-# that stopped are dropped after every block
-_CHUNK_PATHS = 2048
+# that stopped are dropped after every block.  A chunk holds its rows' normals
+# for _DRAW_STEPS steps (8 MB at n_y = 1) plus the per-block temporaries (a
+# full 1,024-row chunk at n_y = 1 traces a 15-17 MB peak); 1,024 rows keep that
+# working set small while each block's numpy calls still span enough rows to
+# amortize their fixed cost (512 rows already slow a 900-row make_solution
+# batch by a seventh)
+_CHUNK_PATHS = 1024
 _DRAW_STEPS = 1024
 _BLOCK_STEPS = 128
 
@@ -215,18 +220,6 @@ def _time_grid(dt: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     return dt_steps, t_grid
 
 
-def _fresh_state(key: np.ndarray) -> dict:
-    """The state of ``Philox(key=key)``: counter 0 and an empty buffer."""
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _run_chunk(
     op: OperatorSpec,
     radius: float,
@@ -251,13 +244,23 @@ def _run_chunk(
     gamma_const = isinstance(op.gamma, Const)
     sq_steps = np.sqrt(2.0 * dt_steps)
 
-    keys = np.empty((m, 2), dtype=np.uint64)
-    keys[:, 0] = cfg.master_seed
-    keys[:, 1] = np.uint64(stream << 32) | np.arange(lo, hi, dtype=np.uint64)
     # one bit generator per chunk; every path sets its own state before drawing,
-    # so the seed given here is never used
+    # so the seed given here is never used.  A fresh path's state is counter 0,
+    # an empty buffer and key (master_seed, stream << 32 | path id), written
+    # into one dict of Python ints, which the state setter reads fastest
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
+    normal, exponential = gen.standard_normal, gen.standard_exponential
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [cfg.master_seed, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    fresh_key = fresh["state"]["key"]
+    key_base = (stream << 32) | lo
     states = [None] * m  # Philox state of a path that outlives a draw refill
     key_clock = np.empty(m)
 
@@ -284,13 +287,14 @@ def _run_chunk(
         live_keys = key_of[live]
         drawn = np.unique(live_keys)
         normals = np.empty((drawn.size, w1 - w0, n_y))
-        for j, p in enumerate(drawn):
+        for j, p in enumerate(drawn.tolist()):
             if w0 == 0:
-                bitgen.state = _fresh_state(keys[p])
-                key_clock[p] = gen.standard_exponential()
+                fresh_key[1] = key_base + p
+                bitgen.state = fresh
+                key_clock[p] = exponential()
             else:
                 bitgen.state = states[p]
-            gen.standard_normal(out=normals[j])
+            normal(out=normals[j])
             if save:
                 states[p] = bitgen.state
         src = np.searchsorted(drawn, live_keys)  # ``normals`` row of each running row
@@ -312,8 +316,14 @@ def _run_chunk(
             np.square(ys[:, 1:, 0], out=r2s[:, 1:])
             for c in range(1, n_y):
                 r2s[:, 1:] += ys[:, 1:, c] ** 2
-            outside = r2s[:, 1:] >= r2_max
-            hit = outside
+            # column 0 is the carried state, inside the ball, so a row reaches
+            # the sphere in this block exactly when its max does
+            r2_top = r2s.max(axis=1)
+            running = b1 - b0 + 1  # past the last ys column
+            first = np.full(k, running)  # ys column of the stopping step
+            out_rows = np.flatnonzero(r2_top >= r2_max)
+            first_out = np.argmax(r2s[out_rows, 1:] >= r2_max, axis=1) + 1
+            first[out_rows] = first_out
 
             if bridge:
                 # exit clock: the path stops once its cumulative bridge-crossing
@@ -326,7 +336,7 @@ def _run_chunk(
                 # sphere than sqrt(708*dt), so only the other rows fold any
                 # hazard.  Below 2**-54, -log1p(-p) is p in double precision.
                 reach = max(radius - 1.01 * np.sqrt(708.0 * dts.max()), 0.0)
-                warm = np.flatnonzero(r2s.max(axis=1) > reach * reach)
+                warm = np.flatnonzero(r2_top > reach * reach)
                 if warm.size:
                     d = radius - np.sqrt(r2s[warm])
                     expo = d[:, :-1] * d[:, 1:]
@@ -340,13 +350,22 @@ def _run_chunk(
                     hs[:, 0] = hazard[warm]
                     hs[:, 1:][near] = h
                     np.cumsum(hs, axis=1, out=hs)
-                    hit = outside.copy()
-                    hit[warm] |= hs[:, 1:] >= clock[warm, None]
                     hazard[warm] = hs[:, -1]
+                    # the fold never decreases until a step with an outside
+                    # endpoint turns it NaN, so only rows whose block-end
+                    # hazard is not below the clock can cross in this block;
+                    # a NaN end may still hide an earlier crossing
+                    late = np.flatnonzero(~(hs[:, -1] < clock[warm]))
+                    if late.size:
+                        cross = hs[late, 1:] >= clock[warm[late], None]
+                        has = cross.any(axis=1)
+                        rows_h = warm[late[has]]
+                        j_h = np.argmax(cross[has], axis=1) + 1
+                        first[rows_h] = np.minimum(first[rows_h], j_h)
 
-            stop = hit.any(axis=1)
+            stop = first < running
             idx = np.flatnonzero(stop)
-            j = np.argmax(hit[idx], axis=1) + 1  # ys column of the stopping step
+            j = first[idx]
             rows = out_row[live[idx]]
             if idx.size:
                 y_hit = ys[idx, j]
@@ -359,7 +378,7 @@ def _run_chunk(
             # left endpoint outside the ball comes after its path stopped and
             # feeds no recorded value; pull it back into the ball so beta stays
             # in its domain
-            over = np.flatnonzero(outside[:, :-1].any(axis=1))
+            over = out_rows[first_out < b1 - b0]
             if over.size:
                 scale = np.minimum(1.0, radius / np.maximum(np.sqrt(r2s[over, 1:-1]), 1e-300))
                 ys[over, 1:-1] *= scale[:, :, None]

@@ -258,6 +258,17 @@ def test_regions_with_cap_check(tmp_path):
     assert rc == 1
 
 
+def test_failed_run_removes_only_the_empty_out_dirs_it_made(tmp_path):
+    bad = ["harnack", "--set", "harnack.grid=1", "--out"]
+    assert main([*bad, str(tmp_path / "new" / "deeper")]) == 1
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "kept").mkdir()
+    assert main([*bad, str(tmp_path / "kept" / "made")]) == 1
+    assert (tmp_path / "kept").is_dir() and not (tmp_path / "kept" / "made").exists()
+    assert main([*bad, str(tmp_path / "kept")]) == 1
+    assert (tmp_path / "kept").is_dir()
+
+
 def test_average_output_and_bad_z(tmp_path, capsys):
     rc, out = run(tmp_path, "average")
     assert rc == 0

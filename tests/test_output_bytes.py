@@ -3,7 +3,9 @@
 Each test hashes an output and compares it with a recorded SHA-256 digest,
 so any change to a writer's bytes or to a bit of a profile shows here.  The
 inputs use polynomial drifts and polynomial field values only, so no libm
-result (exp, sin, ...) enters a digest.
+result (exp, sin, ...) enters a digest, except in the bridge-mode batches:
+their exit clock folds numpy's exp and log1p, and one gamma calls sin, so
+those digests also pin numpy's float64 kernels on the host's CPU.
 """
 
 import hashlib
@@ -110,6 +112,34 @@ def test_batch_and_measure_csv(tmp_path, n_y, beta, gamma, start,
     measure_from_batch(batch, CylinderDomain(), bins=6).to_csv(tmp_path / "measure.csv")
     assert file_sha(tmp_path / "paths.csv") == want_paths
     assert file_sha(tmp_path / "measure.csv") == want_measure
+
+
+# bridge mode: the horizons outrun one 1,024-step normals refill, and the
+# 3-start batch spans several engine chunks
+@pytest.mark.parametrize("n_y, beta, gamma, start, t_max, n_paths, want", [
+    (1, "y1", "0", (0.25, [0.5]), 1.5, 200,
+     "b940ce8dd6bd5d767bc3dc0896f2353b20197ac5eb2e483e0c637f6f5c200657"),
+    (1, "y1", "0.3*y1", (0.0, [1.2]), 1.5, 200,
+     "da507cfd39381f17b84b5ded7bf086b7c9846baf6bcf99b8cfe7150438fca5a4"),
+    (1, "1 - y1*y1", "0.2*sin(x)*y1", (-0.5, [-0.3]), 1.5, 200,
+     "d246f7bca6accc1b9de85813cc1beb2aa7d095885efebf7fb4a0a74dcadc16e9"),
+    (2, "y1 - y2*y2", "0", (0.5, [0.3, -0.4]), 1.2, 200,
+     "895ef0aa5c340abfc6b65b98541ec32b1fea4fa26f1918ee86f07038c547774e"),
+    (2, "y1 - y2*y2", "0.3*y1", (0.0, [1.0, 0.5]), 1.2, 200,
+     "0946c3dbfdaeed2434f2a6b6e1f859e2ea0c2ee5e0d14c82ed0564237771ad68"),
+    (2, "y2", "0.2*sin(x)*y1", (0.75, [-0.2, 0.6]), 1.2, 200,
+     "a0d587e6b7c262b7b23d8f599c4152a36de177cd1adc067682bc50810adfce15"),
+    (1, "y1", "0.2*sin(x)*y1", ([0.0, 0.5, -0.3], [[0.0], [1.0], [-1.5]]), 1.1, 700,
+     "a9f74f4d1aa1147ff4a0b7d6d2289efdd9ef839ed8c47dd85be961e419c52312"),
+])
+def test_bridge_batch_csv(tmp_path, n_y, beta, gamma, start, t_max, n_paths, want):
+    op = OperatorSpec.from_strings(beta, gamma, dim_n=n_y + 1)
+    cfg = SimConfig(t_max=t_max, dt=1e-3, n_paths=n_paths, master_seed=29)
+    batch = simulate_batch(op, CylinderDomain(), start, cfg, stream=3)
+    assert 0 < batch.exited.sum() < batch.n_paths
+    assert batch.stop_time.max() > 1024 * cfg.dt
+    batch.to_csv(tmp_path / "paths.csv")
+    assert file_sha(tmp_path / "paths.csv") == want
 
 
 def test_scan_csv(tmp_path):

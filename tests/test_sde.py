@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,20 @@ def test_one_bit_generator_per_chunk(monkeypatch):
     op = OperatorSpec.from_strings("y1")
     simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=0.2, dt=2e-3, n_paths=2000, master_seed=3))
     assert 1 <= len(made) <= 4
+
+
+def test_simulate_batch_working_set():
+    # one engine chunk bounds the working set: its normals and per-block
+    # temporaries, not the path count, set the traced peak
+    op = OperatorSpec.from_strings("y1", "0")
+    cfg = SimConfig(t_max=1.0, dt=1e-3, n_paths=4096, master_seed=19)
+    tracemalloc.start()
+    try:
+        simulate_batch(op, DOM, (0.0, 0.5), cfg, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_streams_are_independent():
