@@ -15,12 +15,11 @@ from .expressions import (
     ParseError,
     UnknownIdentifierError,
     differentiate,
-    evaluate,
     parse,
     simplify,
     to_string,
 )
-from .feynman_kac import FKEstimate, SandwichReport, make_solution, sandwich_check
+from .feynman_kac import FKEstimate, SandwichReport, evaluate, make_solution, sandwich_check
 from .fields import ScalarField, box_axes, heatmap_svg, line_plot_svg, write_json
 from .harnack import (
     FamilyScan,
@@ -49,8 +48,6 @@ from .sde import (
     EmpiricalMeasure,
     PathBatch,
     SimConfig,
-    comparability_constant,
-    estimate_nu,
     measure_from_batch,
     simulate_batch,
 )
@@ -90,12 +87,10 @@ __all__ = [
     "catalog_entry",
     "check_hypothesis",
     "classify_regions",
-    "comparability_constant",
     "constant",
     "counterexample_family",
     "counterexample_scan",
     "differentiate",
-    "estimate_nu",
     "evaluate",
     "heatmap_svg",
     "kolmogorov_poly",

@@ -374,16 +374,21 @@ def _family_solutions(cfg: RunConfig, family):
     return [cfg.solution(n) for n in _catalog_names(cfg.get("harnack", "solutions"))]
 
 
+def _write_scan(cfg: RunConfig, scan, stem: str) -> None:
+    """A family scan -> STEM.csv, STEM.json [, STEM.svg]"""
+    scan_to_csv(scan, cfg.out_dir / f"{stem}.csv")
+    write_json(cfg.out_dir / f"{stem}.json", scan.to_json_dict())
+    if cfg.svg:
+        (cfg.out_dir / f"{stem}.svg").write_text(ratio_plot_svg(scan), encoding="ascii")
+
+
 def cmd_harnack(cfg: RunConfig) -> int:
     """sup/inf ratios of a solution family -> harnack.csv, harnack.json [, harnack.svg]"""
     family = cfg.get("harnack", "family")
     solutions = _family_solutions(cfg, family)
     scan = scan_family(solutions, cfg.subcylinder("harnack", "sub_"),
                        cfg.get("harnack", "grid"), family=family)
-    scan_to_csv(scan, cfg.out_dir / "harnack.csv")
-    write_json(cfg.out_dir / "harnack.json", scan.to_json_dict())
-    if cfg.svg:
-        (cfg.out_dir / "harnack.svg").write_text(ratio_plot_svg(scan), encoding="ascii")
+    _write_scan(cfg, scan, "harnack")
     print(f"family {family}: max sup/inf ratio {scan.max_ratio:.6g} "
           f"over {len(scan.reports)} solution(s)")
     return 0
@@ -395,11 +400,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     lams = cfg.get("counterexample", "lambdas")
     scan = counterexample_scan(lams, cfg.subcylinder("counterexample", "sub_"),
                                cfg.get("counterexample", "grid"), dom=cfg.dom)
-    scan_to_csv(scan, cfg.out_dir / "counterexample.csv")
-    write_json(cfg.out_dir / "counterexample.json", scan.to_json_dict())
-    if cfg.svg:
-        (cfg.out_dir / "counterexample.svg").write_text(
-            ratio_plot_svg(scan), encoding="ascii")
+    _write_scan(cfg, scan, "counterexample")
     print(f"counterexample scan over {len(lams)} lambda(s): "
           f"max ratio {scan.max_ratio:.6g}, verdict {scan.verdict}")
     return 0

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sde
 from .expressions import free_variables
 from .fields import ScalarField, grid_points
 from .operators import CylinderDomain, OperatorSpec, estimate_sups, with_estimated_sups
-from .sde import SimConfig, simulate_batch
+from .sde import SimConfig, simulate_batch, starts_per_call
 
 __all__ = ["FKEstimate", "SandwichReport", "evaluate", "sandwich_check", "make_solution"]
 
@@ -219,7 +218,7 @@ def make_solution(
     n = cfg.n_paths
     # start-major node values: one column per x-node a start serves
     node_vals = np.empty((starts_x.shape[0], node_x.shape[0]))
-    per_call = max(1, sde._CHUNK_PATHS // n)
+    per_call = starts_per_call(n)
 
     def fill(s0):
         s1 = min(s0 + per_call, starts_x.shape[0])

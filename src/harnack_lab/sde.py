@@ -2,9 +2,8 @@
 
 Simulates (X, Y) with dX = beta(Y) dt and dY = sqrt(2) dB by Euler-Maruyama,
 stopping each path the first time Y leaves the open outer ball or the horizon
-is reached.  Produces path batches, exit statistics, empirical stopped-Y
-measures, and empirical comparability constants between measures started at
-different y.
+is reached.  Produces path batches, exit statistics and empirical stopped-Y
+measures.
 
 Reproducibility contract: path i draws from its own counter-based stream
 keyed by (master_seed, stream, i) (Philox): first one Exp(1) exit clock, then
@@ -35,7 +34,6 @@ dt = 1e-3).  Both modes draw the clock, so they share every Y increment.
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,13 +48,9 @@ __all__ = [
     "PathBatch",
     "EmpiricalMeasure",
     "simulate_batch",
-    "estimate_nu",
+    "starts_per_call",
     "measure_from_batch",
-    "comparability_constant",
-    "DEFAULT_MASS_FLOOR",
 ]
-
-DEFAULT_MASS_FLOOR = 20
 
 # work unit sizes; results depend on none of them.  A chunk is a range of path
 # ids across all starts (at most _CHUNK_PATHS rows, at least one path); it
@@ -431,6 +425,13 @@ def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> Non
         raise RuntimeError("internal error: a path broke the gamma-integral bound")
 
 
+def starts_per_call(n_paths: int) -> int:
+    """How many starts of ``n_paths`` paths each fit in one chunk (at least
+    one), so that a multi-start ``simulate_batch`` call of that many starts
+    is one thread task."""
+    return max(1, _CHUNK_PATHS // n_paths)
+
+
 def simulate_batch(
     op: OperatorSpec,
     dom: CylinderDomain,
@@ -532,78 +533,3 @@ def measure_from_batch(batch: PathBatch, dom: CylinderDomain, bins: int) -> Empi
         n_paths=batch.n_paths,
         horizon=batch.horizon,
     )
-
-
-def estimate_nu(
-    op: OperatorSpec,
-    dom: CylinderDomain,
-    y,
-    t: float,
-    cfg: SimConfig,
-    bins: int = 20,
-    workers: int = 1,
-    start_x: float = 0.0,
-    stream: int = 0,
-) -> EmpiricalMeasure:
-    """Empirical law of the stopped y process at horizon t, started at y.
-
-    The measure does not depend on start_x; the parameter exists so callers
-    can confirm that invariance.
-    """
-    cfg_t = dataclasses.replace(cfg, t_max=float(t))
-    batch = simulate_batch(op, dom, (start_x, y), cfg_t, workers=workers, stream=stream)
-    return measure_from_batch(batch, dom, bins)
-
-
-def comparability_constant(
-    op: OperatorSpec,
-    dom: CylinderDomain,
-    y_a,
-    y_b,
-    t: float,
-    cfg: SimConfig,
-    bins: int = 20,
-    mass_floor: int = DEFAULT_MASS_FLOOR,
-    workers: int = 1,
-    return_details: bool = False,
-):
-    """Empirical two-sided comparability h between the stopped-y laws from
-    y_a and y_b: the minimum over well-populated bins (including the exit
-    shell) of min(m_a/m_b, m_b/m_a).
-
-    A lower estimate on coarse bins; bins with fewer than ``mass_floor``
-    counts in either histogram are excluded and reported in the details.
-    The stopped-y law cannot see beta: Y is sqrt(2) B and the stop depends
-    on y alone, so h is the same, bit for bit, for every drift.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    inner2 = dom.y_inner_radius**2
-    for label, point in (("y_a", y_a), ("y_b", y_b)):
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if float(p @ p) >= inner2:
-            raise ValueError(f"{label} must lie strictly inside the inner ball")
-    # one grid estimate of the sup bounds serves both measures
-    op = with_estimated_sups(op, dom)
-    meas_a = estimate_nu(op, dom, y_a, t, cfg, bins=bins, workers=workers)
-    meas_b = estimate_nu(op, dom, y_b, t, cfg, bins=bins, workers=workers)
-    counts_a = np.concatenate([meas_a.counts.reshape(-1), [meas_a.exit_count]])
-    counts_b = np.concatenate([meas_b.counts.reshape(-1), [meas_b.exit_count]])
-    usable = (counts_a >= mass_floor) & (counts_b >= mass_floor)
-    if not np.any(usable):
-        raise ValueError(
-            "every bin is below the mass floor; increase t, n_paths, or bin size"
-        )
-    f_a = counts_a[usable] / meas_a.n_paths
-    f_b = counts_b[usable] / meas_b.n_paths
-    h = float(np.minimum(f_a / f_b, f_b / f_a).min())
-    if not return_details:
-        return h
-    details = {
-        "bins_used": int(usable.sum()),
-        "bins_excluded": int(usable.size - usable.sum()),
-        "mass_floor": mass_floor,
-        "exit_mass_a": meas_a.exit_mass,
-        "exit_mass_b": meas_b.exit_mass,
-    }
-    return h, details

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import harnack_lab
 from harnack_lab import feynman_kac, operators, sde
 from harnack_lab.feynman_kac import evaluate, make_solution, sandwich_check
 from harnack_lab.fields import ScalarField, box_axes
@@ -314,3 +315,10 @@ def test_wrongly_shaped_payoff_is_an_error():
     with pytest.raises(ValueError, match="boundary data returned shape"):
         make_solution(DRIFT_Y, DOM, lambda x, y: y, 0.5, SimConfig(t_max=1.0, n_paths=50),
                       box_axes(0.0, 1.0, 2, 0.5, 2))
+
+
+def test_package_exports():
+    # the top-level evaluate is the Feynman-Kac estimate; the expression
+    # evaluator stays at harnack_lab.expressions.evaluate
+    assert harnack_lab.evaluate is feynman_kac.evaluate
+    assert [name for name in harnack_lab.__all__ if not hasattr(harnack_lab, name)] == []

@@ -4,16 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harnack_lab import operators, sde
+from harnack_lab import sde
 from harnack_lab.operators import CylinderDomain, OperatorSpec, with_estimated_sups
-from harnack_lab.sde import (
-    EmpiricalMeasure,
-    SimConfig,
-    comparability_constant,
-    estimate_nu,
-    measure_from_batch,
-    simulate_batch,
-)
+from harnack_lab.sde import SimConfig, measure_from_batch, simulate_batch
 
 DOM = CylinderDomain()
 BATCH_ARRAYS = ("stopped_x", "stopped_y", "stop_time", "gamma_integral", "exited")
@@ -222,81 +215,24 @@ def test_streams_are_independent():
     assert not np.array_equal(a.stopped_y, b.stopped_y)
 
 
-def test_estimate_nu_short_horizon():
+def test_measure_short_horizon():
     op = OperatorSpec.from_strings("y1")
-    cfg = SimConfig(t_max=1.0, dt=1e-3, n_paths=20_000, master_seed=17)
-    meas = estimate_nu(op, DOM, 0.0, t=0.1, cfg=cfg, bins=20)
+    cfg = SimConfig(t_max=0.1, dt=1e-3, n_paths=20_000, master_seed=17)
+    batch = simulate_batch(op, DOM, (0.0, 0.0), cfg)
+    meas = measure_from_batch(batch, DOM, bins=20)
     assert meas.exit_mass < 1e-3
     assert meas.counts.sum() + meas.exit_count == 20_000
     # marginal variance of sqrt(2)B_t is exactly 2t in the discretized law too
-    batch = simulate_batch(
-        op, DOM, (0.0, 0.0),
-        SimConfig(t_max=0.1, dt=1e-3, n_paths=20_000, master_seed=17),
-    )
     var = batch.stopped_y[~batch.exited, 0].var(ddof=1)
     se = var * np.sqrt(2.0 / (20_000 - 1))
     assert abs(var - 0.2) < 3 * se
 
 
-def test_estimate_nu_ignores_start_x():
-    op = OperatorSpec.from_strings("y1")
-    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=3000, master_seed=29)
-    a = estimate_nu(op, DOM, 0.25, t=0.5, cfg=cfg, bins=16, start_x=0.0)
-    b = estimate_nu(op, DOM, 0.25, t=0.5, cfg=cfg, bins=16, start_x=4.0)
-    assert np.array_equal(a.counts, b.counts)
-    assert a.exit_count == b.exit_count
-
-
 def test_exit_mass_saturates_at_long_horizon():
     op = OperatorSpec.from_strings("0")
     cfg = SimConfig(t_max=50.0, dt=5e-3, n_paths=2000, master_seed=31)
-    meas = estimate_nu(op, DOM, 0.0, t=50.0, cfg=cfg, bins=10)
+    meas = measure_from_batch(simulate_batch(op, DOM, (0.0, 0.0), cfg), DOM, bins=10)
     assert meas.exit_mass > 1 - 1e-3
-
-
-def test_comparability_constant_properties():
-    op = OperatorSpec.from_strings("y1")
-    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=8000, master_seed=37)
-    same = comparability_constant(op, DOM, 0.3, 0.3, t=1.0, cfg=cfg, bins=10)
-    assert same == 1.0
-    h_ab, details = comparability_constant(
-        op, DOM, -0.5, 0.5, t=1.0, cfg=cfg, bins=10, return_details=True
-    )
-    h_ba = comparability_constant(op, DOM, 0.5, -0.5, t=1.0, cfg=cfg, bins=10)
-    assert h_ab == h_ba
-    assert 0 < h_ab <= 1
-    assert details["bins_used"] >= 1
-    with pytest.raises(ValueError):
-        comparability_constant(op, DOM, 1.5, 0.0, t=1.0, cfg=cfg)
-    with pytest.raises(ValueError):
-        cfg_small = SimConfig(t_max=1.0, dt=2e-3, n_paths=100, master_seed=37)
-        comparability_constant(op, DOM, -0.5, 0.5, t=1.0, cfg=cfg_small,
-                               bins=10, mass_floor=1000)
-
-
-def test_comparability_constant_estimates_sups_once(monkeypatch):
-    calls = []
-    estimate_sups = operators.estimate_sups
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return estimate_sups(*args, **kwargs)
-
-    monkeypatch.setattr(operators, "estimate_sups", counted)
-    op = OperatorSpec.from_strings("y1")
-    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=400, master_seed=37)
-    comparability_constant(op, DOM, -0.3, 0.3, t=0.5, cfg=cfg, bins=4)
-    assert len(calls) == 1
-
-
-def test_comparability_constant_cannot_see_beta():
-    # Y is sqrt(2) B whatever beta is, so the stopped-y laws, and h, agree
-    # bit for bit for a sign-changing and a one-signed drift
-    cfg = SimConfig(t_max=1.0, n_paths=300, master_seed=1)
-    results = [comparability_constant(OperatorSpec.from_strings(beta), DOM, -0.5, 0.5, t=1.0,
-                                      cfg=cfg, bins=4, return_details=True)
-               for beta in ("y1", "1")]
-    assert results[0] == results[1]
 
 
 def test_path_batch_csv(tmp_path):
@@ -316,7 +252,7 @@ def test_path_batch_csv(tmp_path):
 def test_measure_csv(tmp_path):
     op = OperatorSpec.from_strings("y1")
     cfg = SimConfig(t_max=2.0, dt=2e-3, n_paths=500, master_seed=13)
-    meas = estimate_nu(op, DOM, 0.0, t=2.0, cfg=cfg, bins=8)
+    meas = measure_from_batch(simulate_batch(op, DOM, (0.0, 0.0), cfg), DOM, bins=8)
     p = tmp_path / "measure.csv"
     meas.to_csv(p)
     lines = p.read_text().strip().split("\n")
