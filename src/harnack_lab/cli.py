@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import os
 import re
 import sys
@@ -65,24 +64,15 @@ SCHEMA = [
     ("evaluate", "k_sigma", float, 3.0, "sandwich margin in standard errors"),
     ("make_solution", "boundary", str, "1", "boundary data g > 0 in x, y1, ..."),
     ("make_solution", "t_solve", float, 2.0, "horizon"),
-    ("make_solution", "grid_x_lo", float, None, "lower x of the grid (default: domain.inner_x_lo)"),
-    ("make_solution", "grid_x_hi", float, None, "upper x of the grid (default: domain.inner_x_hi)"),
     ("make_solution", "grid_nx", int, 11, "grid nodes in x"),
-    ("make_solution", "grid_y_radius", float, None, "y radius (default: domain.y_inner_radius)"),
     ("make_solution", "grid_ny", int, 11, "grid nodes per y axis"),
     ("harnack", "family", ("kolmogorov", "constants", "catalog"), "kolmogorov", "family to scan"),
     ("harnack", "offsets", FLOATS, (2.0, 5.0, 10.0, 100.0), "kolmogorov offsets C"),
     ("harnack", "constants", FLOATS, (1.0, 5.0, 100.0), "values of the constant solutions"),
     ("harnack", "solutions", str, "", "comma-separated catalog solutions (family catalog)"),
-    ("harnack", "sub_x_lo", float, None, "lower x of the box (default: domain.inner_x_lo)"),
-    ("harnack", "sub_x_hi", float, None, "upper x of the box (default: domain.inner_x_hi)"),
-    ("harnack", "sub_y_radius", float, None, "y radius (default: domain.y_inner_radius)"),
-    ("harnack", "grid", int, 101, "grid nodes per axis of the box"),
+    ("harnack", "grid", int, 101, "grid nodes per axis of the inner subcylinder"),
     ("counterexample", "lambdas", FLOATS, (1.0, 2.0, 4.0, 8.0), "increasing lambdas > 0"),
-    ("counterexample", "sub_x_lo", float, None, "lower x of the box (default: domain.inner_x_lo)"),
-    ("counterexample", "sub_x_hi", float, None, "upper x of the box (default: domain.inner_x_hi)"),
-    ("counterexample", "sub_y_radius", float, None, "y radius (default: domain.y_inner_radius)"),
-    ("counterexample", "grid", int, 101, "grid nodes per axis of the box"),
+    ("counterexample", "grid", int, 101, "grid nodes per axis of the inner subcylinder"),
     ("regions", "d", float, 0.5, "drift level"),
     ("regions", "grid_step", float, 0.01, "y grid step"),
     ("regions", "solution", str, None, "catalog solution to check (unset: no check)"),
@@ -271,13 +261,6 @@ class RunConfig:
         ys = self.get(section, "start_y")
         return self.get(section, "start_x"), np.array(ys or [0.0] * self.op.n_y)
 
-    def subcylinder(self, section, prefix):
-        """The box SECTION.{prefix}x_lo, x_hi, y_radius; an unset bound
-        follows the domain's inner subcylinder."""
-        bounds = {end: self.get(section, prefix + end) for end in ("x_lo", "x_hi", "y_radius")}
-        return dataclasses.replace(SubCylinder.from_domain(self.dom),
-                                   **{k: v for k, v in bounds.items() if v is not None})
-
     def solution(self, text):
         """The catalog solution TEXT, built on this operator and domain."""
         return catalog_entry(text, op=self.op, dom=self.dom)
@@ -350,10 +333,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_make_solution(cfg: RunConfig) -> int:
     """positive field from boundary data -> solution.csv, solution.json [, solution.svg]"""
     g = cfg.boundary_fn()
-    box = cfg.subcylinder("make_solution", "grid_")
-    axes = box_axes(box.x_lo, box.x_hi, cfg.get("make_solution", "grid_nx"),
-                    box.y_radius, cfg.get("make_solution", "grid_ny"), n_y_axes=cfg.op.n_y)
-    field = make_solution(cfg.op, cfg.dom, g, cfg.get("make_solution", "t_solve"), cfg.sim,
+    dom = cfg.dom
+    axes = box_axes(dom.inner_x_lo, dom.inner_x_hi, cfg.get("make_solution", "grid_nx"),
+                    dom.y_inner_radius, cfg.get("make_solution", "grid_ny"), n_y_axes=cfg.op.n_y)
+    field = make_solution(cfg.op, dom, g, cfg.get("make_solution", "t_solve"), cfg.sim,
                           axes, workers=cfg.workers, name="fk_solution")
     if not np.all(field.values > 0):
         raise ValueError("manufactured field is not positive; boundary data must be > 0")
@@ -368,7 +351,7 @@ def cmd_make_solution(cfg: RunConfig) -> int:
 
 def _family_solutions(cfg: RunConfig, family):
     if family == "constants":
-        return [constant(c, dom=cfg.dom) for c in cfg.get("harnack", "constants")]
+        return [constant(c, op=cfg.op, dom=cfg.dom) for c in cfg.get("harnack", "constants")]
     if family == "kolmogorov":
         return [kolmogorov_poly(c) for c in cfg.get("harnack", "offsets")]
     return [cfg.solution(n) for n in _catalog_names(cfg.get("harnack", "solutions"))]
@@ -386,7 +369,7 @@ def cmd_harnack(cfg: RunConfig) -> int:
     """sup/inf ratios of a solution family -> harnack.csv, harnack.json [, harnack.svg]"""
     family = cfg.get("harnack", "family")
     solutions = _family_solutions(cfg, family)
-    scan = scan_family(solutions, cfg.subcylinder("harnack", "sub_"),
+    scan = scan_family(solutions, SubCylinder.from_domain(cfg.dom),
                        cfg.get("harnack", "grid"), family=family)
     _write_scan(cfg, scan, "harnack")
     print(f"family {family}: max sup/inf ratio {scan.max_ratio:.6g} "
@@ -398,7 +381,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     """ratios along the one-signed-drift family
     -> counterexample.csv, counterexample.json [, counterexample.svg]"""
     lams = cfg.get("counterexample", "lambdas")
-    scan = counterexample_scan(lams, cfg.subcylinder("counterexample", "sub_"),
+    scan = counterexample_scan(lams, SubCylinder.from_domain(cfg.dom),
                                cfg.get("counterexample", "grid"), dom=cfg.dom)
     _write_scan(cfg, scan, "counterexample")
     print(f"counterexample scan over {len(lams)} lambda(s): "

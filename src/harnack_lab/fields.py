@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "ScalarField",
     "box_axes",
+    "at_points",
     "grid_points",
     "step_axis",
     "csv_field",
@@ -82,6 +83,26 @@ def step_axis(lo: float, hi: float, step: float) -> np.ndarray:
     """Nodes from lo to hi about ``step`` apart: the span over the step,
     rounded, intervals of equal length, and at least one."""
     return np.linspace(lo, hi, max(int(round((hi - lo) / step)), 1) + 1)
+
+
+def at_points(x, y, n_y: int):
+    """The points of an ``at(x, y)`` call: x of shape (k,), y of shape
+    (k, n_y), and whether the call asked for one point (x a number).
+
+    y holds k points (k, n_y) or one (n_y,); with n_y = 1, k numbers also
+    make k points.  One point broadcasts against k, so ``at(0.3, ys)``
+    gives the values at every row of ys.  Arrays of the protocol shapes
+    come back as they are.
+    """
+    x_arr = np.asarray(x, dtype=float).reshape(-1)
+    y_arr = np.asarray(y, dtype=float).reshape(-1, n_y)
+    k = max(x_arr.shape[0], y_arr.shape[0])
+    # broadcast_to costs microseconds, so only a one-point side pays it
+    if x_arr.shape[0] != k:
+        x_arr = np.broadcast_to(x_arr, (k,))
+    if y_arr.shape[0] != k:
+        y_arr = np.broadcast_to(y_arr, (k, n_y))
+    return x_arr, y_arr, np.ndim(x) == 0 and k == 1
 
 
 def box_axes(
@@ -158,19 +179,12 @@ class ScalarField:
         return cls(axes, vals.reshape(tuple(a.size for a in axes)), name)
 
     def at(self, x, y):
-        """Multilinear interpolation at (x, y); y has shape (..., n_y).
+        """Multilinear interpolation at the points (x, y) of ``at_points``;
+        a float for one point.
 
         Raises ValueError outside the grid support.
         """
-        x_arr = np.asarray(x, dtype=float)
-        y_arr = np.asarray(y, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        if y_arr.ndim == 1 and self.n_y == 1 and y_arr.shape[0] == x_arr.shape[0]:
-            y_arr = y_arr[:, None]
-        y_arr = y_arr.reshape(-1, self.n_y) if y_arr.ndim > 0 else y_arr.reshape(1, 1)
-        if y_arr.shape[0] == 1 and x_arr.shape[0] > 1:
-            y_arr = np.broadcast_to(y_arr, (x_arr.shape[0], self.n_y))
+        x_arr, y_arr, one = at_points(x, y, self.n_y)
         coords = [x_arr] + [y_arr[:, k] for k in range(self.n_y)]
         for k, (a, p) in enumerate(zip(self.axes, coords)):
             if not np.logical_and(np.all(a[0] <= p), np.all(p <= a[-1])):
@@ -199,7 +213,7 @@ class ScalarField:
                 for c, d in zip(corner, dist):
                     weight = weight * (d if c else 1 - d)
                 out = out + v[tuple(i + c for i, c in zip(idx, corner))] * weight
-        return float(out[0]) if scalar else out
+        return float(out[0]) if one else out
 
     def node_points(self) -> tuple[np.ndarray, np.ndarray]:
         """All grid nodes as (x of shape (k,), y of shape (k, n_y)), C-order."""

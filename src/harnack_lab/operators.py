@@ -134,7 +134,8 @@ class OperatorSpec:
 @dataclass(frozen=True)
 class CylinderDomain:
     """Cylinder (x_lo, x_hi) x (outer y ball), with a compact subcylinder
-    (inner_x_lo, inner_x_hi) x (inner y ball) where ratios are measured.
+    (inner_x_lo, inner_x_hi) x (inner y ball) where ratios are measured and
+    where make-solution samples its grid.
 
     Defaults follow the normalization used throughout: x interval (-5, 6),
     subinterval (0, 1), outer ball of radius 2 (where paths are stopped),

@@ -518,9 +518,13 @@ def simulate_batch(
 
 
 def measure_from_batch(batch: PathBatch, dom: CylinderDomain, bins: int) -> EmpiricalMeasure:
-    """Histogram the stopped y states; exited paths go to the exit shell."""
+    """Histogram the stopped y states of a one-start batch; exited paths go
+    to the exit shell."""
     if bins < 1:
         raise ValueError("bins must be at least 1")
+    if np.size(batch.start_x) > 1:
+        raise ValueError("measure_from_batch needs a one-start batch; "
+                         "slice a multi-start batch by start first")
     radius = dom.y_outer_radius
     edges = tuple(np.linspace(-radius, radius, bins + 1) for _ in range(batch.n_y))
     interior = batch.stopped_y[~batch.exited]

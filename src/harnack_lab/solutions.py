@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .expressions import Const, simplify
-from .fields import ScalarField, box_axes
+from .fields import ScalarField, at_points, box_axes
 from .operators import CylinderDomain, OperatorSpec
 
 __all__ = [
@@ -90,15 +90,10 @@ class AnalyticSolution:
         return self.op.n_y
 
     def at(self, x, y):
-        """Evaluate u; x shape (k,) and y shape (k, n_y), or scalars."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        y_arr = np.asarray(y, dtype=float)
-        if y_arr.ndim == 0:
-            y_arr = y_arr.reshape(1, 1)
-        elif y_arr.ndim == 1:
-            y_arr = y_arr[:, None] if self.op.n_y == 1 else y_arr[None, :]
+        """u at the points (x, y) of ``fields.at_points``; a float for one point."""
+        x_arr, y_arr, one = at_points(x, y, self.op.n_y)
         out = np.asarray(self.fn(x_arr, y_arr), dtype=float)
-        return float(out[0]) if np.ndim(x) == 0 and out.size == 1 else out
+        return float(out[0]) if one else out
 
     def as_field(self, nx: int = 101, ny: int = 101, x_span=None, y_radius=None) -> ScalarField:
         """Sample onto a regular grid (defaults to the validity cylinder)."""
@@ -362,8 +357,8 @@ def catalog_entry(text: str, op: OperatorSpec | None = None,
 
     Recognized forms: ``kolmogorov``, ``kolmogorov(C)``, ``separable(lam)``,
     ``separable(lam, gamma)``, ``counterexample(lam)``, ``constant(c)``.
-    ``op``/``dom`` feed the separable constructor (beta and geometry);
-    the other entries fix their own coefficients.
+    ``op``/``dom`` feed the separable and constant constructors (beta,
+    gamma and geometry); the other entries fix their own coefficients.
     """
     head, args = parse_solution_name(text)
     if head == "kolmogorov":
@@ -371,7 +366,7 @@ def catalog_entry(text: str, op: OperatorSpec | None = None,
     if head == "counterexample":
         return counterexample_family(args[0], dom=dom or CylinderDomain())
     if head == "constant":
-        return constant(args[0], dom=dom or CylinderDomain())
+        return constant(args[0], op=op, dom=dom or CylinderDomain())
     base = op if op is not None else OperatorSpec.from_strings("y1", "0", dim_n=2)
     if len(args) == 2:
         base = OperatorSpec(beta=base.beta, gamma=Const(args[1]), dim_n=base.dim_n)

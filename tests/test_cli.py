@@ -52,14 +52,45 @@ def test_config_errors_are_aggregated(tmp_path, capsys):
     assert err.count("config error:") >= 3
 
 
+# harnack, counterexample and make-solution have no box keys of their own:
+# they work on [domain]'s inner subcylinder
+BOX_KEYS = [(command, f"{section}.{key}=0.5", f"{section}.{key}: unknown key")
+            for command, section, keys in (
+                ("harnack", "harnack", ("sub_x_lo", "sub_x_hi", "sub_y_radius")),
+                ("counterexample", "counterexample", ("sub_x_lo", "sub_x_hi", "sub_y_radius")),
+                ("make-solution", "make_solution", ("grid_x_lo", "grid_x_hi", "grid_y_radius")))
+            for key in keys]
+
+
 @pytest.mark.parametrize("command, item, named", [
     ("counterexample", "counterexample.lambdaz=1,2", "counterexample.lambdaz"),
     ("check", "chek.r=9", "[chek]"),
+    *BOX_KEYS,
 ])
 def test_unknown_key_or_section_is_an_error(tmp_path, capsys, command, item, named):
     rc, out = run(tmp_path, command, "--set", item)
     assert rc == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    (["--workers", "0"], None, "--workers must be at least 1"),
+    ([], "abc", "HARNACK_LAB_SEED must be an integer, got 'abc'"),
+    (["--set", "sim.dt=0"], None, "sim: dt must be positive"),
+    (["--config", "{ini}"], None, "bad config syntax"),
+], ids=["workers", "env-seed", "sim-dt", "ini-syntax"])
+def test_bad_flag_environment_or_file_exits_2(tmp_path, capsys, monkeypatch, flags, env,
+                                               message):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[operator\nbeta = y1\n")
+    if env is None:
+        monkeypatch.delenv("HARNACK_LAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HARNACK_LAB_SEED", env)
+    rc, out = run(tmp_path, "check", *[f.format(ini=ini) for f in flags])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -78,7 +109,10 @@ def test_bad_values_in_one_section_are_all_reported(tmp_path, capsys):
     ("make-solution", "make_solution.boundary=x+", "make_solution.boundary: unexpected end"),
     ("harnack", "harnack.family=catalog", "harnack.solutions: empty catalog list"),
     ("simulate", "simulate.bins=0", "simulate.bins: must be at least 1, got 0"),
-], ids=["check", "simulate", "evaluate", "make-solution", "harnack", "simulate-bins"])
+    ("check", "operator.dim_n=1", "operator.dim_n: must be at least 2, got 1"),
+    ("evaluate", "evaluate.mode=bogus", "evaluate.mode: expected one of value, sandwich"),
+], ids=["check", "simulate", "evaluate", "make-solution", "harnack", "simulate-bins",
+        "dim-n", "evaluate-mode"])
 def test_checks_across_values_join_the_one_error_pass(tmp_path, capsys, command, item, message):
     rc, out = run(tmp_path, command, "--set", item, "--set", "sim.dt=fast")
     assert rc == 2
@@ -200,11 +234,39 @@ def test_make_solution_unit_field(tmp_path):
     assert (out / "solution.svg").read_text().startswith("<svg")
 
 
+def test_make_solution_refuses_a_nonpositive_field(tmp_path, capsys):
+    rc, out = run(tmp_path, "make-solution", *SMALL_SIM,
+                  "--set", "make_solution.boundary=0-1",
+                  "--set", "make_solution.grid_nx=2", "--set", "make_solution.grid_ny=2")
+    assert rc == 1
+    assert "manufactured field is not positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_harnack_constants_family(tmp_path):
     rc, out = run(tmp_path, "harnack", "--set", "harnack.family=constants")
     assert rc == 0
     payload = json.loads((out / "harnack.json").read_text())
     assert payload == {"family": "constants", "max_ratio": 1.0, "verdict": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ["harnack", "--set", "harnack.family=constants"],
+    ["regions", "--set", "regions.solution=constant(2)"],
+], ids=["harnack", "regions"])
+def test_constant_solutions_need_the_configured_gamma_zero(tmp_path, capsys, argv):
+    rc, _ = run(tmp_path, *argv, "--set", "operator.gamma=0.5")
+    assert rc == 1
+    assert "only when gamma = 0" in capsys.readouterr().err
+
+
+def test_constant_family_lives_on_the_configured_dimension(tmp_path):
+    rc, out = run(tmp_path, "harnack", "--set", "harnack.family=constants",
+                  "--set", "operator.dim_n=3")
+    assert rc == 0
+    header = (out / "harnack.csv").read_text().split("\n", 1)[0].split(",")
+    assert [h for h in header if h.startswith("argmax_")] == [
+        "argmax_x", "argmax_y1", "argmax_y2"]
 
 
 def test_harnack_kolmogorov_family_max(tmp_path):
@@ -361,14 +423,13 @@ def test_schema_is_the_only_config_schema(tmp_path, monkeypatch):
     assert reads | shared == set(table)
 
 
-# --set text of an unset start_y (the origin) and of an unset box bound (the
-# domain's inner subcylinder)
-UNSET_TEXT = {"start_y": "0.0", "x_lo": "0.0", "x_hi": "1.0", "y_radius": "1.0"}
+# --set text of an unset start_y (the origin)
+UNSET_TEXT = {"start_y": "0.0"}
 
 
 def _default_text(key, default):
     if default is None:
-        return next(text for end, text in UNSET_TEXT.items() if key.endswith(end))
+        return UNSET_TEXT[key]
     if isinstance(default, tuple):
         return ",".join(map(repr, default))
     return repr(default) if isinstance(default, float) else str(default)

@@ -9,6 +9,7 @@ from harnack_lab.fields import (
     line_plot_svg,
     step_axis,
 )
+from harnack_lab.solutions import kolmogorov_poly
 
 
 def make_field():
@@ -65,6 +66,16 @@ def test_interpolation_exact_for_multilinear():
     assert f.at(0.3, np.array([0.2])) == pytest.approx(1 + 0.6 + 0.1 + 0.06)
 
 
+def test_one_point_broadcasts_against_k_points():
+    ys = np.array([[-0.9], [-0.2], [0.4], [0.8]])
+    sol = kolmogorov_poly(10.0)
+    for u in (make_field(), sol.as_field(11, 11), sol):
+        assert np.array_equal(u.at(0.3, ys), u.at(np.full(4, 0.3), ys)), u.name
+        # the same for one y point against k x values
+        assert np.array_equal(u.at(np.full(4, 0.3), ys[2]), u.at(np.full(4, 0.3), ys[[2] * 4]))
+    assert isinstance(make_field().at(0.3, ys[0]), float)
+
+
 def test_interpolation_outside_support_raises():
     f = make_field()
     with pytest.raises(ValueError):
@@ -83,6 +94,10 @@ def test_two_y_axes():
 def test_validation_errors():
     with pytest.raises(ValueError):
         ScalarField((np.array([0.0, 1.0]),), np.zeros(2))  # no y axis
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        ScalarField((np.array([0.0]), np.array([0.0, 1.0])), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        box_axes(0.0, 1.0, 1, 1.0, 5)
     with pytest.raises(ValueError):
         ScalarField((np.array([1.0, 0.0]), np.array([0.0, 1.0])), np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -117,6 +132,13 @@ def test_csv_round_trip_three_axes(tmp_path):
     f.to_csv(p)
     g = ScalarField.from_csv(p)
     assert np.array_equal(f.values, g.values)
+
+
+def test_from_csv_refuses_other_csv(tmp_path):
+    p = tmp_path / "paths.csv"
+    p.write_text("path_id,stopped_x\n0,1.5\n")
+    with pytest.raises(ValueError, match="not a field CSV"):
+        ScalarField.from_csv(p)
 
 
 def test_spacing_checks_uniformity():

@@ -165,6 +165,16 @@ def test_region_check_kolmogorov_closed_form():
     assert chk.passed  # ratio about 1.135
 
 
+def test_bad_subcylinder_and_mismatched_dimensions():
+    with pytest.raises(ValueError, match="x_lo must be below x_hi"):
+        SubCylinder(1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="y_radius must be positive"):
+        SubCylinder(0.0, 1.0, 0.0)
+    op = OperatorSpec.from_strings("y1", "0", dim_n=3)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        region_inequality_check(constant(1.0), op, DOM, level=0.5, cap=10.0)
+
+
 def test_region_check_one_signed_drift_errors():
     op = OperatorSpec.from_strings("1", "0")
     with pytest.raises(ValueError, match="empty"):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from harnack_lab.expressions import UnknownIdentifierError
+from harnack_lab.expressions import UnknownIdentifierError, parse
 from harnack_lab.fields import ScalarField, box_axes
 from harnack_lab.operators import (
     CylinderDomain,
@@ -25,6 +25,8 @@ def test_operator_spec_validation():
         OperatorSpec.from_strings("y1", dim_n=1)
     with pytest.raises(UnknownIdentifierError):
         OperatorSpec.from_strings("x + y1")  # beta must not use x
+    with pytest.raises(ValueError, match="beta may depend only on"):
+        OperatorSpec(beta=parse("x + y1", ("x", "y1")))
     with pytest.raises(UnknownIdentifierError):
         OperatorSpec.from_strings("y1", gamma="y3", dim_n=2)
     op = OperatorSpec.from_strings("y1*y2", gamma="x*y2", dim_n=3)
@@ -208,6 +210,8 @@ def test_residual_grid_too_small():
     u = ScalarField((np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0])), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         residual(u, op)
+    with pytest.raises(ValueError, match="the operator expects 2"):
+        residual(u, OperatorSpec.from_strings("y1", dim_n=3))
 
 
 def test_estimate_sups():

@@ -35,6 +35,10 @@ def test_sim_config_validation():
         SimConfig(t_max=1.0, n_paths=0)
     with pytest.raises(ValueError):
         SimConfig(t_max=1.0, master_seed=-1)
+    with pytest.raises(ValueError, match="t_max must be positive"):
+        SimConfig(t_max=0)
+    with pytest.raises(ValueError, match="32 bits"):
+        SimConfig(t_max=1.0, n_paths=2**32)
 
 
 def test_start_and_step_validation():
@@ -47,6 +51,10 @@ def test_start_and_step_validation():
     with pytest.raises(ValueError):
         simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=10),
                        exit_detection="magic")
+    with pytest.raises(ValueError, match="stream must fit in 32 bits"):
+        simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=10), stream=2**32)
+    with pytest.raises(ValueError, match="start y must have 1 coordinates"):
+        simulate_batch(op, DOM, (0.0, (0.1, 0.2)), SimConfig(t_max=1.0, n_paths=10))
 
 
 def test_zero_drift_keeps_x_exactly():
@@ -226,6 +234,18 @@ def test_measure_short_horizon():
     var = batch.stopped_y[~batch.exited, 0].var(ddof=1)
     se = var * np.sqrt(2.0 / (20_000 - 1))
     assert abs(var - 0.2) < 3 * se
+
+
+def test_measure_refuses_zero_bins_and_multi_start_batches():
+    op = OperatorSpec.from_strings("y1")
+    cfg = SimConfig(t_max=0.5, dt=2e-3, n_paths=100, master_seed=3)
+    one = simulate_batch(op, DOM, (0.0, 0.3), cfg)
+    with pytest.raises(ValueError, match="bins must be at least 1"):
+        measure_from_batch(one, DOM, bins=0)
+    # two starts' stopped states would mix in one 200-path measure
+    two = simulate_batch(op, DOM, (np.zeros(2), np.array([[0.3], [-0.3]])), cfg)
+    with pytest.raises(ValueError, match="one-start batch"):
+        measure_from_batch(two, DOM, bins=10)
 
 
 def test_exit_mass_saturates_at_long_horizon():
