@@ -262,8 +262,17 @@ class RunConfig:
         return self.get(section, "start_x"), np.array(ys or [0.0] * self.op.n_y)
 
     def solution(self, text):
-        """The catalog solution TEXT, built on this operator and domain."""
-        return catalog_entry(text, op=self.op, dom=self.dom)
+        """The catalog solution TEXT on this run's domain; see ``solves``."""
+        return self.solves(catalog_entry(text, op=self.op, dom=self.dom))
+
+    def solves(self, sol):
+        """SOL, refused unless its beta, gamma (simplified) and dim_n are this run's."""
+        have, want = (f"beta = {expressions.to_string(expressions.simplify(o.beta))}, gamma = "
+                      f"{expressions.to_string(expressions.simplify(o.gamma))}, dim_n = {o.dim_n}"
+                      for o in (sol.op, self.op))
+        if have != want:
+            raise ValueError(f"{sol.name} solves {have}, not the configured {want}")
+        return sol
 
     def boundary_fn(self):
         """make_solution.boundary as a function of x (k,) and y (k, n_y)."""
@@ -313,14 +322,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     if mode == "value":
         t = cfg.get("evaluate", "t")
-        est = fk_evaluate(sol.op, cfg.dom, sol, start, t, cfg.sim, workers=cfg.workers)
+        est = fk_evaluate(cfg.op, cfg.dom, sol, start, t, cfg.sim, workers=cfg.workers)
         payload["estimate"] = est.to_json_dict()
         write_json(cfg.out_dir / "evaluate.json", payload)
         print(f"value {est.value:.6g} +/- {est.std_error:.3g} (t={t:g})")
         return 0
 
     t = cfg.get("evaluate", "t") if ("evaluate", "t") in cfg.given else None
-    rep = sandwich_check(sol.op, cfg.dom, sol, start, t=t, cfg=cfg.sim,
+    rep = sandwich_check(cfg.op, cfg.dom, sol, start, t=t, cfg=cfg.sim,
                          k_sigma=cfg.get("evaluate", "k_sigma"), workers=cfg.workers)
     payload.update(rep.to_json_dict())
     write_json(cfg.out_dir / "evaluate.json", payload)
@@ -351,9 +360,10 @@ def cmd_make_solution(cfg: RunConfig) -> int:
 
 def _family_solutions(cfg: RunConfig, family):
     if family == "constants":
-        return [constant(c, op=cfg.op, dom=cfg.dom) for c in cfg.get("harnack", "constants")]
+        return [cfg.solves(constant(c, op=cfg.op, dom=cfg.dom))
+                for c in cfg.get("harnack", "constants")]
     if family == "kolmogorov":
-        return [kolmogorov_poly(c) for c in cfg.get("harnack", "offsets")]
+        return [cfg.solves(kolmogorov_poly(c)) for c in cfg.get("harnack", "offsets")]
     return [cfg.solution(n) for n in _catalog_names(cfg.get("harnack", "solutions"))]
 
 
@@ -394,12 +404,14 @@ def cmd_regions(cfg: RunConfig) -> int:
     level = cfg.get("regions", "d")
     grid_step = cfg.get("regions", "grid_step")
     regions = classify_regions(cfg.op, cfg.dom, level, grid_step)
+    sol_text = cfg.get("regions", "solution")
+    check = None if sol_text is None else region_inequality_check(
+        cfg.solution(sol_text), cfg.op, cfg.dom, level, cfg.get("regions", "cap"), grid_step)
 
-    names = [f"y{k+1}" for k in range(cfg.op.n_y)]
     fmt = ",".join(["%s"] + [FLOAT_FMT] * cfg.op.n_y)
     rows = [("plus", *p) for p in regions.plus_points.tolist()]
     rows += [("minus", *p) for p in regions.minus_points.tolist()]
-    write_csv(cfg.out_dir / "regions.csv", ["side"] + names, fmt, rows)
+    write_csv(cfg.out_dir / "regions.csv", ["side", *cfg.op.y_names], fmt, rows)
 
     payload = {
         "level": regions.level,
@@ -408,20 +420,14 @@ def cmd_regions(cfg: RunConfig) -> int:
         "minus_count": regions.minus_count,
         "warning": regions.warning,
     }
-    exit_code = 0
-    sol_text = cfg.get("regions", "solution")
-    if sol_text is not None:
-        cap = cfg.get("regions", "cap")
-        check = region_inequality_check(
-            cfg.solution(sol_text), cfg.op, cfg.dom, level, cap, grid_step)
+    if check is not None:
         payload["check"] = check.to_json_dict()
-        exit_code = 0 if check.passed else 1
-        print(f"restricted ratio {check.ratio:.6g} vs cap {cap:g}: "
+        print(f"restricted ratio {check.ratio:.6g} vs cap {check.cap:g}: "
               f"{'pass' if check.passed else 'fail'}")
     write_json(cfg.out_dir / "regions.json", payload)
     print(f"level {level:g}: {regions.plus_count} plus node(s), "
           f"{regions.minus_count} minus node(s)")
-    return exit_code
+    return 0 if check is None or check.passed else 1
 
 
 def cmd_average(cfg: RunConfig) -> int:

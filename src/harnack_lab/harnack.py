@@ -143,10 +143,12 @@ def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> Harnack
 
 def scan_family(solutions, sub: SubCylinder | None = None, grid: int = 101,
                 family: str = "family") -> FamilyScan:
-    """Ratio report per solution plus the family maximum."""
+    """Ratio report per solution plus the family maximum; all share one n_y."""
     solutions = list(solutions)
     if not solutions:
         raise ValueError("empty solution family")
+    if len({u.n_y for u in solutions}) > 1:
+        raise ValueError(f"solutions of different dimensions: n_y {[u.n_y for u in solutions]}")
     reports = tuple(sup_inf_ratio(u, sub, grid) for u in solutions)
     return FamilyScan(
         family=family,

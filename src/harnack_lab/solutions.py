@@ -1,6 +1,6 @@
 """Catalog of positive reference solutions of  Delta_y u + beta u_x + gamma u = 0.
 
-Four constructors:
+Four constructors; a CLI run refuses one that does not solve its ``[operator]``:
 
 * ``kolmogorov_poly(C)``: u = x - y^3/6 + C with beta = y, the linear-drift
   polynomial solution, exact under the finite-difference oracle.
@@ -338,7 +338,7 @@ def parse_solution_name(text: str) -> tuple[str, list[float]]:
     else:
         head, args = text, []
 
-    expected = {"kolmogorov": (0, 1), "separable": (1, 2),
+    expected = {"kolmogorov": (0, 1), "separable": (1, 1),
                 "counterexample": (1, 1), "constant": (1, 1)}
     if head not in expected:
         raise ValueError(
@@ -356,18 +356,16 @@ def catalog_entry(text: str, op: OperatorSpec | None = None,
     """Build a catalog solution from its config-file name.
 
     Recognized forms: ``kolmogorov``, ``kolmogorov(C)``, ``separable(lam)``,
-    ``separable(lam, gamma)``, ``counterexample(lam)``, ``constant(c)``.
-    ``op``/``dom`` feed the separable and constant constructors (beta,
-    gamma and geometry); the other entries fix their own coefficients.
+    ``counterexample(lam)``, ``constant(c)``.  ``separable`` and ``constant``
+    are built on ``op`` (beta, gamma, dim_n) and ``dom``; ``kolmogorov`` fixes
+    beta = y1 and ``counterexample`` beta = 1, both with gamma = 0, dim_n = 2.
     """
     head, args = parse_solution_name(text)
+    dom = dom or CylinderDomain()
     if head == "kolmogorov":
         return kolmogorov_poly(args[0] if args else 10.0)
     if head == "counterexample":
-        return counterexample_family(args[0], dom=dom or CylinderDomain())
+        return counterexample_family(args[0], dom=dom)
     if head == "constant":
-        return constant(args[0], op=op, dom=dom or CylinderDomain())
-    base = op if op is not None else OperatorSpec.from_strings("y1", "0", dim_n=2)
-    if len(args) == 2:
-        base = OperatorSpec(beta=base.beta, gamma=Const(args[1]), dim_n=base.dim_n)
-    return separable(args[0], base, dom=dom or CylinderDomain())
+        return constant(args[0], op=op, dom=dom)
+    return separable(args[0], op or OperatorSpec.from_strings("y1", "0", dim_n=2), dom=dom)

@@ -123,15 +123,47 @@ def test_checks_across_values_join_the_one_error_pass(tmp_path, capsys, command,
 
 
 def test_catalog_list_takes_two_argument_names(tmp_path):
+    # separable(1.5,2) is one name with two arguments (test_one_operator_per_run);
+    # a row name that holds a comma is quoted, so every row has the header's fields
     rc, out = run(tmp_path, "harnack", "--set", "harnack.family=catalog",
-                  "--set", "harnack.solutions=separable(1.5,2),kolmogorov(5)")
+                  "--set", "harnack.solutions=separable(1.5),kolmogorov(5)")
     assert rc == 0
     with open(out / "harnack.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert len(rows) == 2
     assert all(len(row) == len(header) for row in rows)
-    assert rows[0][0] == "separable(lambda=1.5,gamma=2)"
+    assert rows[0][0] == "separable(lambda=1.5,gamma=0)"
     assert rows[1][0] == "kolmogorov(5)"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["harnack", "--set", "operator.beta=1"], 1, "error: kolmogorov(2) solves beta = y1,"),
+    (["harnack", "--set", "operator.dim_n=3", "--set", "harnack.family=catalog",
+      "--set", "harnack.solutions=kolmogorov(5),constant(2)"], 1,
+     "error: kolmogorov(5) solves beta = y1, gamma = 0.0, dim_n = 2, not the configured "
+     "beta = y1, gamma = 0.0, dim_n = 3"),
+    (["harnack", "--set", "harnack.family=catalog",
+      "--set", "harnack.solutions=counterexample(2)"], 1,
+     "error: counterexample(2) solves beta = 1.0, gamma = 0.0, dim_n = 2, not the configured "
+     "beta = y1, gamma = 0.0, dim_n = 2"),
+    (["evaluate", "--set", "operator.beta=1"], 1, "error: kolmogorov(10) solves"),
+    (["regions", "--set", "regions.solution=counterexample(1)"], 1,
+     "error: counterexample(1) solves"),
+    (["average", "--set", "operator.gamma=0.5"], 1,
+     "error: kolmogorov(10) solves beta = y1, gamma = 0.0, dim_n = 2, not the configured "
+     "beta = y1, gamma = 0.5, dim_n = 2"),
+    (["evaluate", *SMALL_SIM, "--set", "operator.beta=1",
+      "--set", "evaluate.solution=counterexample(2)"], 0, ""),
+    (["harnack", "--set", "harnack.family=catalog", "--set", "harnack.solutions=separable(1.5,2)"],
+     2, "config error: harnack.solutions: separable takes 1 to 1 argument(s), got 2"),
+], ids=["harnack-beta", "harnack-dim", "harnack-catalog", "evaluate", "regions", "average",
+        "evaluate-on-its-operator", "separable-two-arguments"])
+def test_one_operator_per_run(tmp_path, capsys, argv, code, message):
+    # every catalog solution a command builds must solve [operator]
+    rc, out = run(tmp_path, *argv)
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert out.exists() == (code == 0)
 
 
 def test_subcommand_help_lists_its_keys(capsys):
@@ -176,12 +208,16 @@ def test_simulate_row_count_and_zero_drift(tmp_path):
     assert xs == {"1.25"}
 
 
-def test_simulate_rerun_bitwise_identical(tmp_path):
-    rc_a, out_a = run(tmp_path / "a", "simulate", *SMALL_SIM, "--seed", "7")
-    rc_b, out_b = run(tmp_path / "b", "simulate", *SMALL_SIM, "--seed", "7",
-                      "--workers", "4")
+@pytest.mark.parametrize("argv, names", [
+    (["simulate"], ("paths.csv", "measure.csv")),
+    (["evaluate"], ("evaluate.json",)),
+    (["evaluate", "--set", "evaluate.mode=sandwich"], ("evaluate.json",)),
+], ids=["simulate", "evaluate-value", "evaluate-sandwich"])
+def test_simulate_rerun_bitwise_identical(tmp_path, argv, names):
+    rc_a, out_a = run(tmp_path / "a", *argv, *SMALL_SIM, "--seed", "7")
+    rc_b, out_b = run(tmp_path / "b", *argv, *SMALL_SIM, "--seed", "7", "--workers", "4")
     assert rc_a == rc_b == 0
-    for name in ("paths.csv", "measure.csv"):
+    for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
@@ -318,6 +354,17 @@ def test_regions_with_cap_check(tmp_path):
                 "--set", "regions.solution=kolmogorov(10)",
                 "--set", "regions.cap=1.01")
     assert rc == 1
+
+
+@pytest.mark.parametrize("items", [
+    ["regions.solution=kolmogorov(0)"],
+    ["regions.d=5", "regions.solution=kolmogorov(10)"],
+], ids=["not-positive", "empty-drift-regions"])
+def test_regions_rejected_solution_writes_no_file(tmp_path, capsys, items):
+    rc, out = run(tmp_path, "regions", *[a for item in items for a in ("--set", item)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_run_removes_only_the_empty_out_dirs_it_made(tmp_path):

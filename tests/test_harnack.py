@@ -100,6 +100,13 @@ def test_scan_family_rejects_empty():
         scan_family([])
 
 
+def test_scan_family_refuses_mixed_dimensions():
+    # the per-solution rows of one scan share one CSV header, so one n_y
+    three_d = constant(2.0, op=OperatorSpec.from_strings("y1", "0", dim_n=3))
+    with pytest.raises(ValueError, match=r"different dimensions: n_y \[1, 2\]"):
+        scan_family([kolmogorov_poly(5.0), three_d])
+
+
 def test_counterexample_scan_divergent():
     scan = counterexample_scan([1.0, 2.0, 4.0, 8.0])
     want = [np.exp(l) * np.cosh(np.sqrt(l)) for l in (1.0, 2.0, 4.0, 8.0)]

@@ -180,13 +180,16 @@ def test_catalog_entry_forms():
     assert ce.at(0.0, 1.0) == pytest.approx(np.cosh(2.0), rel=1e-14)
     const5 = catalog_entry("constant(5)")
     assert const5.at(-3.0, 0.2) == 5.0
-    sep = catalog_entry(" separable(-4, 0) ", op=OperatorSpec.from_strings("1", "0"))
+    sep = catalog_entry(" separable(-4) ", op=OperatorSpec.from_strings("1", "0"))
     assert sep.at(0.0, 1.0) == pytest.approx(np.cosh(2.0), rel=1e-8)
+    # separable takes gamma from op, the one operator it is built on
+    op = OperatorSpec.from_strings("y1", "-1")
+    assert catalog_entry("separable(0)", op=op).op is op
 
 
 def test_catalog_entry_rejects_malformed():
     for bad in ("fourier", "kolmogorov(2", "separable(a)", "separable()", "constant()",
-                "counterexample(1,2)"):
+                "counterexample(1,2)", "separable(1.5,2)"):
         with pytest.raises(ValueError):
             catalog_entry(bad)
 
