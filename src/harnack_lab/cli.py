@@ -1,12 +1,12 @@
 """Command-line runner: wires an INI config plus flag overrides into the
 library modules and writes machine-readable reports.
 
-Outputs are a pure function of (config, seed), independent of --workers, and
-contain no timestamps.  Exit codes: 0 success/pass, 1 domain-level failure
-(hypothesis fails, sandwich fails, positivity violated), 2 usage or config
-error.  ``SCHEMA`` declares every config key.  A value comes from, in rising
-precedence, its default, HARNACK_LAB_SEED (seed only), --config, --set
-SECTION.KEY=VALUE and --seed.
+Outputs are a pure function of the config (the seed is sim.master_seed),
+independent of --workers, and contain no timestamps.  Exit codes: 0
+success/pass, 1 domain-level failure (hypothesis fails, sandwich fails,
+positivity violated), 2 usage or config error.  ``SCHEMA`` declares every
+config key.  A value comes from, in rising precedence, its default, --config
+and --set SECTION.KEY=VALUE; nothing else enters a run.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ SCHEMA = [
     ("sim", "dt", float, 1e-3, "time step"),
     ("sim", "t_max", float, 1.0, "horizon of simulate"),
     ("sim", "n_paths", int, 100_000, "paths per start"),
-    ("sim", "master_seed", int, 0, "master seed (--seed wins; HARNACK_LAB_SEED if unset)"),
+    ("sim", "master_seed", int, 0, "master seed of every path stream"),
     ("check", "r", int, 2, "derivative order, 1 to 4"),
     ("check", "grid_step", float, 0.01, "y grid step"),
     ("simulate", "start_x", float, 0.0, "start x"),
@@ -94,11 +94,13 @@ def _parse(kind, text):
             raise ValueError(f"expected one of {', '.join(kind)}, got {text!r}")
         return text
     try:
-        if kind == FLOATS:
-            return tuple(float(v) for v in text.split(",") if v.strip())
-        return kind(text)
+        value = (tuple(float(v) for v in text.split(",") if v.strip()) if kind == FLOATS
+                 else kind(text))
     except ValueError:
         raise ValueError(f"not {_WHAT[kind]}: {text!r}") from None
+    if kind in (float, FLOATS) and not np.isfinite(value).all():
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _catalog_names(text) -> list[str]:
@@ -129,11 +131,11 @@ class ConfigError(Exception):
 
 
 class RunConfig:
-    """Typed config values merged from SCHEMA defaults, environment, config
-    file, --set overrides and flags.  Every given value is checked against
-    SCHEMA, and the values are checked together (ranges, start_y lengths,
-    catalog names, the boundary expression), in one pass; every problem is
-    raised in one ConfigError."""
+    """Typed config values merged from SCHEMA defaults, the config file and
+    --set overrides (a set HARNACK_LAB_SEED is refused, never read).  Every
+    given value is checked against SCHEMA (numbers must be finite), and the
+    values are checked together (ranges, start_y lengths, catalog names, the
+    boundary expression), in one pass; every problem is in one ConfigError."""
 
     def __init__(self, args):
         errors = []
@@ -182,14 +184,8 @@ class RunConfig:
         if self.workers < 1:
             errors.append("--workers must be at least 1")
 
-        env_seed = os.environ.get("HARNACK_LAB_SEED")
-        if args.seed is not None:
-            self.values["sim", "master_seed"] = args.seed
-        elif env_seed is not None and ("sim", "master_seed") not in self.given:
-            try:
-                self.values["sim", "master_seed"] = int(env_seed)
-            except ValueError:
-                errors.append(f"HARNACK_LAB_SEED must be an integer, got {env_seed!r}")
+        if "HARNACK_LAB_SEED" in os.environ:
+            errors.append("HARNACK_LAB_SEED is not read; set sim.master_seed")
 
         # each block validates independently so one bad value does not hide
         # problems elsewhere; everything is reported in one pass
@@ -363,7 +359,7 @@ def _family_solutions(cfg: RunConfig, family):
         return [cfg.solves(constant(c, op=cfg.op, dom=cfg.dom))
                 for c in cfg.get("harnack", "constants")]
     if family == "kolmogorov":
-        return [cfg.solves(kolmogorov_poly(c)) for c in cfg.get("harnack", "offsets")]
+        return [cfg.solves(kolmogorov_poly(c, dom=cfg.dom)) for c in cfg.get("harnack", "offsets")]
     return [cfg.solution(n) for n in _catalog_names(cfg.get("harnack", "solutions"))]
 
 
@@ -477,8 +473,6 @@ def main(argv=None) -> int:
                                   f"in --config):\n{_key_lines(section)}",
                            formatter_class=raw)
         p.add_argument("--config", type=Path, default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides config and environment)")
         p.add_argument("--workers", type=int, default=1,
                        help="worker threads; never changes output bytes")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")

@@ -135,8 +135,8 @@ def sandwich_check(
     point ``start``: a constant result is broadcast, any other wrong shape
     and a k-point ``start`` are ValueErrors.
     """
-    if not k_sigma >= 0:
-        raise ValueError(f"k_sigma must be nonnegative, got {k_sigma:g}")
+    if not 0 <= k_sigma < np.inf:
+        raise ValueError(f"k_sigma must be nonnegative and finite, got {k_sigma:g}")
     # gate on the raw grid maximum: the 1.05 step-size margin would reject
     # the boundary case |gamma| = 1, which the bound does cover
     gamma_gate = op.gamma_sup

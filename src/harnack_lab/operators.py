@@ -362,8 +362,8 @@ def classify_regions(
     grid_step: float = 0.01,
 ) -> RegionSet:
     """Split the open inner-ball lattice by the drift sign at the given level."""
-    if level <= 0:
-        raise ValueError("level must be positive")
+    if not 0 < level < np.inf:
+        raise ValueError("level must be positive and finite")
     pts, actual_step = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=False)
     beta_vals = op.beta_at(pts)
     plus = pts[beta_vals > level]

@@ -80,8 +80,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ValueError("t_max must be positive and finite")
         if self.dt > self.t_max:
             raise ValueError("dt must not exceed t_max")
         if self.n_paths < 1:
@@ -461,8 +461,10 @@ def simulate_batch(
     starts_x, starts_y, single = _normalize_starts(start, op.n_y)
     starts_r2 = np.array([y @ y for y in starts_y])
     radius = dom.y_outer_radius
-    if np.any(starts_r2 >= radius * radius):
+    if not np.all(starts_r2 < radius * radius):  # a NaN y fails too
         raise ValueError("start y must lie strictly inside the outer ball")
+    if not np.isfinite(starts_x).all():
+        raise ValueError("start x must be finite")
     if op.beta_sup * cfg.dt >= 0.1 * radius:
         raise ValueError(
             f"dt too large: beta_sup*dt = {op.beta_sup * cfg.dt:g} must stay "

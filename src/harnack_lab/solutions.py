@@ -1,6 +1,6 @@
 """Catalog of positive reference solutions of  Delta_y u + beta u_x + gamma u = 0.
 
-Four constructors; a CLI run refuses one that does not solve its ``[operator]``:
+Four constructors; a CLI run builds each on ``[domain]``, for ``[operator]`` only:
 
 * ``kolmogorov_poly(C)``: u = x - y^3/6 + C with beta = y, the linear-drift
   polynomial solution, exact under the finite-difference oracle.
@@ -356,14 +356,14 @@ def catalog_entry(text: str, op: OperatorSpec | None = None,
     """Build a catalog solution from its config-file name.
 
     Recognized forms: ``kolmogorov``, ``kolmogorov(C)``, ``separable(lam)``,
-    ``counterexample(lam)``, ``constant(c)``.  ``separable`` and ``constant``
-    are built on ``op`` (beta, gamma, dim_n) and ``dom``; ``kolmogorov`` fixes
-    beta = y1 and ``counterexample`` beta = 1, both with gamma = 0, dim_n = 2.
+    ``counterexample(lam)``, ``constant(c)``; each lives on ``dom`` (default
+    ``CylinderDomain()``).  ``separable`` and ``constant`` solve ``op``;
+    ``kolmogorov`` fixes beta = y1, ``counterexample`` beta = 1 (gamma = 0, dim_n = 2).
     """
     head, args = parse_solution_name(text)
     dom = dom or CylinderDomain()
     if head == "kolmogorov":
-        return kolmogorov_poly(args[0] if args else 10.0)
+        return kolmogorov_poly(args[0] if args else 10.0, dom=dom)
     if head == "counterexample":
         return counterexample_family(args[0], dom=dom)
     if head == "constant":

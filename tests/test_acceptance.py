@@ -252,7 +252,7 @@ def test_criterion_8_cli_determinism(tmp_path):
             dirs = []
             for tag, workers in (("a", "1"), ("b", "3")):
                 out = tmp_path / f"{cmd}-{tag}"
-                rc = cli_main([cmd, *extra, "--seed", "42",
+                rc = cli_main([cmd, *extra, "--set", "sim.master_seed=42",
                                "--workers", workers, "--out", str(out)])
                 assert rc == 0
                 dirs.append(out)

@@ -76,7 +76,7 @@ def test_unknown_key_or_section_is_an_error(tmp_path, capsys, command, item, nam
 
 @pytest.mark.parametrize("flags, env, message", [
     (["--workers", "0"], None, "--workers must be at least 1"),
-    ([], "abc", "HARNACK_LAB_SEED must be an integer, got 'abc'"),
+    ([], "5", "HARNACK_LAB_SEED is not read; set sim.master_seed"),
     (["--set", "sim.dt=0"], None, "sim: dt must be positive"),
     (["--config", "{ini}"], None, "bad config syntax"),
 ], ids=["workers", "env-seed", "sim-dt", "ini-syntax"])
@@ -214,21 +214,73 @@ def test_simulate_row_count_and_zero_drift(tmp_path):
     (["evaluate", "--set", "evaluate.mode=sandwich"], ("evaluate.json",)),
 ], ids=["simulate", "evaluate-value", "evaluate-sandwich"])
 def test_simulate_rerun_bitwise_identical(tmp_path, argv, names):
-    rc_a, out_a = run(tmp_path / "a", *argv, *SMALL_SIM, "--seed", "7")
-    rc_b, out_b = run(tmp_path / "b", *argv, *SMALL_SIM, "--seed", "7", "--workers", "4")
+    seed = ["--set", "sim.master_seed=7"]
+    rc_a, out_a = run(tmp_path / "a", *argv, *SMALL_SIM, *seed)
+    rc_b, out_b = run(tmp_path / "b", *argv, *SMALL_SIM, *seed, "--workers", "4")
     assert rc_a == rc_b == 0
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_seed_sources(tmp_path, monkeypatch):
-    monkeypatch.setenv("HARNACK_LAB_SEED", "5")
-    _, out_env = run(tmp_path / "env", "simulate", *SMALL_SIM)
-    _, out_flag = run(tmp_path / "flag", "simulate", *SMALL_SIM, "--seed", "5")
-    _, out_other = run(tmp_path / "other", "simulate", *SMALL_SIM, "--seed", "8")
-    env_bytes = (out_env / "paths.csv").read_bytes()
-    assert env_bytes == (out_flag / "paths.csv").read_bytes()
-    assert env_bytes != (out_other / "paths.csv").read_bytes()
+def test_seed_sources(tmp_path):
+    ini = tmp_path / "seed.ini"
+    ini.write_text("[sim]\nmaster_seed = 5\n")
+    _, out_file = run(tmp_path / "file", "simulate", *SMALL_SIM, "--config", str(ini))
+    _, out_set = run(tmp_path / "set", "simulate", *SMALL_SIM, "--set", "sim.master_seed=5")
+    # --set beats the file
+    _, out_both = run(tmp_path / "both", "simulate", *SMALL_SIM, "--config", str(ini),
+                      "--set", "sim.master_seed=8")
+    _, out_other = run(tmp_path / "other", "simulate", *SMALL_SIM, "--set", "sim.master_seed=8")
+    file_bytes = (out_file / "paths.csv").read_bytes()
+    assert file_bytes == (out_set / "paths.csv").read_bytes()
+    other_bytes = (out_other / "paths.csv").read_bytes()
+    assert (out_both / "paths.csv").read_bytes() == other_bytes
+    assert file_bytes != other_bytes
+
+
+@pytest.mark.parametrize("argv, env, want", [
+    (["simulate", *SMALL_SIM, "--seed", "5"], None, "unrecognized arguments: --seed 5"),
+    (["simulate", *SMALL_SIM], "5", "set sim.master_seed"),
+    (["average", "--set", "domain.y_outer_radius=2.5", "--set", "domain.x_hi=3"], None, None),
+], ids=["seed-flag", "seed-env", "average-domain"])
+def test_a_run_reads_only_its_config(tmp_path, capsys, monkeypatch, argv, env, want):
+    # the seed is sim.master_seed alone, and average samples [domain]'s cylinder
+    if env is None:
+        monkeypatch.delenv("HARNACK_LAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HARNACK_LAB_SEED", env)
+    try:
+        rc, out = run(tmp_path, *argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        rc, out = exc.code, tmp_path / "out"
+    if want is not None:
+        assert rc == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert rc == 0
+    head = json.loads((out / "average.json").read_text())
+    assert head["axis_lo"][1] == -2.5 and head["axis_hi"][1] == 2.5
+    assert -5.0 <= head["axis_lo"][0] < head["axis_hi"][0] <= 3.0
+
+
+@pytest.mark.parametrize("argv, key, text", [
+    (["simulate", "--set", "sim.t_max=inf"], "sim.t_max", "inf"),
+    (["make-solution", "--set", "make_solution.t_solve=inf"], "make_solution.t_solve", "inf"),
+    (["evaluate", "--set", "evaluate.t=inf"], "evaluate.t", "inf"),
+    (["evaluate", "--set", "evaluate.mode=sandwich", "--set", "evaluate.k_sigma=inf"],
+     "evaluate.k_sigma", "inf"),
+    (["simulate", *SMALL_SIM, "--set", "simulate.start_x=nan"], "simulate.start_x", "nan"),
+    (["regions", "--set", "regions.d=nan"], "regions.d", "nan"),
+    (["check", "--set", "check.grid_step=nan"], "check.grid_step", "nan"),
+    (["harnack", "--set", "harnack.offsets=2,-inf"], "harnack.offsets", "2,-inf"),
+], ids=["t_max", "t_solve", "evaluate-t", "k_sigma", "start_x", "regions-d", "grid_step",
+        "offsets"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, key, text):
+    rc, out = run(tmp_path, *argv)
+    assert rc == 2
+    assert f"config error: {key}: not a finite number: {text!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_value_mode(tmp_path):

@@ -221,7 +221,7 @@ def counted_calls(monkeypatch):
     return counts, rows
 
 
-@pytest.mark.parametrize("k_sigma", [-1.0, float("nan")])
+@pytest.mark.parametrize("k_sigma", [-1.0, float("nan"), float("inf")])
 def test_sandwich_rejects_a_bad_k_sigma_before_any_work(monkeypatch, k_sigma):
     counts, _ = counted_calls(monkeypatch)
     with pytest.raises(ValueError, match="k_sigma must be nonnegative"):

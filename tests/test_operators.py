@@ -171,6 +171,8 @@ def test_classify_regions_monotone_in_level():
 def test_classify_regions_level_must_be_positive():
     with pytest.raises(ValueError):
         classify_regions(OperatorSpec.from_strings("y1"), CylinderDomain(), level=0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        classify_regions(OperatorSpec.from_strings("y1"), CylinderDomain(), level=float("nan"))
 
 
 def test_residual_annihilates_constants():

@@ -39,6 +39,8 @@ def test_sim_config_validation():
         SimConfig(t_max=0)
     with pytest.raises(ValueError, match="32 bits"):
         SimConfig(t_max=1.0, n_paths=2**32)
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        SimConfig(t_max=float("inf"))
 
 
 def test_start_and_step_validation():
@@ -55,6 +57,10 @@ def test_start_and_step_validation():
         simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=10), stream=2**32)
     with pytest.raises(ValueError, match="start y must have 1 coordinates"):
         simulate_batch(op, DOM, (0.0, (0.1, 0.2)), SimConfig(t_max=1.0, n_paths=10))
+    with pytest.raises(ValueError, match="start x must be finite"):
+        simulate_batch(op, DOM, (float("nan"), [0.0]), SimConfig(t_max=1.0, n_paths=10))
+    with pytest.raises(ValueError, match="strictly inside"):
+        simulate_batch(op, DOM, (0.0, [float("nan")]), SimConfig(t_max=1.0, n_paths=10))
 
 
 def test_zero_drift_keeps_x_exactly():
