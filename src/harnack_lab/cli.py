@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import re
 import sys
@@ -93,9 +94,11 @@ def _parse(kind, text):
         if text not in kind:
             raise ValueError(f"expected one of {', '.join(kind)}, got {text!r}")
         return text
+    entries = text.split(",")
+    if kind == FLOATS and not all(v.strip() for v in entries):
+        raise ValueError(f"empty entry in a number list: {text!r}")
     try:
-        value = (tuple(float(v) for v in text.split(",") if v.strip()) if kind == FLOATS
-                 else kind(text))
+        value = tuple(map(float, entries)) if kind == FLOATS else kind(text)
     except ValueError:
         raise ValueError(f"not {_WHAT[kind]}: {text!r}") from None
     if kind in (float, FLOATS) and not np.isfinite(value).all():
@@ -453,7 +456,10 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built on the first call and
+    reused by every later one in the process."""
     raw = argparse.RawDescriptionHelpFormatter
     parser = argparse.ArgumentParser(
         prog="harnack-lab",
@@ -480,7 +486,11 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="SECTION.KEY=VALUE",
                        help="override one config value (repeatable)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # directories this run makes, deepest first; an exit-1 run removes the empty ones
     made = [d for d in (args.out, *args.out.parents) if not d.exists()]
 

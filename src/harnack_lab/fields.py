@@ -223,9 +223,16 @@ class ScalarField:
     # -- persistence ---------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        cols = grid_points(self.axes).T.tolist() + [self.values.reshape(-1).tolist()]
-        fmt = ",".join([FLOAT_FMT] * len(cols))
-        write_csv(path, self.axis_names + ("value",), fmt, zip(*cols))
+        """One row per node in C order: the node's axis values, then its value.
+
+        Each axis value is formatted with ``FLOAT_FMT`` once, the node
+        prefixes are joined from those strings, and only the value is
+        formatted per row; the bytes are those of one ``FLOAT_FMT`` per field.
+        """
+        axis_text = [[FLOAT_FMT % v for v in a.tolist()] for a in self.axes]
+        prefixes = map(",".join, itertools.product(*axis_text))
+        write_csv(path, self.axis_names + ("value",), "%s," + FLOAT_FMT,
+                  zip(prefixes, self.values.reshape(-1).tolist()))
 
     @classmethod
     def from_csv(cls, path, name: str | None = None) -> "ScalarField":

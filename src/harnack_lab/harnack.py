@@ -232,40 +232,20 @@ def region_inequality_check(
     )
 
 
-def _window_weights(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Trapezoid weights over grid slices for the integral on [lo, hi]:
-    interior nodes carry their usual coefficient, the window endpoints are
-    linearly interpolated from their bracketing slices."""
-
-    def interp_row(pos):
-        i = int(np.clip(np.searchsorted(x, pos, side="right") - 1, 0, x.shape[0] - 2))
-        theta = (pos - x[i]) / (x[i + 1] - x[i])
-        row = np.zeros(x.shape[0])
-        row[i] = 1.0 - theta
-        row[i + 1] = theta
-        return row
-
-    inner = np.nonzero((x > lo + 1e-15) & (x < hi - 1e-15))[0]
-    positions = np.concatenate([[lo], x[inner], [hi]])
-    rows = [interp_row(lo)] + [None] * inner.shape[0] + [interp_row(hi)]
-    gaps = np.diff(positions)
-    coeff = np.zeros(positions.shape[0])
-    coeff[:-1] += gaps / 2
-    coeff[1:] += gaps / 2
-    weights = coeff[0] * rows[0] + coeff[-1] * rows[-1]
-    weights[inner] += coeff[1:-1]
-    return weights
-
-
 def window_average_x(u: ScalarField, z: float) -> ScalarField:
     """v(x, y) = integral of u(x+s, y) ds for s in [-z, z], by trapezoid.
 
     Keeps the grid nodes whose window stays inside the x support; the
-    half-width z must satisfy 0 < z <= 1/3.
+    half-width z must satisfy 0 < z <= 1/3.  The weights of every kept row
+    are built in one array pass: the nodes strictly inside the window carry
+    their trapezoid coefficient, and each window end is linearly
+    interpolated from the two nodes around it.  Each row is then one dot
+    product of its weights with the samples.
     """
     if not 0 < z <= 1.0 / 3.0 + 1e-12:
         raise ValueError("window half-width z must satisfy 0 < z <= 1/3")
     x = u.axes[0]
+    n = x.shape[0]
     span = x[-1] - x[0]
     tol = 1e-9 * max(1.0, span)
     keep = np.nonzero((x - z >= x[0] - tol) & (x + z <= x[-1] + tol))[0]
@@ -274,11 +254,34 @@ def window_average_x(u: ScalarField, z: float) -> ScalarField:
             f"insufficient grid margin for window half-width {z:g}: "
             f"x support is [{x[0]:g}, {x[-1]:g}]"
         )
-    out = np.empty((keep.shape[0],) + u.values.shape[1:])
-    for row, j in enumerate(keep):
-        lo = max(x[j] - z, x[0])
-        hi = min(x[j] + z, x[-1])
-        out[row] = np.tensordot(_window_weights(x, lo, hi), u.values, axes=(0, 0))
+    rows = np.arange(keep.shape[0])[:, None]
+    lo = np.maximum(x[keep] - z, x[0])[:, None]
+    hi = np.minimum(x[keep] + z, x[-1])[:, None]
+    # the nodes strictly inside each window: first..last, possibly none
+    first = np.searchsorted(x, lo + 1e-15, side="right")
+    last = np.searchsorted(x, hi - 1e-15, side="left") - 1
+    k = np.arange(n)
+    inner = (k >= first) & (k <= last)
+    # the trapezoid points of a window are lo, its inner nodes, hi
+    before = np.where(k == first, lo, np.concatenate([x[:1], x[:-1]]))
+    after = np.where(k == last, hi, np.concatenate([x[1:], x[-1:]]))
+    coeff = (after - x) / 2 + (x - before) / 2
+    has_inner = first <= last
+    c_lo = (np.where(has_inner, x[np.minimum(first, n - 1)], hi) - lo) / 2
+    c_hi = (hi - np.where(has_inner, x[np.maximum(last, 0)], lo)) / 2
+
+    def end_weights(pos, c):
+        i = np.clip(np.searchsorted(x, pos, side="right") - 1, 0, n - 2)
+        theta = (pos - x[i]) / (x[i + 1] - x[i])
+        w = np.zeros((keep.shape[0], n))
+        w[rows, i] = c * (1.0 - theta)
+        w[rows, i + 1] = c * theta
+        return w
+
+    weights = end_weights(lo, c_lo) + end_weights(hi, c_hi)
+    weights[inner] += coeff[inner]
+    samples = u.values.reshape(n, -1)
+    out = np.array([np.dot(w, samples) for w in weights]).reshape((-1,) + u.values.shape[1:])
     return ScalarField((x[keep],) + u.axes[1:], out, name=f"window_average({u.name})")
 
 

@@ -239,6 +239,14 @@ def ball_lattice(
     return pts[keep], actual
 
 
+def _check_resolves(radius: float, grid_step: float, ball: str) -> None:
+    """Refuse a lattice step that leaves fewer than 10 points per axis of the ball."""
+    if grid_step <= 0 or 2 * radius / grid_step < 10 - 1e-9:
+        raise ValueError(
+            f"grid_step must resolve the {ball} ball with at least 10 points per axis"
+        )
+
+
 def _derivative_exprs(beta: Expr, names: tuple[str, ...], order: int) -> list[Expr]:
     """All distinct D^zeta beta with |zeta| <= order, order 0 included."""
     table: dict[tuple[int, ...], Expr] = {(0,) * len(names): beta}
@@ -284,12 +292,8 @@ def check_hypothesis(
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    radius = dom.y_outer_radius
-    if grid_step <= 0 or 2 * radius / grid_step < 10 - 1e-9:
-        raise ValueError(
-            "grid_step must resolve the outer ball with at least 10 points per axis"
-        )
-    pts, actual_step = ball_lattice(radius, grid_step, op.n_y, closed=True)
+    _check_resolves(dom.y_outer_radius, grid_step, "outer")
+    pts, actual_step = ball_lattice(dom.y_outer_radius, grid_step, op.n_y, closed=True)
 
     def failed(message: str) -> HormanderReport:
         return HormanderReport(
@@ -361,9 +365,11 @@ def classify_regions(
     level: float,
     grid_step: float = 0.01,
 ) -> RegionSet:
-    """Split the open inner-ball lattice by the drift sign at the given level."""
+    """Split the open inner-ball lattice by the drift sign at the given level;
+    the lattice must resolve the inner ball as in ``check_hypothesis``."""
     if not 0 < level < np.inf:
         raise ValueError("level must be positive and finite")
+    _check_resolves(dom.y_inner_radius, grid_step, "inner")
     pts, actual_step = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=False)
     beta_vals = op.beta_at(pts)
     plus = pts[beta_vals > level]

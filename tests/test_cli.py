@@ -1,6 +1,8 @@
+import argparse
 import configparser
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +176,88 @@ def test_subcommand_help_lists_its_keys(capsys):
     assert len(lines) == 1 and "101" in lines[0]
 
 
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# --help stdout at 80 columns, recorded while main still built its argparse
+# tree on every call
+HELP_SHA = {
+    None: "8baa51ffc2d9b79708fbf5b904cb187216cdf8311346b815bad3bcbf82be4e66",
+    "check": "20afbafdf5a91e0164c219da82a515ab9890c3768f2ee3bd441feab677bd8bbb",
+    "simulate": "a37a04b71910a1fce1d3151565fb765c4f83e4852114789753b0bf819419329c",
+    "evaluate": "ae992c78e83042ac855b006d9185032407db8cb91b2455548e39039cf5d59a26",
+    "make-solution": "83ee6a7cd658e4ddec058b6bfdd067ceba17cdc3594bc5339d03ae3320caa58b",
+    "harnack": "4bf732249e87a9cc4a4fac5ee753d48aae283b9587cd9be2f3e1a46849071c32",
+    "counterexample": "e9b6ee437fe023c62a0639229622b1e9b42b309d258f5b05ec0d7e904a8c713b",
+    "regions": "3da04df3aad42c96ca0b082173f38b4ac2b5e697ef493ea04e83758984a82561",
+    "average": "a2f2d433130d2ee5b42c548974cd6bc573854218eddb236d5ba7e4689456e3a0",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA, ids=lambda c: c or "main")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # the second call reuses whatever the first one built
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert sha(capsys.readouterr().out.encode()) == HELP_SHA[command]
+
+
+# ``average --svg`` outputs, recorded before the field CSV writer formatted
+# each axis value once and window_average_x built its weights in one pass
+AVERAGE_SHA = {
+    None: ("z=0.25: 105", {
+        "average.csv": "38ccd230616d3ab321eb6b2e7cf0ca882bef0ad8b56a78165fc8f7d0c9d47619",
+        "average.json": "a1e75a914bd1ed78f1d576fb47cbe928604d95c01c665dc40dab5d0362b3737a",
+        "average.svg": "259dd5408baa074374092fe230afc566b27ee126c3f4db9ed2a131889f78d446"}),
+    repr(1 / 3): ("z=0.333333: 103", {
+        "average.csv": "9937431e5407a423572fbba30e5759d12549f58b6f6b9558cfd3f6f2861703c5",
+        "average.json": "508fdd11e3a379b2ae51294610b3264a1d77fa943ac21e9a231ac544fd2b49e6",
+        "average.svg": "48545f36f756e4b944fada470d7984313ede866f2275f38bae5c52d1c7f34f82"}),
+    "0.05": ("z=0.05: 109", {
+        "average.csv": "67f3315bec6e9ad15a7e6211ed9ed0b1d2c784917698fe64b3a35f65c21f3984",
+        "average.json": "bef2d64911081afb7be66684b827663c7631f30d2e75f83b7705c52473a5b1b0",
+        "average.svg": "a08e1bb95f451773bf0c978e5ce71638bcf26d7a2dfb61b7ca874d4b6b5add6b"}),
+}
+
+
+@pytest.mark.parametrize("z", AVERAGE_SHA, ids=lambda z: f"z={z or 'default'}")
+def test_average_bytes_are_pinned(tmp_path, capsys, z):
+    rc, out = run(tmp_path, "average", "--svg", *(["--set", f"average.z={z}"] if z else []))
+    assert rc == 0
+    said, want = AVERAGE_SHA[z]
+    assert capsys.readouterr().out == (f"window average of kolmogorov(10) with {said} "
+                                       "x-node(s) kept\n")
+    assert {p.name: sha(p.read_bytes()) for p in out.iterdir()} == want
+
+
+DEFAULT_CHECK_SHA = "c9310bd89490d721b1a523a89d02903fc37d2e653f5cfceaaeddfd4dca9d45e3"
+
+
+def test_in_process_runs_share_one_parser_and_no_state(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "harnack-lab":  # the top level; subparsers add the command
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    reports = []
+    for i, argv in enumerate([["check", "--set", "operator.beta=y1+1"],
+                              ["check", "--set", "operator.beta=2*y1"],
+                              ["check"]]):
+        assert run(tmp_path / str(i), *argv)[0] == 0
+        reports.append(sha((tmp_path / str(i) / "out" / "hormander_report.json").read_bytes()))
+    assert len(built) <= 1
+    # an earlier run's --set values do not leak into a later plain run
+    assert reports[1] != DEFAULT_CHECK_SHA
+    assert reports[2] == DEFAULT_CHECK_SHA
+
+
 def test_malformed_set_flag(tmp_path, capsys):
     rc, _ = run(tmp_path, "check", "--set", "nonsense")
     assert rc == 2
@@ -280,6 +364,22 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, key, text):
     rc, out = run(tmp_path, *argv)
     assert rc == 2
     assert f"config error: {key}: not a finite number: {text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("harnack.offsets", "5,,7"),
+    ("harnack.offsets", ""),
+    ("harnack.constants", "1,5,"),
+    ("counterexample.lambdas", ",1"),
+    ("simulate.start_y", " "),
+], ids=["inner", "whole-list", "trailing", "leading", "blank"])
+def test_empty_number_list_entry_exits_2(tmp_path, capsys, key, text):
+    rc, out = run(tmp_path, key.split(".")[0], "--set", f"{key}={text}")
+    assert rc == 2
+    # --set strips the value around "="
+    want = f"{key}: empty entry in a number list: {text.strip()!r}"
+    assert want in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -416,6 +516,13 @@ def test_regions_rejected_solution_writes_no_file(tmp_path, capsys, items):
     rc, out = run(tmp_path, "regions", *[a for item in items for a in ("--set", item)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_regions_lattice_must_resolve_the_inner_ball(tmp_path, capsys):
+    rc, out = run(tmp_path, "regions", "--set", "regions.grid_step=5")
+    assert rc == 1
+    assert "resolve the inner ball with at least 10 points" in capsys.readouterr().err
     assert not out.exists()
 
 

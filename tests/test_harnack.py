@@ -222,6 +222,73 @@ def test_window_average_validation():
         window_average_x(field, 1.0 / 3.0)
 
 
+def _window_average_loop(u, z):
+    """window_average_x as it was before it built every row's weights in
+    one pass: one interpolated weight vector per kept row, then tensordot."""
+    x = u.axes[0]
+
+    def weights(lo, hi):
+        def interp_row(pos):
+            i = int(np.clip(np.searchsorted(x, pos, side="right") - 1, 0, x.shape[0] - 2))
+            theta = (pos - x[i]) / (x[i + 1] - x[i])
+            row = np.zeros(x.shape[0])
+            row[i] = 1.0 - theta
+            row[i + 1] = theta
+            return row
+
+        inner = np.nonzero((x > lo + 1e-15) & (x < hi - 1e-15))[0]
+        positions = np.concatenate([[lo], x[inner], [hi]])
+        rows = [interp_row(lo)] + [None] * inner.shape[0] + [interp_row(hi)]
+        gaps = np.diff(positions)
+        coeff = np.zeros(positions.shape[0])
+        coeff[:-1] += gaps / 2
+        coeff[1:] += gaps / 2
+        w = coeff[0] * rows[0] + coeff[-1] * rows[-1]
+        w[inner] += coeff[1:-1]
+        return w
+
+    span = x[-1] - x[0]
+    tol = 1e-9 * max(1.0, span)
+    keep = np.nonzero((x - z >= x[0] - tol) & (x + z <= x[-1] + tol))[0]
+    out = np.empty((keep.shape[0],) + u.values.shape[1:])
+    for row, j in enumerate(keep):
+        lo = max(x[j] - z, x[0])
+        hi = min(x[j] + z, x[-1])
+        out[row] = np.tensordot(weights(lo, hi), u.values, axes=(0, 0))
+    return x[keep], out
+
+
+def _uneven_axis(rng, lo, hi, n):
+    return np.concatenate([[lo], np.sort(rng.uniform(lo, hi, n - 2)), [hi]])
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_window_average_matches_the_per_row_loop_bit_for_bit(case):
+    rng = np.random.default_rng(case)
+    y = np.linspace(-1.0, 1.0, 7)
+    xs = [
+        np.linspace(-4.7, 5.7, 111),  # the default average grid
+        np.linspace(0.0, 1.0, 11),  # window ends within 1e-15 of nodes
+        _uneven_axis(rng, -1.0, 2.0, 40),
+        _uneven_axis(rng, 0.0, 1.0, 9),  # windows narrower than some cells
+        # windows clipped by the x support: x[j] -+ z falls up to 1e-10
+        # outside [x[0], x[-1]], inside the keep tolerance
+        np.array([0.0, 0.1, 0.25 - 1e-10, 0.4, 0.5, 0.75 + 1e-10, 0.9, 1.0]),
+        np.array([-1.0, -0.8, -2 / 3 - 1e-11, -0.2, 1 / 3 + 1e-11, 0.5, 2 / 3]),
+        _uneven_axis(rng, 3.0, 3.5, 25),
+        np.linspace(-4.7, 5.7, 111),
+    ]
+    zs = [0.25, 0.1, 1 / 3, 0.05, 0.25, 1 / 3, 0.07, 0.05]
+    x, z = xs[case], zs[case]
+    axes = (x, y, y[:3]) if case % 2 else (x, y)
+    u = ScalarField(axes, rng.normal(size=tuple(a.size for a in axes)) * 10.0 ** case)
+    v = window_average_x(u, z)
+    want_x, want = _window_average_loop(u, z)
+    assert v.axes[0].tobytes() == want_x.tobytes()
+    assert v.values.shape == want.shape
+    assert v.values.tobytes() == want.tobytes()
+
+
 def test_scan_csv_and_svg(tmp_path):
     scan = counterexample_scan([1.0, 2.0, 4.0])
     path = tmp_path / "scan.csv"

@@ -175,6 +175,15 @@ def test_classify_regions_level_must_be_positive():
         classify_regions(OperatorSpec.from_strings("y1"), CylinderDomain(), level=float("nan"))
 
 
+def test_classify_regions_lattice_must_resolve_the_inner_ball():
+    # the rule of check_hypothesis: 2 * radius / grid_step >= 10
+    op, dom = OperatorSpec.from_strings("y1"), CylinderDomain()
+    assert classify_regions(op, dom, level=0.5, grid_step=0.2).plus_count > 0
+    for step in (0.21, 5.0, 0.0, -0.1):
+        with pytest.raises(ValueError, match="inner ball with at least 10 points per axis"):
+            classify_regions(op, dom, level=0.5, grid_step=step)
+
+
 def test_residual_annihilates_constants():
     op = OperatorSpec.from_strings("y1")
     u = ScalarField(box_axes(-2, 2, 9, 1.5, 9), np.ones((9, 9)))
