@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import os
 import re
@@ -36,8 +37,9 @@ FLOATS = "floats"  # type of a comma-separated list of numbers
 
 # (section, key, type, default, help).  The type is float, int, str, FLOATS
 # or a tuple of allowed strings; a default of None is resolved as the help
-# says.  The domain and sim keys are the fields of CylinderDomain and
-# SimConfig; a subcommand reads the section named after it.
+# says.  The domain keys are the fields of CylinderDomain, the sim keys those
+# of SimConfig plus the start of simulate and evaluate; a subcommand reads the
+# section named after it.
 SCHEMA = [
     ("operator", "beta", str, "y1", "drift beta(y1, ...)"),
     ("operator", "gamma", str, "0", "zero-order coefficient gamma(x, y1, ...)"),
@@ -52,15 +54,13 @@ SCHEMA = [
     ("sim", "t_max", float, 1.0, "horizon of simulate"),
     ("sim", "n_paths", int, 100_000, "paths per start"),
     ("sim", "master_seed", int, 0, "master seed of every path stream"),
+    ("sim", "start_x", float, 0.0, "start x of simulate and evaluate"),
+    ("sim", "start_y", FLOATS, None, "start y, one value per y axis (default: origin)"),
     ("check", "r", int, 2, "derivative order, 1 to 4"),
     ("check", "grid_step", float, 0.01, "y grid step"),
-    ("simulate", "start_x", float, 0.0, "start x"),
-    ("simulate", "start_y", FLOATS, None, "start y, one value per y axis (default: origin)"),
     ("simulate", "bins", int, 20, "histogram bins of measure.csv"),
     ("evaluate", "solution", str, "kolmogorov(10)", "catalog solution"),
     ("evaluate", "mode", ("value", "sandwich"), "value", "estimate, or weight inequality"),
-    ("evaluate", "start_x", float, 0.0, "start x"),
-    ("evaluate", "start_y", FLOATS, None, "start y, one value per y axis (default: origin)"),
     ("evaluate", "t", float, 0.5, "horizon (unset in sandwich mode: 1/sup|beta|)"),
     ("evaluate", "k_sigma", float, 3.0, "sandwich margin in standard errors"),
     ("make_solution", "boundary", str, "1", "boundary data g > 0 in x, y1, ..."),
@@ -137,7 +137,7 @@ class RunConfig:
     """Typed config values merged from SCHEMA defaults, the config file and
     --set overrides (a set HARNACK_LAB_SEED is refused, never read).  Every
     given value is checked against SCHEMA (numbers must be finite), and the
-    values are checked together (ranges, start_y lengths, catalog names, the
+    values are checked together (ranges, the start_y length, catalog names, the
     boundary expression), in one pass; every problem is in one ConfigError."""
 
     def __init__(self, args):
@@ -205,13 +205,13 @@ class RunConfig:
 
         self.dom = None
         try:
-            self.dom = CylinderDomain(**self._section("domain"))
+            self.dom = self._build("domain", CylinderDomain)
         except ValueError as exc:
             errors.append(f"domain: {exc}")
 
         self.sim = None
         try:
-            self.sim = SimConfig(**self._section("sim"))
+            self.sim = self._build("sim", SimConfig)
         except ValueError as exc:
             errors.append(f"sim: {exc}")
 
@@ -236,10 +236,9 @@ class RunConfig:
                 errors.append(f"{key}: {exc}")
         # these need the y axes of a valid operator; a bad one is reported above
         if self.op is not None:
-            for section in ("simulate", "evaluate"):
-                ys = self.get(section, "start_y")
-                if ys is not None and len(ys) != self.op.n_y:
-                    errors.append(f"{section}.start_y: expected {self.op.n_y} value(s)")
+            ys = self.get("sim", "start_y")
+            if ys is not None and len(ys) != self.op.n_y:
+                errors.append(f"sim.start_y: expected {self.op.n_y} value(s)")
             try:
                 self.boundary = expressions.parse(self.get("make_solution", "boundary"),
                                                   ("x",) + self.op.y_names)
@@ -253,12 +252,14 @@ class RunConfig:
         """The typed value of SECTION.KEY: as given, else its SCHEMA default."""
         return self.values[section, key]
 
-    def _section(self, section):
-        return {k: v for (s, k), v in self.values.items() if s == section}
+    def _build(self, section, cls):
+        """CLS from the SECTION keys named after its fields."""
+        return cls(**{f.name: self.get(section, f.name) for f in dataclasses.fields(cls)})
 
-    def start_point(self, section):
-        ys = self.get(section, "start_y")
-        return self.get(section, "start_x"), np.array(ys or [0.0] * self.op.n_y)
+    def start_point(self):
+        """(sim.start_x, sim.start_y), an unset start_y being the origin."""
+        ys = self.get("sim", "start_y")
+        return self.get("sim", "start_x"), np.array(ys or [0.0] * self.op.n_y)
 
     def solution(self, text):
         """The catalog solution TEXT on this run's domain; see ``solves``."""
@@ -300,7 +301,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """stopped paths from one start -> paths.csv, measure.csv"""
-    start = cfg.start_point("simulate")
+    start = cfg.start_point()
     batch = simulate_batch(cfg.op, cfg.dom, start, cfg.sim, workers=cfg.workers)
     batch.to_csv(cfg.out_dir / "paths.csv")
     measure = measure_from_batch(batch, cfg.dom, cfg.get("simulate", "bins"))
@@ -315,7 +316,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     """Feynman-Kac value or sandwich check of a catalog solution -> evaluate.json"""
     mode = cfg.get("evaluate", "mode")
     sol = cfg.solution(cfg.get("evaluate", "solution"))
-    start = cfg.start_point("evaluate")
+    start = cfg.start_point()
     payload = {"mode": mode, "solution": sol.name,
                "start": [start[0], *map(float, start[1])]}
 

@@ -4,9 +4,9 @@ A ScalarField is a function of (x, y) sampled on a rectangular tensor grid,
 axis 0 being x and the remaining axes the y coordinates.  Monte Carlo
 manufactured solutions, residual fields, and window averages all live in
 this representation.  Serialization is deliberately boring and exact: CSV
-with 17 significant digits ('.' decimal, so files round-trip bit for bit and
-can be diffed across runs), a small JSON header with the grid metadata, and
-a self-contained SVG heatmap for the two-dimensional case.
+with a '.' decimal and 17 significant digits, which recover the exact float64
+(so files can be diffed across runs), a small JSON header with the grid
+metadata, and a self-contained SVG heatmap for the two-dimensional case.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.17g"
+
+# relative tolerance of ScalarField.spacing on unequal steps of one axis
+_SPACING_RTOL = 1e-9
 
 
 def format_float(x: float) -> str:
@@ -157,13 +160,13 @@ class ScalarField:
     def axis_names(self) -> tuple[str, ...]:
         return ("x",) + tuple(f"y{i + 1}" for i in range(self.n_y))
 
-    def spacing(self, rtol: float = 1e-9) -> tuple[float, ...]:
+    def spacing(self) -> tuple[float, ...]:
         """Per-axis grid step; raises if any axis is not uniform."""
         steps = []
         for name, a in zip(self.axis_names, self.axes):
             d = np.diff(a)
             step = float(d.mean())
-            if np.any(np.abs(d - step) > rtol * max(abs(step), 1.0)):
+            if np.any(np.abs(d - step) > _SPACING_RTOL * max(abs(step), 1.0)):
                 raise ValueError(f"axis {name} is not uniformly spaced")
             steps.append(step)
         return tuple(steps)
@@ -233,25 +236,6 @@ class ScalarField:
         prefixes = map(",".join, itertools.product(*axis_text))
         write_csv(path, self.axis_names + ("value",), "%s," + FLOAT_FMT,
                   zip(prefixes, self.values.reshape(-1).tolist()))
-
-    @classmethod
-    def from_csv(cls, path, name: str | None = None) -> "ScalarField":
-        text = Path(path).read_text(encoding="ascii").strip().split("\n")
-        header = text[0].split(",")
-        if header[-1] != "value" or header[0] != "x":
-            raise ValueError(f"not a field CSV: header {header}")
-        data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-        n_axes = len(header) - 1
-        axes = tuple(np.unique(data[:, i]) for i in range(n_axes))
-        shape = tuple(a.size for a in axes)
-        if int(np.prod(shape)) != data.shape[0]:
-            raise ValueError("CSV rows do not form a complete tensor grid")
-        values = np.empty(shape)
-        idx = tuple(
-            np.searchsorted(axes[i], data[:, i]) for i in range(n_axes)
-        )
-        values[idx] = data[:, -1]
-        return cls(axes, values, name or Path(path).stem)
 
     def header_dict(self) -> dict:
         return {

@@ -46,6 +46,9 @@ __all__ = [
 # a grid minimum of the derivative mass below this counts as vanishing
 MASS_TOLERANCE = 1e-12
 
+# lattice step of the grid sup estimates in x and y
+_SUP_GRID_STEP = 0.05
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -91,24 +94,11 @@ class OperatorSpec:
         return tuple(f"y{i + 1}" for i in range(self.n_y))
 
     @classmethod
-    def from_strings(
-        cls,
-        beta: str,
-        gamma: str = "0",
-        dim_n: int = 2,
-        beta_sup: float | None = None,
-        gamma_sup: float | None = None,
-    ) -> "OperatorSpec":
+    def from_strings(cls, beta: str, gamma: str = "0", dim_n: int = 2) -> "OperatorSpec":
         if dim_n < 2:
             raise ValueError("dim_n must be at least 2 (one x plus at least one y)")
         y_names = tuple(f"y{i + 1}" for i in range(dim_n - 1))
-        return cls(
-            beta=parse(beta, y_names),
-            gamma=parse(gamma, ("x",) + y_names),
-            dim_n=dim_n,
-            beta_sup=beta_sup,
-            gamma_sup=gamma_sup,
-        )
+        return cls(beta=parse(beta, y_names), gamma=parse(gamma, ("x",) + y_names), dim_n=dim_n)
 
     def _y_env(self, y: np.ndarray) -> tuple[dict, tuple]:
         y = np.asarray(y, dtype=float)
@@ -431,15 +421,14 @@ def residual(u: ScalarField, op: OperatorSpec) -> ScalarField:
 
 
 def estimate_sups(
-    op: OperatorSpec, dom: CylinderDomain, grid_step: float = 0.05,
-    margin: float = 1.05,
+    op: OperatorSpec, dom: CylinderDomain, margin: float = 1.05
 ) -> tuple[float, float]:
     """Grid maxima of |beta| (outer ball) and |gamma| (full cylinder), each
     inflated by a safety factor; upper bounds for step-size control.  Pass
     margin=1.0 for the raw grid maximum."""
-    y_pts, _ = ball_lattice(dom.y_outer_radius, grid_step, op.n_y, closed=True)
+    y_pts, _ = ball_lattice(dom.y_outer_radius, _SUP_GRID_STEP, op.n_y, closed=True)
     beta_max = float(np.abs(op.beta_at(y_pts)).max())
-    xs = step_axis(dom.x_lo, dom.x_hi, grid_step)
+    xs = step_axis(dom.x_lo, dom.x_hi, _SUP_GRID_STEP)
     if "x" not in free_variables(op.gamma):
         xs = xs[:1]  # every x slice gives the same values
     gamma_max = 0.0
@@ -449,13 +438,11 @@ def estimate_sups(
     return margin * beta_max, margin * gamma_max
 
 
-def with_estimated_sups(
-    op: OperatorSpec, dom: CylinderDomain, grid_step: float = 0.05
-) -> OperatorSpec:
+def with_estimated_sups(op: OperatorSpec, dom: CylinderDomain) -> OperatorSpec:
     """Fill in any missing sup bounds from a grid estimate."""
     if op.beta_sup is not None and op.gamma_sup is not None:
         return op
-    beta_sup, gamma_sup = estimate_sups(op, dom, grid_step)
+    beta_sup, gamma_sup = estimate_sups(op, dom)
     return dataclasses.replace(
         op,
         beta_sup=op.beta_sup if op.beta_sup is not None else beta_sup,

@@ -12,7 +12,11 @@ the carried state, and every reduction is written in path-index order, so
 results are a pure function of the inputs: byte-identical for any worker
 count, chunk size or step-block size.  Path i takes the same steps whatever
 the path count, and whatever the horizon up to the last step (whose end time
-is pinned to t_max).
+is pinned to t_max).  Two symmetries of the operator hold bit for bit:
+translating the start in x translates stopped_x (Y gets no feedback from x),
+and for beta = y1^k with a power-of-two lam, dilating the domain, the start,
+dt and t_max by (x, y, t) -> (lam^(k+2) x, lam y, lam^2 t) dilates every
+stopped state and stop time the same way.
 
 A batch may run from k starts at once.  Path i of every start uses the same
 key, whose clock and normals are drawn once for all k rows (common random
@@ -35,13 +39,13 @@ dt = 1e-3).  Both modes draw the clock, so they share every Y increment.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expressions import Const
+from .expressions import Const, free_variables
 from .fields import FLOAT_FMT, format_float, grid_points, write_csv
-from .operators import CylinderDomain, OperatorSpec, with_estimated_sups
+from .operators import CylinderDomain, OperatorSpec, estimate_sups, with_estimated_sups
 
 __all__ = [
     "SimConfig",
@@ -420,7 +424,17 @@ def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> Non
     r2_max = dom.y_outer_radius**2
     if np.any(r2 > r2_max * (1 + 1e-12) + 1e-12):
         raise RuntimeError("internal error: a stopped y left the closed outer ball")
-    g_bound = op.gamma_sup * batch.stop_time * (1 + 1e-9) + 1e-12
+    gamma_sup = op.gamma_sup
+    if "x" in free_variables(op.gamma):
+        # paths do not stop at the x-faces, so bound |gamma| over every x
+        # within the displacement bound of a start, and never below the
+        # cylinder's bound
+        reach = op.beta_sup * (batch.horizon + batch.dt)
+        wide = replace(dom, x_lo=min(dom.x_lo, starts_x.min() - reach),
+                       x_hi=max(dom.x_hi, starts_x.max() + reach))
+        if wide != dom:
+            gamma_sup = max(gamma_sup, estimate_sups(op, wide)[1])
+    g_bound = gamma_sup * batch.stop_time * (1 + 1e-9) + 1e-12
     if np.any(np.abs(batch.gamma_integral) > g_bound):
         raise RuntimeError("internal error: a path broke the gamma-integral bound")
 

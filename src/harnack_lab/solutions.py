@@ -51,6 +51,9 @@ __all__ = [
 # the polynomial solution is verified on the y-radius-3 cylinder
 KOLMOGOROV_DOMAIN = dataclasses.replace(CylinderDomain(), y_outer_radius=3.0)
 
+# RK4 step of the separable profiles; ode_error reruns at half of it
+_PROFILE_STEP = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class AnalyticSolution:
@@ -267,12 +270,11 @@ def separable(
     op: OperatorSpec,
     y0: float = 0.0,
     dom: CylinderDomain = CylinderDomain(),
-    step: float = 1e-3,
 ) -> AnalyticSolution:
     """u = e^{lam x} phi(y) for scalar y and constant gamma.
 
-    The profile ODE is integrated by classical RK4 at (close to) the fixed
-    step across the outer interval, in both directions from y0 where
+    The profile ODE is integrated by classical RK4 at (close to) a fixed
+    step of 1e-3 across the outer interval, in both directions from y0 where
     phi(y0) = 1, phi'(y0) = 0; values between nodes come from cubic Hermite
     interpolation, matching the integrator's fourth order.  A full rerun at
     half the step provides the reported error estimate when ``ode_error`` is
@@ -289,10 +291,11 @@ def separable(
     if not -radius <= y0 <= radius:
         raise ValueError("y0 must lie in the outer interval")
 
-    nodes, phi, dphi = _integrate_profile(op, lam, gamma0, y0, -radius, radius, step)
+    nodes, phi, dphi = _integrate_profile(op, lam, gamma0, y0, -radius, radius, _PROFILE_STEP)
 
     def ode_error():
-        _, phi_h, _ = _integrate_profile(op, lam, gamma0, y0, -radius, radius, step / 2)
+        _, phi_h, _ = _integrate_profile(op, lam, gamma0, y0, -radius, radius,
+                                         _PROFILE_STEP / 2)
         # both runs share their first and last node (the interval endpoints)
         return float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
 

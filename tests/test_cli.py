@@ -64,10 +64,17 @@ BOX_KEYS = [(command, f"{section}.{key}=0.5", f"{section}.{key}: unknown key")
             for key in keys]
 
 
+# simulate and evaluate have no start keys of their own: both read sim.start_x
+# and sim.start_y
+START_KEYS = [(command, f"{command}.{key}=1", f"{command}.{key}: unknown key")
+              for command in ("simulate", "evaluate") for key in ("start_x", "start_y")]
+
+
 @pytest.mark.parametrize("command, item, named", [
     ("counterexample", "counterexample.lambdaz=1,2", "counterexample.lambdaz"),
     ("check", "chek.r=9", "[chek]"),
     *BOX_KEYS,
+    *START_KEYS,
 ])
 def test_unknown_key_or_section_is_an_error(tmp_path, capsys, command, item, named):
     rc, out = run(tmp_path, command, "--set", item)
@@ -106,7 +113,7 @@ def test_bad_values_in_one_section_are_all_reported(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, item, message", [
     ("check", "check.r=9", "check.r: order must be between 1 and 4, got 9"),
-    ("simulate", "simulate.start_y=1,2", "simulate.start_y: expected 1 value(s)"),
+    ("simulate", "sim.start_y=1,2", "sim.start_y: expected 1 value(s)"),
     ("evaluate", "evaluate.solution=bogus", "evaluate.solution: unknown solution 'bogus'"),
     ("make-solution", "make_solution.boundary=x+", "make_solution.boundary: unexpected end"),
     ("harnack", "harnack.family=catalog", "harnack.solutions: empty catalog list"),
@@ -180,13 +187,14 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# --help stdout at 80 columns, recorded while main still built its argparse
-# tree on every call
+# --help stdout at 80 columns; main, simulate and evaluate list the start as
+# sim.start_x and sim.start_y, the others are as recorded while main still
+# built its argparse tree on every call
 HELP_SHA = {
-    None: "8baa51ffc2d9b79708fbf5b904cb187216cdf8311346b815bad3bcbf82be4e66",
+    None: "e7d28a8745afc0b1cd7f51dc89e2ac951f56ad662c42f838169aa6d9cb6a9b31",
     "check": "20afbafdf5a91e0164c219da82a515ab9890c3768f2ee3bd441feab677bd8bbb",
-    "simulate": "a37a04b71910a1fce1d3151565fb765c4f83e4852114789753b0bf819419329c",
-    "evaluate": "ae992c78e83042ac855b006d9185032407db8cb91b2455548e39039cf5d59a26",
+    "simulate": "a15a4220eb7479e2ada90fefa5b4670131acb15fd0d1645b7c5a58a1803b0148",
+    "evaluate": "02ffba685ced78de96613ad313e316ef969bd2e1dad1ea88ebae3a203450ea96",
     "make-solution": "83ee6a7cd658e4ddec058b6bfdd067ceba17cdc3594bc5339d03ae3320caa58b",
     "harnack": "4bf732249e87a9cc4a4fac5ee753d48aae283b9587cd9be2f3e1a46849071c32",
     "counterexample": "e9b6ee437fe023c62a0639229622b1e9b42b309d258f5b05ec0d7e904a8c713b",
@@ -283,7 +291,7 @@ def test_missing_config_file(tmp_path, capsys):
 def test_simulate_row_count_and_zero_drift(tmp_path):
     rc, out = run(tmp_path, "simulate", *SMALL_SIM,
                   "--set", "operator.beta=0",
-                  "--set", "simulate.start_x=1.25")
+                  "--set", "sim.start_x=1.25")
     assert rc == 0
     lines = (out / "paths.csv").read_text().strip().split("\n")
     assert lines[0] == "path_id,stopped_x,stopped_y1,stop_time,gamma_integral,exited"
@@ -304,6 +312,32 @@ def test_simulate_rerun_bitwise_identical(tmp_path, argv, names):
     assert rc_a == rc_b == 0
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# outputs from a start off the origin at 3,000 paths, recorded when simulate
+# and evaluate each read their own start_x and start_y keys
+START_SHA = {
+    "simulate": (["simulate", "--set", "sim.start_x=1.25", "--set", "sim.start_y=0.5"], {
+        "measure.csv": "da83fece469d6a53c1b83632aed85a155c66783f520f10ed34a61fa360dc4434",
+        "paths.csv": "7d2a5747b27a463f5b9f9651c8e05b41a8d5830559b3d063258a8d7e98a43346"}),
+    "simulate-3d": (["simulate", "--set", "operator.dim_n=3", "--set", "sim.start_x=-2",
+                     "--set", "sim.start_y=0.3,-0.4"], {
+        "measure.csv": "834e528e8017d46b1d62312281c1acfb338ca9d29e567b4e2d8d4a24e6848df5",
+        "paths.csv": "81935b0c184119bd344389eb17fd397d0d7b982f1f134a9e463123a2422300a8"}),
+    "evaluate-value": (["evaluate", "--set", "sim.start_x=0.4", "--set", "sim.start_y=-0.6"], {
+        "evaluate.json": "97089603ab9782e985280c479ae2f8fbbc7edd8c33b13dbc51b9b5702256dd28"}),
+    "evaluate-sandwich": (["evaluate", "--set", "evaluate.mode=sandwich",
+                           "--set", "sim.start_x=0.4", "--set", "sim.start_y=-0.6"], {
+        "evaluate.json": "50dd65acd2d253d14438afb5b4dc87a8d4f1bd7cbf19540d54b5d4fcc459683d"}),
+}
+
+
+@pytest.mark.parametrize("case", START_SHA)
+def test_start_bytes_are_pinned(tmp_path, case):
+    argv, want = START_SHA[case]
+    rc, out = run(tmp_path, *argv, "--set", "sim.n_paths=3000")
+    assert rc == 0
+    assert {p.name: sha(p.read_bytes()) for p in out.iterdir()} == want
 
 
 def test_seed_sources(tmp_path):
@@ -354,7 +388,7 @@ def test_a_run_reads_only_its_config(tmp_path, capsys, monkeypatch, argv, env, w
     (["evaluate", "--set", "evaluate.t=inf"], "evaluate.t", "inf"),
     (["evaluate", "--set", "evaluate.mode=sandwich", "--set", "evaluate.k_sigma=inf"],
      "evaluate.k_sigma", "inf"),
-    (["simulate", *SMALL_SIM, "--set", "simulate.start_x=nan"], "simulate.start_x", "nan"),
+    (["simulate", *SMALL_SIM, "--set", "sim.start_x=nan"], "sim.start_x", "nan"),
     (["regions", "--set", "regions.d=nan"], "regions.d", "nan"),
     (["check", "--set", "check.grid_step=nan"], "check.grid_step", "nan"),
     (["harnack", "--set", "harnack.offsets=2,-inf"], "harnack.offsets", "2,-inf"),
@@ -367,15 +401,15 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, key, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, text", [
-    ("harnack.offsets", "5,,7"),
-    ("harnack.offsets", ""),
-    ("harnack.constants", "1,5,"),
-    ("counterexample.lambdas", ",1"),
-    ("simulate.start_y", " "),
+@pytest.mark.parametrize("command, key, text", [
+    ("harnack", "harnack.offsets", "5,,7"),
+    ("harnack", "harnack.offsets", ""),
+    ("harnack", "harnack.constants", "1,5,"),
+    ("counterexample", "counterexample.lambdas", ",1"),
+    ("simulate", "sim.start_y", " "),
 ], ids=["inner", "whole-list", "trailing", "leading", "blank"])
-def test_empty_number_list_entry_exits_2(tmp_path, capsys, key, text):
-    rc, out = run(tmp_path, key.split(".")[0], "--set", f"{key}={text}")
+def test_empty_number_list_entry_exits_2(tmp_path, capsys, command, key, text):
+    rc, out = run(tmp_path, command, "--set", f"{key}={text}")
     assert rc == 2
     # --set strips the value around "="
     want = f"{key}: empty entry in a number list: {text.strip()!r}"
@@ -599,10 +633,12 @@ SCHEMA_RUNS = [
 def test_schema_is_the_only_config_schema(tmp_path, monkeypatch):
     table = {(s, k): default for s, k, _kind, default, _help in SCHEMA}
     assert len(table) == len(SCHEMA)
-    # the domain and sim keys are exactly the fields they construct
-    for section, cls in (("domain", CylinderDomain), ("sim", SimConfig)):
+    # the domain keys are exactly the fields of CylinderDomain, and the sim
+    # keys those of SimConfig plus the start of simulate and evaluate
+    for section, cls, extra in (("domain", CylinderDomain, set()),
+                                ("sim", SimConfig, {"start_x", "start_y"})):
         fields = {f.name for f in dataclasses.fields(cls)}
-        assert {k for s, k in table if s == section} == fields
+        assert {k for s, k in table if s == section} == fields | extra
     # README's config block holds shared keys only, at their table defaults
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

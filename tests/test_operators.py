@@ -234,6 +234,6 @@ def test_estimate_sups():
     filled = with_estimated_sups(op, CylinderDomain())
     assert filled.beta_sup == beta_sup and filled.gamma_sup == gamma_sup
     # user-provided bounds are kept
-    op2 = OperatorSpec.from_strings("y1", beta_sup=5.0)
+    op2 = dataclasses.replace(OperatorSpec.from_strings("y1"), beta_sup=5.0)
     filled2 = with_estimated_sups(op2, CylinderDomain())
     assert filled2.beta_sup == 5.0 and filled2.gamma_sup == 0.0

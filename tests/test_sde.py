@@ -81,6 +81,41 @@ def test_translation_equivariance_is_bitwise():
     assert np.array_equal(shifted.exited, origin.exited)
 
 
+@pytest.mark.parametrize("k, lam", [(1, 0.5), (1, 2.0), (3, 0.5)])
+def test_dilation_law_is_bitwise(k, lam):
+    # for beta = y1^k, L is homogeneous under (x, y) -> (lam^(k+2) x, lam y)
+    # with time scaled by lam^2; a power-of-two lam scales every float exactly
+    op = OperatorSpec.from_strings(f"y1^{k}")
+    cfg = SimConfig(t_max=2.0, dt=2e-3, n_paths=4000, master_seed=21)
+    sx, sy = lam ** (k + 2), lam
+    scaled_dom = CylinderDomain(
+        x_lo=sx * DOM.x_lo, inner_x_lo=sx * DOM.inner_x_lo, inner_x_hi=sx * DOM.inner_x_hi,
+        x_hi=sx * DOM.x_hi, y_outer_radius=sy * DOM.y_outer_radius,
+        y_inner_radius=sy * DOM.y_inner_radius)
+    scaled_cfg = dataclasses.replace(cfg, t_max=lam**2 * cfg.t_max, dt=lam**2 * cfg.dt)
+    base = simulate_batch(op, DOM, (0.3, 0.4), cfg)
+    scaled = simulate_batch(op, scaled_dom, (sx * 0.3, sy * 0.4), scaled_cfg)
+    assert np.array_equal(scaled.exited, base.exited)
+    assert np.array_equal(scaled.stop_time / lam**2, base.stop_time)
+    assert np.array_equal(scaled.stopped_y / sy, base.stopped_y)
+    assert np.array_equal(scaled.stopped_x / sx, base.stopped_x)
+    assert 0 < base.exited.mean() < 1
+
+
+@pytest.mark.parametrize("start_x", [5.9, 30.0])
+def test_x_dependent_gamma_bound_covers_paths_past_the_x_faces(start_x):
+    # paths do not stop at the x-faces: from x = 5.9, beta = y1 carries some
+    # past x_hi = 6, where |0.1*x| exceeds its sup over the cylinder, and a
+    # start at x = 30 runs outside it altogether
+    op = OperatorSpec.from_strings("y1", "0.1*x")
+    cfg = SimConfig(t_max=1.0, dt=1e-3, n_paths=2000)
+    batch = simulate_batch(op, DOM, (start_x, 0.0), cfg)
+    assert batch.stopped_x.max() > DOM.x_hi
+    # 0 < x <= start_x + beta_sup * (t + dt) on every path before it stops
+    x_top = start_x + with_estimated_sups(op, DOM).beta_sup * (batch.stop_time + cfg.dt)
+    assert np.all(np.abs(batch.gamma_integral) <= 0.1 * x_top * batch.stop_time)
+
+
 def test_exit_time_mean_matches_potential_theory():
     # mean exit time of sqrt(2)B from the radius-2 ball, started center: R^2/2
     op = OperatorSpec.from_strings("0")
