@@ -23,7 +23,8 @@ import numpy as np
 
 from .expressions import free_variables
 from .fields import ScalarField, grid_points
-from .operators import CylinderDomain, OperatorSpec, estimate_sups, with_estimated_sups
+from .operators import (_SUP_MARGIN, CylinderDomain, OperatorSpec, estimate_sups,
+                         with_estimated_sups)
 from .sde import SimConfig, simulate_batch, starts_per_call
 
 __all__ = ["FKEstimate", "SandwichReport", "evaluate", "sandwich_check", "make_solution"]
@@ -137,16 +138,24 @@ def sandwich_check(
     """
     if not 0 <= k_sigma < np.inf:
         raise ValueError(f"k_sigma must be nonnegative and finite, got {k_sigma:g}")
-    # gate on the raw grid maximum: the 1.05 step-size margin would reject
-    # the boundary case |gamma| = 1, which the bound does cover
+    # one sweep of the sup lattice: gate on the raw grid maximum (the
+    # step-size margin would reject the boundary case |gamma| = 1, which the
+    # bound does cover), and fill the missing sups with the margin, the
+    # product with_estimated_sups makes
     gamma_gate = op.gamma_sup
-    if gamma_gate is None:
-        gamma_gate = estimate_sups(op, dom, margin=1.0)[1]
+    if op.beta_sup is None or op.gamma_sup is None:
+        beta_max, gamma_max = estimate_sups(op, dom, margin=1.0)
+        if gamma_gate is None:
+            gamma_gate = gamma_max
+        op = dataclasses.replace(
+            op,
+            beta_sup=op.beta_sup if op.beta_sup is not None else _SUP_MARGIN * beta_max,
+            gamma_sup=op.gamma_sup if op.gamma_sup is not None else _SUP_MARGIN * gamma_max,
+        )
     if gamma_gate > 1.0 + 1e-9:
         raise ValueError(
             f"sandwich bound needs |gamma| <= 1 (estimated sup {gamma_gate:g}); rescale first"
         )
-    op = with_estimated_sups(op, dom)
     if t is None:
         if op.beta_sup <= 0:
             raise ValueError("default horizon 1/sup|beta| undefined for vanishing beta")

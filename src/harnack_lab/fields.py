@@ -175,11 +175,20 @@ class ScalarField:
 
     @classmethod
     def sample(cls, fn, axes, name: str = "field") -> "ScalarField":
-        """Sample ``fn(x, y)`` on the grid; x shape (k,), y shape (k, n_y)."""
+        """Sample ``fn(x, y)`` on the grid of ``axes`` (x first, then y1, ...).
+
+        ``fn`` is called once, with x of shape (nx, 1), the x axis as a
+        column, and y of shape (m, n_y), the ``grid_points`` of the y axes;
+        its values must broadcast to (nx, m), value [i, j] being u at
+        (x[i], y[j]).  An elementwise ``fn`` then does its y work once per
+        y-node and its x work once per x-node.  Values that do not broadcast
+        raise ValueError.
+        """
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        pts = grid_points(axes)
-        vals = np.asarray(fn(pts[:, 0], pts[:, 1:]), dtype=float)
-        return cls(axes, vals.reshape(tuple(a.size for a in axes)), name)
+        y = grid_points(axes[1:])
+        values = np.empty(tuple(a.size for a in axes))
+        values.reshape(axes[0].size, y.shape[0])[...] = fn(axes[0][:, None], y)
+        return cls(axes, values, name)
 
     def at(self, x, y):
         """Multilinear interpolation at the points (x, y) of ``at_points``;

@@ -48,6 +48,8 @@ MASS_TOLERANCE = 1e-12
 
 # lattice step of the grid sup estimates in x and y
 _SUP_GRID_STEP = 0.05
+# safety factor on the grid maxima of the sup estimates
+_SUP_MARGIN = 1.05
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,17 @@ def ball_lattice(
         raise ValueError("radius and grid_step must be positive")
     axis = step_axis(-radius, radius, grid_step)
     actual = 2 * radius / (axis.size - 1)
-    pts = grid_points([axis] * n_axes)
-    r2 = np.einsum("ij,ij->i", pts, pts)
+    # r^2 on the (n,) * n_axes grid, summed axis by axis from the first, and
+    # the kept nodes' coordinates read off the axis: no (n^d, d) node table
+    sq = axis * axis
+    r2 = sq
+    for _ in range(n_axes - 1):
+        r2 = np.add.outer(r2, sq)
     if closed:
         keep = r2 <= radius * radius + 1e-12
     else:
         keep = r2 < radius * radius - 1e-12
-    return pts[keep], actual
+    return np.stack([axis[i] for i in np.nonzero(keep)], axis=-1), actual
 
 
 def _check_resolves(radius: float, grid_step: float, ball: str) -> None:
@@ -421,7 +427,7 @@ def residual(u: ScalarField, op: OperatorSpec) -> ScalarField:
 
 
 def estimate_sups(
-    op: OperatorSpec, dom: CylinderDomain, margin: float = 1.05
+    op: OperatorSpec, dom: CylinderDomain, margin: float = _SUP_MARGIN
 ) -> tuple[float, float]:
     """Grid maxima of |beta| (outer ball) and |gamma| (full cylinder), each
     inflated by a safety factor; upper bounds for step-size control.  Pass

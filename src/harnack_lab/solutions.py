@@ -190,23 +190,25 @@ def _rk4_sweep(q_half: np.ndarray, h: float, p0: float, v0: float):
 
     The loop runs on Python floats (numpy scalars cost several times more
     per operation); IEEE double arithmetic in the same order gives the same
-    bits either way."""
+    bits either way.  ``0.5 * h`` is taken once: ``0.5 * h * k`` parses as
+    ``(0.5 * h) * k``, so the hoisted product rounds the same."""
     q = q_half.tolist()
     h = float(h)
     cp, cv = float(p0), float(v0)
     p = [cp]
     v = [cv]
+    hh = 0.5 * h
     for qa, qm, qb in zip(q[::2], q[1::2], q[2::2]):
-        k1p = cv
+        # k1p is cv
         k1v = qa * cp
-        k2p = cv + 0.5 * h * k1v
-        k2v = qm * (cp + 0.5 * h * k1p)
-        k3p = cv + 0.5 * h * k2v
-        k3v = qm * (cp + 0.5 * h * k2p)
+        k2p = cv + hh * k1v
+        k2v = qm * (cp + hh * cv)
+        k3p = cv + hh * k2v
+        k3v = qm * (cp + hh * k2p)
         k4p = cv + h * k3v
         k4v = qb * (cp + h * k3p)
-        cp += h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        cv += h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+        cp += h * (cv + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        cv += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
         p.append(cp)
         v.append(cv)
     return np.array(p), np.array(v)

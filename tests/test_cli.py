@@ -244,6 +244,49 @@ def test_average_bytes_are_pinned(tmp_path, capsys, z):
 DEFAULT_CHECK_SHA = "c9310bd89490d721b1a523a89d02903fc37d2e653f5cfceaaeddfd4dca9d45e3"
 
 
+# outputs of the deterministic grid work: the check lattices, the catalog
+# samples and the separable profiles; recorded before the ball lattice and
+# the samples were built from their axes and the RK4 sweep hoisted its
+# constants
+GRID_SHA = {
+    "check-2": (["check"], "hypothesis pass: r=2 min_derivative_mass=1\n", {
+        "hormander_report.json": DEFAULT_CHECK_SHA}),
+    "check-3": (["check", "--set", "operator.dim_n=3",
+                 "--set", "operator.beta=sin(1.3*y1)*y2 + 0.7*y1"],
+                "hypothesis pass: r=2 min_derivative_mass=1.302\n", {
+        "hormander_report.json": "722c1a3e688d41210530c72acace72791bde168f371bde27a23e7e1aafc494fa"}),
+    "harnack-separable": (["harnack", "--svg", "--set", "harnack.family=catalog",
+                           "--set", "harnack.solutions=separable(0.8),separable(-1.6)"],
+                          "family catalog: max sup/inf ratio 8.49237 over 2 solution(s)\n", {
+        "harnack.csv": "ffe96a574d29e9654a50fbb4993dac285a4ef90e6a69a952712fd1e67785b97e",
+        "harnack.json": "21c33a1b7eb5aa7f4f1900a522f8684281c41988ec6167fb6e86e0cae0693fd3",
+        "harnack.svg": "0ba6804cf4ff7729df7e8ecc5369343d0431c7fb84a07ead3390cbdea1e4ae99"}),
+    "regions-kolmogorov": (["regions", "--set", "regions.solution=kolmogorov(20)"],
+                           "restricted ratio 1.06698 vs cap 10: pass\n"
+                           "level 0.5: 49 plus node(s), 49 minus node(s)\n", {
+        "regions.csv": "611f1aeac3d120c6bcaca9c1588f65298dff2a24f17fa75a6160a6f721a362b5",
+        "regions.json": "1c36d4703d760a8899f6d5bfb6c775f8b9cdd3be4640106b3d3e015185446779"}),
+    "average-constant": (["average", "--set", "average.solution=constant(2)"],
+                         "window average of constant(2) with z=0.25: 105 x-node(s) kept\n", {
+        "average.csv": "b9af71a8f2fa823483b1aed9cbce878759fdb2b9173fe9199528af39c0196b89",
+        "average.json": "5a46b65df63ad429648440b5bed041a60fbbd80ab5e10657ef34903ac9bba4ba"}),
+    "average-separable": (["average", "--set", "average.solution=separable(1.2)"],
+                          "window average of separable(lambda=1.2,gamma=0) with z=0.25: "
+                          "105 x-node(s) kept\n", {
+        "average.csv": "8a16aaf296edfcba49bdb84fbc1a18a9e88c1488a7ac5c5b93dddd7d287f872f",
+        "average.json": "a64c339526552f04d46e25a9f807e355ff37bc9f720dfa2ffc4d7e907229e778"}),
+}
+
+
+@pytest.mark.parametrize("case", GRID_SHA)
+def test_grid_work_bytes_are_pinned(tmp_path, capsys, case):
+    argv, said, want = GRID_SHA[case]
+    rc, out = run(tmp_path, *argv)
+    assert rc == 0
+    assert capsys.readouterr().out == said
+    assert {p.name: sha(p.read_bytes()) for p in out.iterdir()} == want
+
+
 def test_in_process_runs_share_one_parser_and_no_state(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

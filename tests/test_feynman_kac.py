@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import harnack_lab
-from harnack_lab import feynman_kac, operators, sde
+from harnack_lab import cli, feynman_kac, operators, sde
 from harnack_lab.feynman_kac import evaluate, make_solution, sandwich_check
 from harnack_lab.fields import ScalarField, box_axes
-from harnack_lab.operators import CylinderDomain, OperatorSpec
+from harnack_lab.operators import CylinderDomain, OperatorSpec, with_estimated_sups
 from harnack_lab.sde import SimConfig
 from harnack_lab.solutions import kolmogorov_poly
 
@@ -228,6 +230,31 @@ def test_sandwich_rejects_a_bad_k_sigma_before_any_work(monkeypatch, k_sigma):
         sandwich_check(DRIFT_Y, DOM, kolmogorov_fn, (0.0, 0.0), k_sigma=k_sigma,
                        cfg=SimConfig(t_max=1.0, n_paths=100))
     assert counts == {"simulate_batch": 0, "estimate_sups": 0}
+
+
+@pytest.mark.parametrize("gamma", ["0.2*y1", "0.05*x*y1"])
+@pytest.mark.parametrize("beta_sup, gamma_sup, sweeps",
+                         [(None, None, 1), (3.0, None, 1), (None, 0.9, 1), (3.0, 0.9, 0)])
+def test_sandwich_sweeps_the_sup_lattice_at_most_once(monkeypatch, gamma, beta_sup, gamma_sup,
+                                                     sweeps):
+    # one sweep gates gamma on the raw maxima and fills the missing sups with
+    # with_estimated_sups' margin: the same report as with the sups filled
+    op = dataclasses.replace(OperatorSpec.from_strings("y1", gamma),
+                             beta_sup=beta_sup, gamma_sup=gamma_sup)
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=200, master_seed=6)
+    filled = sandwich_check(with_estimated_sups(op, DOM), DOM, kolmogorov_fn, (0.2, 0.1),
+                            cfg=cfg)
+    counts, _ = counted_calls(monkeypatch)
+    rep = sandwich_check(op, DOM, kolmogorov_fn, (0.2, 0.1), cfg=cfg)
+    assert counts == {"simulate_batch": 1, "estimate_sups": sweeps}
+    assert rep == filled
+
+
+def test_cli_sandwich_sweeps_the_sup_lattice_once(tmp_path, monkeypatch):
+    counts, _ = counted_calls(monkeypatch)
+    assert cli.main(["evaluate", "--set", "evaluate.mode=sandwich", "--set", "sim.n_paths=200",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"simulate_batch": 1, "estimate_sups": 1}
 
 
 @pytest.mark.parametrize("gamma, batches", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])

@@ -183,3 +183,23 @@ def test_interpolation_matches_scipy_bitwise(n_axes):
         want = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)(pts)
         got = ScalarField(axes, values).at(pts[:, 0], pts[:, 1:])
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_y", [1, 2])
+def test_sample_calls_fn_once_on_the_x_column_and_the_y_nodes(n_y):
+    axes = (np.linspace(0.0, 1.0, 4),) + tuple(np.linspace(-1.0, 1.0, 3 + k) for k in range(n_y))
+    m = int(np.prod([a.size for a in axes[1:]]))
+    shapes = []
+
+    def fn(x, y):
+        shapes.append((x.shape, y.shape))
+        return x * 10 + y[:, 0]
+
+    f = ScalarField.sample(fn, axes)
+    assert shapes == [((4, 1), (m, n_y))]
+    x, y = f.node_points()
+    assert np.array_equal(f.values.reshape(-1), x * 10 + y[:, 0])
+    # a result that does not broadcast to (nx, m) is refused
+    for bad in (lambda x, y: np.zeros(4 * m - 1), lambda x, y: np.zeros((4, m + 1))):
+        with pytest.raises(ValueError):
+            ScalarField.sample(bad, axes)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from harnack_lab.expressions import UnknownIdentifierError, parse
-from harnack_lab.fields import ScalarField, box_axes
+from harnack_lab.fields import ScalarField, box_axes, grid_points, step_axis
 from harnack_lab.operators import (
     CylinderDomain,
     OperatorSpec,
+    ball_lattice,
     check_hypothesis,
     classify_regions,
     estimate_sups,
@@ -237,3 +238,36 @@ def test_estimate_sups():
     op2 = dataclasses.replace(OperatorSpec.from_strings("y1"), beta_sup=5.0)
     filled2 = with_estimated_sups(op2, CylinderDomain())
     assert filled2.beta_sup == 5.0 and filled2.gamma_sup == 0.0
+
+
+def meshgrid_ball_lattice(radius, grid_step, n_axes, closed):
+    """ball_lattice as it was built before it read the nodes off the axis:
+    the whole (n^d, d) node table, r^2 by einsum, and a boolean row gather."""
+    axis = step_axis(-radius, radius, grid_step)
+    actual = 2 * radius / (axis.size - 1)
+    pts = grid_points([axis] * n_axes)
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    keep = r2 <= radius * radius + 1e-12 if closed else r2 < radius * radius - 1e-12
+    return pts[keep], actual
+
+
+# (radius, step) pairs with nodes on the sphere: (3, 4) and (0, 5) on
+# radius 5, (1, 2, 2) on radius 3, and the axis ends on every radius;
+# (2, 0.05) and (2, 0.01) are the sup-estimate and check lattices, and 0.33
+# does not divide its span.  No 3-D case past 101 nodes per axis: it only
+# repeats the 2-D one
+@pytest.mark.parametrize("radius, grid_step, n_axes", [
+    (radius, grid_step, n_axes)
+    for radius, grid_step in [(5.0, 1.0), (5.0, 0.5), (3.0, 1.0), (1.0, 0.5), (2.0, 0.05),
+                              (2.0, 0.01), (1.0, 0.33)]
+    for n_axes in (1, 2, 3) if n_axes < 3 or radius / grid_step <= 50
+])
+@pytest.mark.parametrize("closed", [True, False])
+def test_ball_lattice_equals_the_meshgrid_construction(radius, grid_step, n_axes, closed):
+    pts, actual = ball_lattice(radius, grid_step, n_axes, closed)
+    want, want_actual = meshgrid_ball_lattice(radius, grid_step, n_axes, closed)
+    assert pts.shape == want.shape and pts.dtype == want.dtype
+    assert pts.tobytes() == want.tobytes()  # the same points in the same C order
+    assert actual == want_actual
+    on_sphere = np.abs(np.sum(pts * pts, axis=1) - radius * radius) <= 1e-12
+    assert np.any(on_sphere) == closed

@@ -290,3 +290,63 @@ def test_lazy_certificate_values_equal_the_eager_ones(build, lam):
         _, phi_h, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 5e-4)
         ode_error = float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
     assert sol.ode_error == ode_error
+
+
+def rk4_sweep_as_written_before(q_half, h, p0, v0):
+    """_rk4_sweep before 0.5 * h was hoisted and k1p read as cv."""
+    q = q_half.tolist()
+    h = float(h)
+    cp, cv = float(p0), float(v0)
+    p = [cp]
+    v = [cv]
+    for qa, qm, qb in zip(q[::2], q[1::2], q[2::2]):
+        k1p = cv
+        k1v = qa * cp
+        k2p = cv + 0.5 * h * k1v
+        k2v = qm * (cp + 0.5 * h * k1p)
+        k3p = cv + 0.5 * h * k2v
+        k3v = qm * (cp + 0.5 * h * k2p)
+        k4p = cv + h * k3v
+        k4v = qb * (cp + h * k3p)
+        cp += h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+        cv += h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+        p.append(cp)
+        v.append(cv)
+    return np.array(p), np.array(v)
+
+
+@pytest.mark.parametrize("beta, lam, y0, target, h", [
+    ("y1", 1.3, 0.0, 2.0, 1e-3),
+    ("y1", 1.3, 0.0, -2.0, 1e-3),     # a downward sweep: negative step
+    ("y1^3 - y1", -2.4, 0.4, -1.7, 7e-3),
+    ("sin(3*y1)", 0.8, -0.5, 1.9, 5e-4),
+])
+def test_rk4_sweep_equals_the_old_step_expressions(beta, lam, y0, target, h):
+    op = OperatorSpec.from_strings(beta, "0")
+    n = int(np.ceil(abs(target - y0) / h - 1e-9))
+    step = (target - y0) / n
+    half_grid = y0 + step * np.arange(2 * n + 1) / 2.0
+    q_half = -(lam * op.beta_at(half_grid[:, None]))
+    for p0, v0 in [(1.0, 0.0), (0.3, -1.7)]:
+        p, v = solutions._rk4_sweep(q_half, step, p0, v0)
+        want_p, want_v = rk4_sweep_as_written_before(q_half, step, p0, v0)
+        assert p.tobytes() == want_p.tobytes()
+        assert v.tobytes() == want_v.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: kolmogorov_poly(10.0),
+    lambda: counterexample_family(2.5),
+    lambda: separable(1.2, OperatorSpec.from_strings("y1", "0")),
+    lambda: separable(-0.7, OperatorSpec.from_strings("y1^2 - 0.5", "-0.2")),
+    lambda: constant(2.0),
+    lambda: constant(3.0, OperatorSpec.from_strings("y1 - y2", "0", dim_n=3)),
+], ids=["kolmogorov", "counterexample", "separable", "separable-gamma", "constant",
+        "constant-3d"])
+def test_sampled_field_equals_the_flat_node_evaluation(build):
+    # sample evaluates fn once per x-node and once per y-node, broadcast;
+    # each node's value has the bits of fn at that node as one flat point
+    sol = build()
+    field = sol.as_field(23, 17)
+    x, y = field.node_points()
+    assert field.values.reshape(-1).tobytes() == np.asarray(sol.fn(x, y), float).tobytes()
