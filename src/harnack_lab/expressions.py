@@ -359,22 +359,13 @@ def _diff(e: Expr, var: str) -> Expr:
     )
 
 
-def _fold_unary(op: str, c: float) -> Expr | None:
-    if op == "neg":
-        return Const(-c)
+def _fold(node: Expr) -> Expr | None:
+    """The constant value of a node over constants; None when it fails to
+    evaluate, which keeps the domain error for evaluation time."""
     try:
-        value = evaluate(Unary(op, Const(c)), {})
-    except EvalDomainError:
-        return None  # keep the domain error at evaluation time
-    return Const(value)
-
-
-def _fold_binary(op: str, a: float, b: float) -> Expr | None:
-    try:
-        value = evaluate(Binary(op, Const(a), Const(b)), {})
+        return Const(evaluate(node, {}))
     except EvalDomainError:
         return None
-    return Const(value)
 
 
 def simplify(e: Expr) -> Expr:
@@ -384,7 +375,7 @@ def simplify(e: Expr) -> Expr:
     if isinstance(e, Unary):
         a = simplify(e.arg)
         if isinstance(a, Const):
-            folded = _fold_unary(e.op, a.value)
+            folded = _fold(Unary(e.op, a))
             if folded is not None:
                 return folded
         if e.op == "neg" and isinstance(a, Unary) and a.op == "neg":
@@ -393,7 +384,7 @@ def simplify(e: Expr) -> Expr:
     left = simplify(e.left)
     right = simplify(e.right)
     if isinstance(left, Const) and isinstance(right, Const):
-        folded = _fold_binary(e.op, left.value, right.value)
+        folded = _fold(Binary(e.op, left, right))
         if folded is not None:
             return folded
     op = e.op

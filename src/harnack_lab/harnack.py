@@ -74,7 +74,6 @@ class HarnackReport:
     ratio: float
     argmax: tuple
     argmin: tuple
-    subdomain: SubCylinder
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> Harnack
         ratio=float(vals[i_max] / vals[i_min]),
         argmax=(float(x[i_max]), *map(float, y[i_max])),
         argmin=(float(x[i_min]), *map(float, y[i_min])),
-        subdomain=sub,
     )
 
 

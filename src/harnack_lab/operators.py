@@ -188,10 +188,7 @@ class HormanderReport:
     sign_change_ok: bool
     sign_witnesses: tuple[tuple[float, ...], tuple[float, ...]] | None
     min_derivative_mass: float | None
-    mass_argmin: tuple[float, ...] | None
     grid_step: float
-    beta_min: float | None = None
-    beta_max: float | None = None
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -298,7 +295,6 @@ def check_hypothesis(
             sign_change_ok=False,
             sign_witnesses=None,
             min_derivative_mass=None,
-            mass_argmin=None,
             grid_step=actual_step,
             error=message,
         )
@@ -322,23 +318,17 @@ def check_hypothesis(
     for v in values:
         mass += np.abs(v)
 
-    i_mass = int(np.argmin(mass))
     i_min = int(np.argmin(beta_vals))
     i_max = int(np.argmax(beta_vals))
-    beta_min = float(beta_vals[i_min])
-    beta_max = float(beta_vals[i_max])
-    sign_ok = beta_min < 0 < beta_max
-    min_mass = float(mass[i_mass])
+    sign_ok = beta_vals[i_min] < 0 < beta_vals[i_max]
+    min_mass = float(mass.min())
     return HormanderReport(
         passed=bool(sign_ok and min_mass > MASS_TOLERANCE),
         order_used=order,
         sign_change_ok=bool(sign_ok),
         sign_witnesses=(tuple(pts[i_min]), tuple(pts[i_max])),
         min_derivative_mass=min_mass,
-        mass_argmin=tuple(pts[i_mass]),
         grid_step=actual_step,
-        beta_min=beta_min,
-        beta_max=beta_max,
     )
 
 

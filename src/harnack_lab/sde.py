@@ -114,7 +114,6 @@ class PathBatch:
     exited: np.ndarray
     horizon: float
     dt: float
-    master_seed: int
 
     @property
     def n_paths(self) -> int:
@@ -152,7 +151,6 @@ class EmpiricalMeasure:
     counts: np.ndarray
     exit_count: int
     n_paths: int
-    horizon: float
 
     def __post_init__(self):
         if int(self.counts.sum()) + self.exit_count != self.n_paths:
@@ -527,7 +525,6 @@ def simulate_batch(
         exited=out["exited"],
         horizon=cfg.t_max,
         dt=cfg.dt,
-        master_seed=cfg.master_seed,
     )
     _check_batch(batch, op, dom)
     return batch
@@ -551,5 +548,4 @@ def measure_from_batch(batch: PathBatch, dom: CylinderDomain, bins: int) -> Empi
         counts=counts,
         exit_count=int(batch.exited.sum()),
         n_paths=batch.n_paths,
-        horizon=batch.horizon,
     )

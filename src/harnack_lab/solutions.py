@@ -13,22 +13,18 @@ Four constructors; a CLI run builds each on ``[domain]``, for ``[operator]`` onl
   which is the Harnack-failure mechanism the estimator reproduces.
 * ``constant(c)``: u = c, valid whenever gamma = 0.
 
-Each solution records a positivity certificate with margin reporting:
-``positive_region`` is the subregion on which the constructor *requires*
-u > 0, checked on a 101 x 101 grid at construction, and ``positivity_min``
-is the grid minimum over the full validity cylinder (possibly <= 0 for
-solutions that are only locally positive).  The report-only values are
-computed on first read and then kept: ``positivity_min`` samples the
-cylinder then unless the region is the whole cylinder (never for
-``counterexample_family``, always for ``kolmogorov_poly``), and
-``ode_error`` of ``separable`` reruns the profile at half the step then.
-``constant`` has an exact certificate and samples nothing.
+The Harnack inequality covers positive solutions only, so each constructor
+enforces u > 0 on the region it certifies, sampled on one 101 x 101 grid at
+construction, and refuses the solution otherwise: the inner subcylinder for
+``kolmogorov_poly``, the whole cylinder for ``counterexample_family``, and
+for ``separable`` the whole cylinder when the profile is positive across the
+outer interval, else [x_lo, x_hi] x inner ball.  ``constant`` is positive
+by construction and samples nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,42 +47,19 @@ __all__ = [
 # the polynomial solution is verified on the y-radius-3 cylinder
 KOLMOGOROV_DOMAIN = dataclasses.replace(CylinderDomain(), y_outer_radius=3.0)
 
-# RK4 step of the separable profiles; ode_error reruns at half of it
+# RK4 step of the separable profiles
 _PROFILE_STEP = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
 class AnalyticSolution:
-    """A reference solution with its operator and positivity certificate.
-
-    ``positive_region`` is (x_lo, x_hi, y_radius): the subcylinder on which
-    u > 0 was verified on a grid at construction (``positive_region_min`` is
-    the margin).  Two values only report and are computed on first read:
-    ``positivity_min``, the grid minimum over the full validity cylinder,
-    which may be nonpositive for locally-positive solutions, and
-    ``ode_error``, the profile error estimate (0 for closed forms).
-    """
+    """A reference solution u = fn(x, y) of ``op`` on the cylinder ``domain``,
+    built only once u > 0 on the region its constructor certifies."""
 
     name: str
     op: OperatorSpec
     domain: CylinderDomain
     fn: Callable
-    positive_region: tuple
-    positive_region_min: float
-    # runs on the first read of ode_error; separable's reruns its profile at
-    # half the step
-    _ode_error: Callable[[], float] = dataclasses.field(default=lambda: 0.0, repr=False)
-
-    @functools.cached_property
-    def positivity_min(self) -> float:
-        cylinder = (self.domain.x_lo, self.domain.x_hi, self.domain.y_outer_radius)
-        if tuple(self.positive_region) == cylinder:
-            return self.positive_region_min
-        return _grid_min(self.fn, self.n_y, *cylinder)[0]
-
-    @functools.cached_property
-    def ode_error(self) -> float:
-        return self._ode_error()
 
     @property
     def n_y(self) -> int:
@@ -106,35 +79,27 @@ class AnalyticSolution:
                                   name=self.name)
 
 
-def _grid_min(fn, n_y, x_lo, x_hi, radius, nx=101, ny=101):
-    """Minimum of fn over the [x_lo,x_hi] x ball grid, with its location."""
-    field = ScalarField.sample(fn, box_axes(x_lo, x_hi, nx, radius, ny, n_y))
+def _certify(name, fn, op, dom, region) -> AnalyticSolution:
+    """The solution, once u > 0 on the 101 x 101 grid of ``region``
+    (x_lo, x_hi, y_radius); a ValueError at the grid minimum otherwise."""
+    x_lo, x_hi, radius = region
+    field = ScalarField.sample(fn, box_axes(x_lo, x_hi, 101, radius, 101, op.n_y))
     i_min = np.unravel_index(np.argmin(field.values), field.values.shape)
-    where = tuple(float(a[i]) for a, i in zip(field.axes, i_min))
-    return float(field.values[i_min]), where
-
-
-def _certify(name, fn, op, dom, region, **lazy) -> AnalyticSolution:
-    """The solution with its certificate: positivity enforced now on the grid
-    of ``region`` (x_lo, x_hi, y_radius).  ``lazy`` passes on the
-    ``_ode_error`` thunk of a solution that has one."""
-    region_min, where = _grid_min(fn, op.n_y, *region)
+    region_min = float(field.values[i_min])
     if region_min <= 0:
-        loc = ", ".join(f"{w:g}" for w in where)
+        loc = ", ".join(f"{float(a[i]):g}" for a, i in zip(field.axes, i_min))
         raise ValueError(
             f"{name} is not positive on its certified region: min {region_min:g} at ({loc})"
         )
-    return AnalyticSolution(name=name, op=op, domain=dom, fn=fn, positive_region=region,
-                            positive_region_min=region_min, **lazy)
+    return AnalyticSolution(name=name, op=op, domain=dom, fn=fn)
 
 
 def kolmogorov_poly(C: float, dom: CylinderDomain = KOLMOGOROV_DOMAIN) -> AnalyticSolution:
     """u = x - y^3/6 + C with beta = y, gamma = 0 (two-dimensional state).
 
     C must keep u positive on the inner subcylinder
-    [inner_x_lo, inner_x_hi] x inner ball (C > 1/6 on the default geometry);
-    the full-cylinder minimum is reported in the certificate, where staying
-    positive needs C > 9.5 on the default [-5, 6] x [-3, 3].
+    [inner_x_lo, inner_x_hi] x inner ball (C > 1/6 on the default geometry),
+    the region certified; the whole default [-5, 6] x [-3, 3] needs C > 9.5.
     """
     op = OperatorSpec.from_strings("y1", "0", dim_n=2)
 
@@ -163,7 +128,7 @@ def counterexample_family(lam: float, dom: CylinderDomain = CylinderDomain()) ->
 
 def constant(c: float, op: OperatorSpec | None = None,
              dom: CylinderDomain = CylinderDomain()) -> AnalyticSolution:
-    """u = c > 0; a solution exactly when gamma = 0."""
+    """u = c > 0; a solution exactly when gamma = 0, positive everywhere."""
     if not c > 0:
         raise ValueError("c must be positive")
     if op is None:
@@ -174,14 +139,7 @@ def constant(c: float, op: OperatorSpec | None = None,
     def fn(x, y):
         return np.full(x.shape, float(c))
 
-    return AnalyticSolution(
-        name=f"constant({c:g})",
-        op=op,
-        domain=dom,
-        fn=fn,
-        positive_region=(dom.x_lo, dom.x_hi, dom.y_outer_radius),
-        positive_region_min=float(c),
-    )
+    return AnalyticSolution(name=f"constant({c:g})", op=op, domain=dom, fn=fn)
 
 
 def _rk4_sweep(q_half: np.ndarray, h: float, p0: float, v0: float):
@@ -278,10 +236,9 @@ def separable(
     The profile ODE is integrated by classical RK4 at (close to) a fixed
     step of 1e-3 across the outer interval, in both directions from y0 where
     phi(y0) = 1, phi'(y0) = 0; values between nodes come from cubic Hermite
-    interpolation, matching the integrator's fourth order.  A full rerun at
-    half the step provides the reported error estimate when ``ode_error`` is
-    first read.  Profiles that are not positive throughout the inner
-    interval are rejected with the first zero location.
+    interpolation, matching the integrator's fourth order.  Profiles that
+    are not positive throughout the inner interval are rejected with the
+    first zero location.
     """
     if op.n_y != 1:
         raise ValueError("separable solutions need a one-dimensional y")
@@ -294,12 +251,6 @@ def separable(
         raise ValueError("y0 must lie in the outer interval")
 
     nodes, phi, dphi = _integrate_profile(op, lam, gamma0, y0, -radius, radius, _PROFILE_STEP)
-
-    def ode_error():
-        _, phi_h, _ = _integrate_profile(op, lam, gamma0, y0, -radius, radius,
-                                         _PROFILE_STEP / 2)
-        # both runs share their first and last node (the interval endpoints)
-        return float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
 
     inner = np.abs(nodes) <= dom.y_inner_radius + 1e-12
     if np.any(phi[inner] <= 0):
@@ -322,8 +273,7 @@ def separable(
         return np.exp(lam * x) * profile(y[:, 0])
 
     region = (dom.x_lo, dom.x_hi, radius if np.all(phi > 0) else dom.y_inner_radius)
-    return _certify(f"separable(lambda={lam:g},gamma={gamma0:g})", fn, op, dom, region,
-                    _ode_error=ode_error)
+    return _certify(f"separable(lambda={lam:g},gamma={gamma0:g})", fn, op, dom, region)
 
 
 def parse_solution_name(text: str) -> tuple[str, list[float]]:

@@ -35,7 +35,6 @@ def test_constant_ratio_is_one():
     assert rep.ratio == 1.0
     assert rep.sup == 7.0
     assert rep.inf == 7.0
-    assert rep.subdomain == SubCylinder()
 
 
 def test_kolmogorov_extrema_and_ratio():

@@ -178,8 +178,8 @@ def test_regions_csv(tmp_path, args, want):
      "a5c9dbb5e50d26f92409a0c7dce910b6c4cb67d1e781253015e5dff37821ecec"),
 ])
 def test_profile_arrays(lam, y0, want):
-    # the sweep separable() runs at construction, at the step, and the one
-    # at half the step that the first read of ode_error runs
+    # the sweep separable() runs at construction, at the step, and the same
+    # sweep at half the step
     op = OperatorSpec.from_strings("y1", "0", dim_n=2)
     radius = CylinderDomain().y_outer_radius
     chunks = []

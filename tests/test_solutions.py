@@ -26,6 +26,21 @@ def max_residual(sol: AnalyticSolution, nx, ny, x_span=None, y_radius=None):
     return float(np.abs(residual(field, sol.op).values).max())
 
 
+def grid_min(sol: AnalyticSolution, x_span=None, y_radius=None) -> float:
+    """Minimum of u on the 101 x 101 grid of a region (default: the cylinder)."""
+    return float(sol.as_field(x_span=x_span, y_radius=y_radius).values.min())
+
+
+def profile_step_error(sol: AnalyticSolution, lam: float) -> float:
+    """Endpoint change of a separable profile (y0 = 0, gamma = 0) when the RK4
+    step is halved."""
+    radius = sol.domain.y_outer_radius
+    _, phi, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 1e-3)
+    _, phi_h, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 5e-4)
+    # both runs share their first and last node (the interval endpoints)
+    return float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
+
+
 def test_kolmogorov_values_and_certificate():
     sol = kolmogorov_poly(10.0)
     assert sol.at(2.0, -1.0) == pytest.approx(2.0 + 1.0 / 6.0 + 10.0, abs=1e-12)
@@ -33,20 +48,19 @@ def test_kolmogorov_values_and_certificate():
     ys = np.array([[0.0], [2.0], [3.0]])
     np.testing.assert_allclose(sol.at(xs, ys), xs - ys[:, 0] ** 3 / 6 + 10.0, rtol=1e-15)
     # full-cylinder margin: minimum sits at the corner x=-5, y=3
-    assert sol.positivity_min == pytest.approx(0.5, abs=1e-12)
-    # enforced region is the inner subcylinder
-    assert sol.positive_region == (0.0, 1.0, 1.0)
-    assert sol.positive_region_min == pytest.approx(10.0 - 1.0 / 6.0, abs=1e-12)
+    assert grid_min(sol) == pytest.approx(0.5, abs=1e-12)
+    # margin on the enforced region, the inner subcylinder
+    assert grid_min(sol, (0.0, 1.0), 1.0) == pytest.approx(10.0 - 1.0 / 6.0, abs=1e-12)
 
 
 def test_kolmogorov_offset_bounds():
     with pytest.raises(ValueError, match="not positive"):
         kolmogorov_poly(0.0)
     # small offsets are fine on the inner subcylinder even though the
-    # full cylinder dips negative (margin is reported, not enforced)
+    # full cylinder dips negative (positivity is enforced there only)
     sol = kolmogorov_poly(2.0)
-    assert sol.positive_region_min == pytest.approx(2.0 - 1.0 / 6.0, abs=1e-12)
-    assert sol.positivity_min == pytest.approx(2.0 - 9.5, abs=1e-12)
+    assert grid_min(sol, (0.0, 1.0), 1.0) == pytest.approx(2.0 - 1.0 / 6.0, abs=1e-12)
+    assert grid_min(sol) == pytest.approx(2.0 - 9.5, abs=1e-12)
 
 
 def test_kolmogorov_residual_exact():
@@ -57,7 +71,7 @@ def test_kolmogorov_residual_exact():
 def test_constant_solution():
     sol = constant(5.0)
     assert sol.at(1.0, 0.3) == 5.0
-    assert sol.positivity_min == 5.0
+    assert grid_min(sol) == 5.0
     assert max_residual(sol, 21, 21) == 0.0
     with pytest.raises(ValueError):
         constant(0.0)
@@ -73,8 +87,7 @@ def test_counterexample_closed_form():
     np.testing.assert_allclose(
         sol.at(xs, ys), np.exp(-4 * xs) * np.cosh(2 * ys[:, 0]), rtol=1e-14
     )
-    assert sol.positivity_min > 0
-    assert sol.positive_region == (-5.0, 6.0, 2.0)
+    assert grid_min(sol) > 0
     with pytest.raises(ValueError):
         counterexample_family(0.0)
     with pytest.raises(ValueError):
@@ -88,8 +101,7 @@ def test_separable_matches_cosh():
     got = sol.at(np.zeros_like(ys), ys[:, None])
     want = np.cosh(2 * ys)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-8
-    assert sol.ode_error < 1e-8
-    assert sol.positive_region[2] == 2.0
+    assert profile_step_error(sol, -4.0) < 1e-8
     # and with the x factor it reproduces the constant-drift family
     ce = counterexample_family(4.0)
     xs = np.linspace(-1, 1, 9)
@@ -109,22 +121,18 @@ def test_separable_gamma_negative_cosh():
     ys = np.linspace(-2, 2, 301)
     got = sol.at(np.zeros_like(ys), ys[:, None])
     assert np.abs(got - np.cosh(ys)).max() < 1e-8
-    assert sol.positive_region[2] == 2.0
 
 
 def test_separable_gamma_positive_cos_inner_only():
-    # phi = cos(y): dips negative past pi/2, so only the inner interval
-    # is certified on the default cylinder
+    # phi = cos(y): dips negative past pi/2, so only the inner interval is
+    # certified on the default cylinder, and on NARROW the whole interval
+    # (test_whole_cylinder_certificate_samples_one_grid checks both regions)
     sol = separable(0.0, OperatorSpec.from_strings("y1", "1"))
     ys = np.linspace(-1, 1, 201)
     got = sol.at(np.zeros_like(ys), ys[:, None])
     assert np.abs(got - np.cos(ys)).max() < 1e-8
-    assert sol.positive_region[2] == 1.0
-    assert sol.positive_region_min == pytest.approx(np.cos(1.0), rel=1e-8)
-    assert sol.positivity_min < 0  # cos goes negative before the outer radius
-    # on a narrower cylinder the whole interval is positive
-    sol2 = separable(0.0, OperatorSpec.from_strings("y1", "1"), dom=NARROW)
-    assert sol2.positive_region[2] == 1.5
+    assert grid_min(sol, y_radius=1.0) == pytest.approx(np.cos(1.0), rel=1e-8)
+    assert grid_min(sol) < 0  # cos goes negative before the outer radius
 
 
 def test_separable_rejects_inner_zero():
@@ -152,7 +160,7 @@ def test_separable_airy_oracle():
     want = coef[0] * ai + coef[1] * bi
     got = sol.at(np.zeros_like(ys), ys[:, None])
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-6
-    assert sol.ode_error < 1e-6
+    assert profile_step_error(sol, 1.0) < 1e-6
 
 
 def test_separable_input_validation():
@@ -223,14 +231,22 @@ def test_separable_profile_matches_scipy_bitwise():
     assert np.array_equal(sol.at(xs, ys[:, None]), want)
 
 
-@pytest.mark.parametrize("build, built, read", [
-    (lambda: counterexample_family(2.0), 1, 1),
-    (lambda: separable(0.5, OperatorSpec.from_strings("y1", "0")), 1, 1),
-    (lambda: kolmogorov_poly(10.0), 1, 2),
-], ids=["counterexample", "separable", "kolmogorov"])
-def test_whole_cylinder_certificate_samples_one_grid(monkeypatch, build, built, read):
-    # construction samples the certified region; the cylinder's grid waits for
-    # the first read of positivity_min and is skipped when it is the region
+@pytest.mark.parametrize("build, region", [
+    (lambda: counterexample_family(2.0), (-5.0, 6.0, 2.0)),
+    (lambda: separable(0.5, OperatorSpec.from_strings("y1", "0")), (-5.0, 6.0, 2.0)),
+    (lambda: kolmogorov_poly(10.0), (0.0, 1.0, 1.0)),
+    (lambda: separable(0.0, OperatorSpec.from_strings("y1", "1")), (-5.0, 6.0, 1.0)),
+    (lambda: separable(-4.0, OperatorSpec.from_strings("1", "0")), (-5.0, 6.0, 2.0)),
+    (lambda: separable(0.0, OperatorSpec.from_strings("y1", "-1")), (-5.0, 6.0, 2.0)),
+    (lambda: separable(0.0, OperatorSpec.from_strings("y1", "1"), dom=NARROW),
+     (-5.0, 6.0, 1.5)),
+    (lambda: constant(3.0), None),
+], ids=["counterexample", "separable", "kolmogorov", "separable-cos", "separable-cosh",
+        "separable-cosh-gamma", "separable-narrow", "constant"])
+def test_whole_cylinder_certificate_samples_one_grid(monkeypatch, build, region):
+    # construction samples the 101 x 101 grid of the region it certifies,
+    # (x_lo, x_hi, y_radius): the whole cylinder, or the inner ball where
+    # positivity holds there only; a constant samples nothing
     calls = []
     sample = ScalarField.sample
 
@@ -239,19 +255,17 @@ def test_whole_cylinder_certificate_samples_one_grid(monkeypatch, build, built, 
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(ScalarField, "sample", classmethod(counted))
-    sol = build()
-    assert len(calls) == built
-    sol.positivity_min
-    sol.positivity_min
-    assert len(calls) == read
-    dom = sol.domain
-    whole = sol.positive_region == (dom.x_lo, dom.x_hi, dom.y_outer_radius)
-    assert whole == (read == 1)
-    if whole:
-        assert sol.positivity_min == sol.positive_region_min
+    build()
+    if region is None:
+        assert calls == []
+        return
+    (_, axes), = calls
+    x, y = axes
+    assert (x.size, y.size) == (101, 101)
+    assert (x[0], x[-1], -y[0], y[-1]) == (region[0], region[1], region[2], region[2])
 
 
-def test_separable_sweeps_once_per_direction_until_ode_error_is_read(monkeypatch):
+def test_separable_sweeps_once_per_direction(monkeypatch):
     steps = []
     sweep = solutions._rk4_sweep
 
@@ -260,36 +274,8 @@ def test_separable_sweeps_once_per_direction_until_ode_error_is_read(monkeypatch
         return sweep(q_half, h, p0, v0)
 
     monkeypatch.setattr(solutions, "_rk4_sweep", counted)
-    sol = separable(1.3, OperatorSpec.from_strings("y1", "0"))
+    separable(1.3, OperatorSpec.from_strings("y1", "0"))
     assert steps == [1e-3, 1e-3]
-    assert sol.ode_error < 1e-6
-    assert steps == [1e-3, 1e-3, 5e-4, 5e-4]
-    sol.ode_error
-    assert len(steps) == 4
-
-
-@pytest.mark.parametrize("build, lam", [
-    (lambda: separable(0.5, OperatorSpec.from_strings("y1", "0")), 0.5),
-    (lambda: separable(-2.0, OperatorSpec.from_strings("y1", "0")), -2.0),
-    (lambda: separable(3.1, OperatorSpec.from_strings("y1", "0")), 3.1),
-    (lambda: kolmogorov_poly(2.0), None),
-    (lambda: counterexample_family(2.0), None),
-    (lambda: constant(3.0), None),
-], ids=["separable0.5", "separable-2", "separable3.1", "kolmogorov", "counterexample",
-        "constant"])
-def test_lazy_certificate_values_equal_the_eager_ones(build, lam):
-    # the values as constructors computed them before they were deferred: the
-    # minimum over the 101 x 101 grid of the validity cylinder, and the
-    # profile's endpoint change when the step is halved
-    sol = build()
-    assert sol.positivity_min == float(sol.as_field().values.min())
-    ode_error = 0.0
-    if lam is not None:
-        radius = sol.domain.y_outer_radius
-        _, phi, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 1e-3)
-        _, phi_h, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 5e-4)
-        ode_error = float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
-    assert sol.ode_error == ode_error
 
 
 def rk4_sweep_as_written_before(q_half, h, p0, v0):
