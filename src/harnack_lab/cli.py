@@ -294,6 +294,9 @@ def cmd_check(cfg: RunConfig) -> int:
     report = check_hypothesis(cfg.op, cfg.dom, order=order,
                               grid_step=cfg.get("check", "grid_step"))
     write_json(cfg.out_dir / "hormander_report.json", report.to_json_dict())
+    if report.error is not None:  # no mass to print; the report carries the error
+        print(f"error: {report.error}", file=sys.stderr)
+        return 1
     status = "pass" if report.passed else "fail"
     print(f"hypothesis {status}: r={order} min_derivative_mass={report.min_derivative_mass:g}")
     return 0 if report.passed else 1

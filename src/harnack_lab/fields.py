@@ -89,14 +89,27 @@ def step_axis(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def at_points(x, y, n_y: int):
-    """The points of an ``at(x, y)`` call: x of shape (k,), y of shape
-    (k, n_y), and whether the call asked for one point (x a number).
+    """The points of an ``at(x, y)`` call and the shape of its values.
 
-    y holds k points (k, n_y) or one (n_y,); with n_y = 1, k numbers also
-    make k points.  One point broadcasts against k, so ``at(0.3, ys)``
-    gives the values at every row of ys.  Arrays of the protocol shapes
-    come back as they are.
+    * One point: x a number, y of shape (n_y,); shape ().
+    * Flat: x of shape (k,), y of shape (k, n_y), value i at (x[i], y[i]);
+      shape (k,).  With n_y = 1, k numbers also make k points, and one
+      point broadcasts against k, so ``at(0.3, ys)`` gives the values at
+      every row of ys.
+    * Grid: x of shape (nx, 1), the x-nodes as a column, against y of shape
+      (m, n_y); value [i, j] at (x[i], y[j]), shape (nx, m).  This is the
+      call ``ScalarField.sample`` makes of its ``fn``: elementwise work then
+      runs once per x-node on the x side and once per y point on the y side.
+
+    Returns x as (k,) or (nx, 1), y as (k, n_y) or (m, n_y), and the shape.
+    Arrays of the protocol shapes come back as they are.
     """
+    if np.ndim(x) == 2:
+        x_col = np.asarray(x, dtype=float)
+        if x_col.shape[1] != 1:
+            raise ValueError(f"a grid call needs x of shape (nx, 1), got {x_col.shape}")
+        y_arr = np.asarray(y, dtype=float).reshape(-1, n_y)
+        return x_col, y_arr, (x_col.shape[0], y_arr.shape[0])
     x_arr = np.asarray(x, dtype=float).reshape(-1)
     y_arr = np.asarray(y, dtype=float).reshape(-1, n_y)
     k = max(x_arr.shape[0], y_arr.shape[0])
@@ -105,7 +118,7 @@ def at_points(x, y, n_y: int):
         x_arr = np.broadcast_to(x_arr, (k,))
     if y_arr.shape[0] != k:
         y_arr = np.broadcast_to(y_arr, (k, n_y))
-    return x_arr, y_arr, np.ndim(x) == 0 and k == 1
+    return x_arr, y_arr, () if np.ndim(x) == 0 and k == 1 else (k,)
 
 
 def box_axes(
@@ -177,12 +190,12 @@ class ScalarField:
     def sample(cls, fn, axes, name: str = "field") -> "ScalarField":
         """Sample ``fn(x, y)`` on the grid of ``axes`` (x first, then y1, ...).
 
-        ``fn`` is called once, with x of shape (nx, 1), the x axis as a
-        column, and y of shape (m, n_y), the ``grid_points`` of the y axes;
-        its values must broadcast to (nx, m), value [i, j] being u at
-        (x[i], y[j]).  An elementwise ``fn`` then does its y work once per
-        y-node and its x work once per x-node.  Values that do not broadcast
-        raise ValueError.
+        ``fn`` is called once in the grid form of ``at_points``: x of shape
+        (nx, 1), the x axis as a column, and y of shape (m, n_y), the
+        ``grid_points`` of the y axes; its values must broadcast to (nx, m),
+        value [i, j] being u at (x[i], y[j]).  An elementwise ``fn`` then
+        does its y work once per y-node and its x work once per x-node.
+        Values that do not broadcast raise ValueError.
         """
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         y = grid_points(axes[1:])
@@ -191,12 +204,14 @@ class ScalarField:
         return cls(axes, values, name)
 
     def at(self, x, y):
-        """Multilinear interpolation at the points (x, y) of ``at_points``;
-        a float for one point.
+        """Multilinear interpolation at the points (x, y) of ``at_points``:
+        a float for one point, shape (k,) for k points, shape (nx, m) for the
+        grid form, whose x cells and weights are found once per x-node.
+        Every form gives the bits of the flat call on the same points.
 
         Raises ValueError outside the grid support.
         """
-        x_arr, y_arr, one = at_points(x, y, self.n_y)
+        x_arr, y_arr, shape = at_points(x, y, self.n_y)
         coords = [x_arr] + [y_arr[:, k] for k in range(self.n_y)]
         for k, (a, p) in enumerate(zip(self.axes, coords)):
             if not np.logical_and(np.all(a[0] <= p), np.all(p <= a[-1])):
@@ -225,7 +240,7 @@ class ScalarField:
                 for c, d in zip(corner, dist):
                     weight = weight * (d if c else 1 - d)
                 out = out + v[tuple(i + c for i, c in zip(idx, corner))] * weight
-        return float(out[0]) if one else out
+        return float(out[0]) if shape == () else out
 
     def node_points(self) -> tuple[np.ndarray, np.ndarray]:
         """All grid nodes as (x of shape (k,), y of shape (k, n_y)), C-order."""

@@ -107,15 +107,30 @@ class RegionCheck:
         return dataclasses.asdict(self)
 
 
+# points of one grid ``u.at`` call at most: a larger grid runs in slabs of
+# x-nodes, which bounds the working set of an n_y >= 2 lattice
+_GRID_CALL_POINTS = 1 << 17
+
+
+def _grid_slabs(u, x_nodes, y_pts):
+    """u on x_nodes x y_pts, as (slab, m) arrays of consecutive x-nodes from
+    grid ``u.at`` calls of at most _GRID_CALL_POINTS points each; one call
+    when the whole grid fits."""
+    rows = max(1, _GRID_CALL_POINTS // y_pts.shape[0])
+    for lo in range(0, x_nodes.shape[0], rows):
+        yield np.asarray(u.at(x_nodes[lo:lo + rows, None], y_pts), dtype=float)
+
+
 def _eval_subgrid(u, sub: SubCylinder, grid: int):
-    """Evaluate u on the closed subcylinder lattice; returns (x, y, values)."""
+    """Evaluate u on the closed subcylinder lattice; returns (x, y, values),
+    flat and x-major, like the C order of the (x, y) grid the ball is cut
+    from."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     ball, _ = ball_lattice(sub.y_radius, 2 * sub.y_radius / (grid - 1), u.n_y, closed=True)
-    # x-major, like the C order of the (x, y) grid the ball is cut from
-    x = np.repeat(np.linspace(sub.x_lo, sub.x_hi, grid), ball.shape[0])
-    y = np.tile(ball, (grid, 1))
-    return x, y, np.asarray(u.at(x, y), dtype=float)
+    x_nodes = np.linspace(sub.x_lo, sub.x_hi, grid)
+    vals = np.concatenate(list(_grid_slabs(u, x_nodes, ball))).reshape(-1)
+    return np.repeat(x_nodes, ball.shape[0]), np.tile(ball, (grid, 1)), vals
 
 
 def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> HarnackReport:
@@ -193,7 +208,10 @@ def region_inequality_check(
 
     A_d is the union of the drift regions at the given level; both signs
     must be populated (a one-signed drift has no level-d Harnack bound).
-    The x interval is the domain's inner interval.
+    The x interval is the domain's inner interval, at x-nodes ``grid_step``
+    apart.  u is evaluated by one grid-form ``u.at`` call per point set
+    (A_d, then the inner-ball lattice) against the x-nodes, in slabs of
+    x-nodes when the grid exceeds _GRID_CALL_POINTS points.
     """
     regions = classify_regions(op, dom, level, grid_step)
     missing = [tag for tag, pts in (("+", regions.plus_points), ("-", regions.minus_points))
@@ -205,16 +223,10 @@ def region_inequality_check(
     if u.n_y != op.n_y:
         raise ValueError("solution and operator dimensions differ")
     x_nodes = step_axis(dom.inner_x_lo, dom.inner_x_hi, grid_step)
-
-    def node_values(y_pts):
-        """u over y_pts at each x-node in turn, one u.at call per node."""
-        for x0 in x_nodes:
-            yield np.asarray(u.at(np.full(y_pts.shape[0], x0), y_pts), dtype=float)
-
     a_d = np.concatenate([regions.plus_points, regions.minus_points], axis=0)
-    sup_val = max(float(vals.max()) for vals in node_values(a_d))
+    sup_val = max(float(vals.max()) for vals in _grid_slabs(u, x_nodes, a_d))
     ball_pts, _ = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=True)
-    inf_val = min(float(vals.min()) for vals in node_values(ball_pts))
+    inf_val = min(float(vals.min()) for vals in _grid_slabs(u, x_nodes, ball_pts))
     if inf_val <= 0:
         raise ValueError(f"{u.name} is not positive on the inner subcylinder: min {inf_val:g}")
     ratio = sup_val / inf_val

@@ -21,6 +21,7 @@ from .expressions import (
     EvalDomainError,
     Expr,
     ExprError,
+    SharedSubtrees,
     evaluate,
     differentiate,
     free_variables,
@@ -304,18 +305,18 @@ def check_hypothesis(
     except ExprError as err:
         return failed(f"cannot differentiate beta: {err}")
 
+    # each subtree the derivatives share is evaluated once, and the mass is
+    # summed as each derivative arrives
     env = {name: pts[:, k] for k, name in enumerate(op.y_names)}
-    values = []
-    for e in exprs:
+    memo = SharedSubtrees(exprs)
+    mass = np.zeros(pts.shape[0])
+    for i, e in enumerate(exprs):
         try:
-            v = evaluate(e, env)
+            v = evaluate(e, env, memo)
         except EvalDomainError:
             return failed(_locate_eval_failure(exprs, op.y_names, pts))
-        values.append(np.full(pts.shape[0], v) if np.ndim(v) == 0 else np.asarray(v))
-
-    beta_vals = values[0]
-    mass = np.zeros(pts.shape[0])
-    for v in values:
+        if i == 0:
+            beta_vals = np.full(pts.shape[0], v) if np.ndim(v) == 0 else v
         mass += np.abs(v)
 
     i_min = int(np.argmin(beta_vals))

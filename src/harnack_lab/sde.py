@@ -412,12 +412,30 @@ def _run_chunk(
         out["exited"][rows] = False
 
 
+def _broken_bound(op: OperatorSpec, dom: CylinderDomain, which: str, what: str) -> Exception:
+    """The error for a path that broke ``what``, a bound built on the sup
+    ``which`` of ``op``: a ValueError naming that sup when it is below the
+    raw grid maximum of ``estimate_sups``, which only a caller's bound can
+    be (an estimated one is that maximum times a margin of at least 1), and
+    the internal-error RuntimeError otherwise."""
+    given = getattr(op, which)
+    coeff = which.removesuffix("_sup")
+    grid_max = estimate_sups(op, dom, margin=1.0)[0 if coeff == "beta" else 1]
+    if given < grid_max:
+        return ValueError(
+            f"{which} = {given:g} is below the sup of |{coeff}| on the domain grid, "
+            f"{grid_max:g}, and a path broke the {what}; give a bound at least "
+            f"that large or leave {which} to the estimate"
+        )
+    return RuntimeError(f"internal error: a path broke the {what}")
+
+
 def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> None:
     starts_x = np.atleast_1d(batch.start_x)
     disp = np.abs(batch.stopped_x - np.repeat(starts_x, batch.n_paths // starts_x.size))
     bound = op.beta_sup * (batch.stop_time + batch.dt) + 1e-9
     if np.any(disp > bound):
-        raise RuntimeError("internal error: a path broke the x-displacement bound")
+        raise _broken_bound(op, dom, "beta_sup", "x-displacement bound")
     r2 = np.einsum("ij,ij->i", batch.stopped_y, batch.stopped_y)
     r2_max = dom.y_outer_radius**2
     if np.any(r2 > r2_max * (1 + 1e-12) + 1e-12):
@@ -434,7 +452,7 @@ def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> Non
             gamma_sup = max(gamma_sup, estimate_sups(op, wide)[1])
     g_bound = gamma_sup * batch.stop_time * (1 + 1e-9) + 1e-12
     if np.any(np.abs(batch.gamma_integral) > g_bound):
-        raise RuntimeError("internal error: a path broke the gamma-integral bound")
+        raise _broken_bound(op, dom, "gamma_sup", "gamma-integral bound")
 
 
 def starts_per_call(n_paths: int) -> int:

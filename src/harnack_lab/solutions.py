@@ -66,10 +66,18 @@ class AnalyticSolution:
         return self.op.n_y
 
     def at(self, x, y):
-        """u at the points (x, y) of ``fields.at_points``; a float for one point."""
-        x_arr, y_arr, one = at_points(x, y, self.op.n_y)
+        """u at the points (x, y) of ``fields.at_points``: a float for one
+        point, shape (k,) for k points, shape (nx, m) for the grid form.
+
+        ``fn`` gets the points in the form they came in; a grid result that
+        only broadcasts to (nx, m), such as ``constant``'s (nx, 1), is
+        broadcast to it.
+        """
+        x_arr, y_arr, shape = at_points(x, y, self.op.n_y)
         out = np.asarray(self.fn(x_arr, y_arr), dtype=float)
-        return float(out[0]) if one else out
+        if len(shape) == 2 and out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
+        return float(out[0]) if shape == () else out
 
     def as_field(self, nx: int = 101, ny: int = 101, x_span=None, y_radius=None) -> ScalarField:
         """Sample onto a regular grid (defaults to the validity cylinder)."""

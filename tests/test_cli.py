@@ -44,6 +44,21 @@ def test_check_exit_codes(tmp_path, capsys):
     assert "unknown identifier" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta, message", [
+    ("1/y1", "division by zero"),
+    ("-1e999", "non-finite value"),
+    ("sqrt(y1)", "sqrt of negative value"),
+])
+def test_check_reports_an_evaluation_failure_and_exits_1(tmp_path, capsys, beta, message):
+    rc, out = run(tmp_path, "check", "--set", f"operator.beta={beta}")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation failed at y=(") and message in err
+    report = json.loads((out / "hormander_report.json").read_text())
+    assert report["pass"] is False and report["min_derivative_mass"] is None
+    assert err == f"error: {report['error']}\n"
+
+
 def test_config_errors_are_aggregated(tmp_path, capsys):
     rc, _ = run(tmp_path, "check",
                 "--set", "operator.beta=q1",

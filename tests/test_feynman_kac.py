@@ -349,3 +349,17 @@ def test_package_exports():
     # evaluator stays at harnack_lab.expressions.evaluate
     assert harnack_lab.evaluate is feynman_kac.evaluate
     assert [name for name in harnack_lab.__all__ if not hasattr(harnack_lab, name)] == []
+
+
+def test_a_given_sup_below_the_true_sup_is_named():
+    # |0.4*y1| reaches 0.8 on the outer ball, so paths break a gamma_sup of 0.5
+    op = dataclasses.replace(OperatorSpec.from_strings("y1", "0.4*y1"), gamma_sup=0.5)
+    with pytest.raises(ValueError, match=r"gamma_sup = 0\.5 is below the sup of \|gamma\|"):
+        sandwich_check(op, DOM, lambda x, y: np.ones_like(x), (0.5, 0.0),
+                       cfg=SimConfig(t_max=1.0, n_paths=500))
+    op = dataclasses.replace(DRIFT_Y, beta_sup=0.5)
+    with pytest.raises(ValueError, match=r"beta_sup = 0\.5 is below the sup of \|beta\|"):
+        sde.simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=500))
+    # the same batches under estimated bounds pass their checks
+    sandwich_check(DRIFT_Y, DOM, lambda x, y: np.ones_like(x), (0.5, 0.0),
+                   cfg=SimConfig(t_max=1.0, n_paths=500))

@@ -76,6 +76,45 @@ def test_one_point_broadcasts_against_k_points():
     assert isinstance(make_field().at(0.3, ys[0]), float)
 
 
+def grid_and_flat(n_y, rng):
+    """x-nodes as a column and y points inside [-1.5, 1.5]^n_y, grid nodes
+    and the support's ends among them, and the same pairs flat, x-major."""
+    x = np.concatenate([[-1.0, 2.0, 0.5], rng.uniform(-1.0, 2.0, 6)])[:, None]
+    y = np.concatenate([np.full((1, n_y), -1.5), np.full((1, n_y), 1.5),
+                        np.zeros((1, n_y)), rng.uniform(-1.5, 1.5, (20, n_y))])
+    return x, y, np.repeat(x[:, 0], y.shape[0]), np.tile(y, (x.shape[0], 1))
+
+
+@pytest.mark.parametrize("n_y", [1, 2])
+def test_grid_at_equals_flat_at_bit_for_bit(n_y):
+    rng = np.random.default_rng(11)
+    axes = (np.linspace(-1.0, 2.0, 7),) + (np.linspace(-1.5, 1.5, 5),) * n_y
+    f = ScalarField(axes, rng.normal(size=tuple(a.size for a in axes)))
+    x, y, flat_x, flat_y = grid_and_flat(n_y, rng)
+    got = f.at(x, y)
+    assert got.shape == (x.shape[0], y.shape[0])
+    assert np.array_equal(got.reshape(-1), f.at(flat_x, flat_y))
+    # one x-node, and a y side given as k numbers when n_y = 1
+    assert np.array_equal(f.at(x[:1], y), f.at(flat_x[:y.shape[0]], y)[None, :])
+    if n_y == 1:
+        assert np.array_equal(f.at(x, y[:, 0]), got)
+
+
+def test_one_point_and_flat_calls_keep_their_forms():
+    f = make_field()
+    ys = np.array([[-0.9], [-0.2], [0.4]])
+    assert isinstance(f.at(0.3, 0.2), float)
+    assert isinstance(f.at(0.3, np.array([0.2])), float)
+    assert f.at(np.array([0.3]), np.array([0.2])).shape == (1,)
+    assert f.at(np.full(3, 0.3), ys).shape == (3,)
+    assert f.at(np.full(3, 0.3), ys[:, 0]).shape == (3,)
+    assert f.at(0.3, ys).shape == (3,)
+    with pytest.raises(ValueError, match="grid call needs x of shape"):
+        f.at(np.zeros((3, 2)), ys)
+    with pytest.raises(ValueError, match="out of bounds in dimension 0"):
+        f.at(np.array([[0.0], [5.0]]), ys)
+
+
 def test_interpolation_outside_support_raises():
     f = make_field()
     with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ import types
 import numpy as np
 import pytest
 
-from harnack_lab.fields import ScalarField, box_axes
+from harnack_lab.fields import ScalarField, box_axes, step_axis
 from harnack_lab.harnack import (
+    _GRID_CALL_POINTS,
     FamilyScan,
+    RegionCheck,
     SubCylinder,
     _eval_subgrid,
     counterexample_scan,
@@ -19,7 +21,7 @@ from harnack_lab.harnack import (
     sup_inf_ratio,
     window_average_x,
 )
-from harnack_lab.operators import CylinderDomain, OperatorSpec
+from harnack_lab.operators import CylinderDomain, OperatorSpec, ball_lattice, classify_regions
 from harnack_lab.solutions import (
     constant,
     counterexample_family,
@@ -169,6 +171,53 @@ def test_region_check_kolmogorov_closed_form():
     assert chk.sup == pytest.approx(1 + 0.99**3 / 6 + 10, abs=1e-12)
     assert chk.inf == pytest.approx(10 - 1 / 6, abs=1e-12)
     assert chk.passed  # ratio about 1.135
+
+
+def region_check_per_node(u, op, dom, level, cap, grid_step):
+    """The region check as one flat ``u.at`` call per x-node and point set."""
+    regions = classify_regions(op, dom, level, grid_step)
+    x_nodes = step_axis(dom.inner_x_lo, dom.inner_x_hi, grid_step)
+    a_d = np.concatenate([regions.plus_points, regions.minus_points])
+    ball, _ = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=True)
+    sup = max(float(np.max(u.at(np.full(a_d.shape[0], x0), a_d))) for x0 in x_nodes)
+    inf = min(float(np.min(u.at(np.full(ball.shape[0], x0), ball))) for x0 in x_nodes)
+    return RegionCheck(level=level, sup=sup, inf=inf, ratio=sup / inf, cap=cap,
+                       passed=sup / inf <= cap, plus_count=regions.plus_count,
+                       minus_count=regions.minus_count)
+
+
+class AtSpy:
+    """Forwards ``at`` to u and records the shapes of each call."""
+
+    def __init__(self, u):
+        self.u, self.n_y, self.name, self.calls = u, u.n_y, u.name, []
+
+    def at(self, x, y):
+        self.calls.append((np.shape(x), np.shape(y)))
+        return self.u.at(x, y)
+
+
+@pytest.mark.parametrize("build, beta, grid_step, calls", [
+    (lambda: kolmogorov_poly(10.0), "y1", 0.01, 2),
+    (lambda: separable(0.8, OperatorSpec.from_strings("y1^3 - 0.2*y1", "0")),
+     "y1^3 - 0.2*y1", 0.01, 2),
+    # 51 x-nodes against 4,994 points of A_d (slabs of 26 x-nodes) and the
+    # 7,845 ball points (slabs of 16)
+    (lambda: ScalarField.sample(lambda x, y: 3 + x * y[:, 0] - y[:, 1] ** 2,
+                                box_axes(-0.1, 1.1, 13, 1.2, 25, 2), name="field-2d"),
+     "y1 + 0.3*y2", 0.02, 2 + 4),
+])
+def test_region_check_makes_one_grid_call_per_point_set(build, beta, grid_step, calls):
+    u = build()
+    op = OperatorSpec.from_strings(beta, "0", dim_n=1 + u.n_y)
+    spy = AtSpy(u)
+    got = region_inequality_check(spy, op, DOM, level=0.3, cap=2.0, grid_step=grid_step)
+    assert got == region_check_per_node(u, op, DOM, 0.3, 2.0, grid_step)
+    assert len(spy.calls) == calls
+    n_x = step_axis(DOM.inner_x_lo, DOM.inner_x_hi, grid_step).shape[0]
+    assert sum(x_shape[0] for x_shape, _ in spy.calls) == 2 * n_x
+    assert all(len(x_shape) == 2 and x_shape[0] * y_shape[0] <= _GRID_CALL_POINTS
+               for x_shape, y_shape in spy.calls)
 
 
 def test_bad_subcylinder_and_mismatched_dimensions():

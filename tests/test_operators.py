@@ -1,14 +1,19 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from harnack_lab.expressions import UnknownIdentifierError, parse
+from harnack_lab import expressions
+from harnack_lab.expressions import SharedSubtrees, UnknownIdentifierError, evaluate, parse
 from harnack_lab.fields import ScalarField, box_axes, grid_points, step_axis
 from harnack_lab.operators import (
+    MASS_TOLERANCE,
     CylinderDomain,
+    HormanderReport,
     OperatorSpec,
+    _derivative_exprs,
     ball_lattice,
     check_hypothesis,
     classify_regions,
@@ -101,6 +106,73 @@ def test_check_hypothesis_reports_expression_failures():
     report = check_hypothesis(op, BALL3, order=1)
     assert not report.passed
     assert "cannot differentiate" in report.error
+
+
+def check_each_derivative_alone(op, dom, order, grid_step):
+    """check_hypothesis with every derivative evaluated on its own and the
+    mass summed over the kept arrays."""
+    pts, step = ball_lattice(dom.y_outer_radius, grid_step, op.n_y, closed=True)
+    env = {name: pts[:, k] for k, name in enumerate(op.y_names)}
+    values = [evaluate(e, env) for e in _derivative_exprs(op.beta, op.y_names, order)]
+    values = [np.full(pts.shape[0], v) if np.ndim(v) == 0 else v for v in values]
+    mass = np.zeros(pts.shape[0])
+    for v in values:
+        mass += np.abs(v)
+    i_min, i_max = int(np.argmin(values[0])), int(np.argmax(values[0]))
+    sign_ok = values[0][i_min] < 0 < values[0][i_max]
+    return HormanderReport(
+        passed=bool(sign_ok and mass.min() > MASS_TOLERANCE), order_used=order,
+        sign_change_ok=bool(sign_ok), sign_witnesses=(tuple(pts[i_min]), tuple(pts[i_max])),
+        min_derivative_mass=float(mass.min()), grid_step=step)
+
+
+@pytest.mark.parametrize("beta, dim_n, order", [
+    ("sin(1.3*y1)*y2 + 0.7*y1", 3, 2),
+    ("sin(1.3*y1)*y2 + 0.7*y1", 3, 3),
+    ("exp(0.5*y1)*cos(y2) - sin(y1*y2)", 3, 2),
+    ("sqrt(5 + y1)*y1 - 1/(4 - y1)", 2, 4),
+    ("(y1^2 - 0.25)*cosh(y1)", 2, 3),
+    ("y1 + 0.3", 2, 0),
+    ("-(y1*y2*y3) + y3", 4, 2),
+])
+def test_check_hypothesis_equals_each_derivative_alone(beta, dim_n, order):
+    op = OperatorSpec.from_strings(beta, dim_n=dim_n)
+    step = 0.02 if dim_n < 4 else 0.2
+    want = check_each_derivative_alone(op, CylinderDomain(), order, step)
+    got = check_hypothesis(op, CylinderDomain(), order=order, grid_step=step)
+    assert got == want
+    assert struct.pack("<d", got.min_derivative_mass) == struct.pack(
+        "<d", want.min_derivative_mass)
+
+
+def test_check_hypothesis_evaluates_each_shared_function_once(monkeypatch):
+    op = OperatorSpec.from_strings("sin(1.3*y1)*y2 + 0.7*y1", dim_n=3)
+    n_pts = ball_lattice(2.0, 0.01, 2, closed=True)[0].shape[0]
+    passes = {"sin": 0, "cos": 0}
+
+    def counted(name, fn):
+        def wrapper(a):
+            if np.shape(a) == (n_pts,):
+                passes[name] += 1
+            return fn(a)
+        return wrapper
+
+    for name in passes:
+        fn = expressions._FUNCTIONS[name]
+        monkeypatch.setitem(expressions._FUNCTIONS, name, counted(name, fn))
+    report = check_hypothesis(op, CylinderDomain(), order=2)
+    # beta, d2/dy1^2 and d/dy2 hold sin(1.3*y1); d/dy1 and d2/dy1dy2 hold cos(1.3*y1)*1.3
+    assert passes == {"sin": 1, "cos": 1}
+    assert report.passed
+
+
+def test_shared_subtrees_release_each_value_after_its_last_use():
+    exprs = _derivative_exprs(parse("sin(2*y1)*y2 + y1", ("y1", "y2")), ("y1", "y2"), 2)
+    env = {"y1": np.linspace(-1, 1, 5), "y2": np.linspace(0, 2, 5)}
+    memo = SharedSubtrees(exprs)
+    for e in exprs:
+        assert np.array_equal(evaluate(e, env, memo), evaluate(e, env))
+    assert memo._held == {} and memo._left == {}
 
 
 def test_check_hypothesis_precondition_errors():

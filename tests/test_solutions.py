@@ -320,15 +320,19 @@ def test_rk4_sweep_equals_the_old_step_expressions(beta, lam, y0, target, h):
         assert v.tobytes() == want_v.tobytes()
 
 
-@pytest.mark.parametrize("build", [
+CATALOG = [
     lambda: kolmogorov_poly(10.0),
     lambda: counterexample_family(2.5),
     lambda: separable(1.2, OperatorSpec.from_strings("y1", "0")),
     lambda: separable(-0.7, OperatorSpec.from_strings("y1^2 - 0.5", "-0.2")),
     lambda: constant(2.0),
     lambda: constant(3.0, OperatorSpec.from_strings("y1 - y2", "0", dim_n=3)),
-], ids=["kolmogorov", "counterexample", "separable", "separable-gamma", "constant",
-        "constant-3d"])
+]
+CATALOG_IDS = ["kolmogorov", "counterexample", "separable", "separable-gamma", "constant",
+               "constant-3d"]
+
+
+@pytest.mark.parametrize("build", CATALOG, ids=CATALOG_IDS)
 def test_sampled_field_equals_the_flat_node_evaluation(build):
     # sample evaluates fn once per x-node and once per y-node, broadcast;
     # each node's value has the bits of fn at that node as one flat point
@@ -336,3 +340,26 @@ def test_sampled_field_equals_the_flat_node_evaluation(build):
     field = sol.as_field(23, 17)
     x, y = field.node_points()
     assert field.values.reshape(-1).tobytes() == np.asarray(sol.fn(x, y), float).tobytes()
+
+
+@pytest.mark.parametrize("build", CATALOG, ids=CATALOG_IDS)
+def test_grid_at_equals_flat_at_bit_for_bit(build):
+    sol = build()
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0, 1.0], rng.uniform(-1.0, 2.0, 7)])[:, None]
+    y = np.concatenate([np.zeros((1, sol.n_y)), rng.uniform(-1.0, 1.0, (30, sol.n_y))])
+    got = sol.at(x, y)
+    assert got.shape == (9, 31)
+    flat = sol.at(np.repeat(x[:, 0], 31), np.tile(y, (9, 1)))
+    assert got.reshape(-1).tobytes() == flat.tobytes()
+    # one point and k points keep their forms
+    one = sol.at(float(x[2, 0]), y[1])
+    assert isinstance(one, float) and one == got[2, 1]
+    assert sol.at(np.full(31, x[3, 0]), y).tobytes() == got[3].tobytes()
+
+
+def test_constant_grid_values_are_broadcast_and_writable():
+    sol = constant(2.0)
+    got = sol.at(np.array([[0.0], [0.5]]), np.zeros((4, 1)))
+    assert got.shape == (2, 4) and np.all(got == 2.0)
+    got[0, 0] = 1.0  # a grid result is an array of its own, not a read-only view
