@@ -354,8 +354,7 @@ def cmd_make_solution(cfg: RunConfig) -> int:
         raise ValueError("manufactured field is not positive; boundary data must be > 0")
     field.save(cfg.out_dir, "solution")
     if cfg.svg and cfg.op.n_y == 1:
-        (cfg.out_dir / "solution.svg").write_text(
-            heatmap_svg(field, title="fk_solution"), encoding="ascii")
+        (cfg.out_dir / "solution.svg").write_text(heatmap_svg(field), encoding="ascii")
     print(f"solution field on {'x'.join(str(len(a)) for a in field.axes)} grid: "
           f"min {field.values.min():.6g}, max {field.values.max():.6g}")
     return 0
@@ -441,8 +440,7 @@ def cmd_average(cfg: RunConfig) -> int:
     averaged = window_average_x(field, z)
     averaged.save(cfg.out_dir, "average")
     if cfg.svg and averaged.n_y == 1:
-        (cfg.out_dir / "average.svg").write_text(
-            heatmap_svg(averaged, title=averaged.name), encoding="ascii")
+        (cfg.out_dir / "average.svg").write_text(heatmap_svg(averaged), encoding="ascii")
     print(f"window average of {sol.name} with z={z:g}: "
           f"{len(averaged.axes[0])} x-node(s) kept")
     return 0

@@ -23,8 +23,7 @@ import numpy as np
 
 from .expressions import free_variables
 from .fields import ScalarField, grid_points
-from .operators import (_SUP_MARGIN, CylinderDomain, OperatorSpec, estimate_sups,
-                         with_estimated_sups)
+from .operators import _SUP_MARGIN, CylinderDomain, OperatorSpec, with_estimated_sups
 from .sde import SimConfig, simulate_batch, starts_per_call
 
 __all__ = ["FKEstimate", "SandwichReport", "evaluate", "sandwich_check", "make_solution"]
@@ -130,28 +129,21 @@ def sandwich_check(
     """Check  e^{-t}(E - k*se) <= u(start) <= e^{t}(E + k*se)  where E is the
     unweighted mean of u at stopped states.
 
-    Needs |gamma| <= 1 (rescale the operator first otherwise).  The default
-    horizon is 1/sup|beta|, trading x-spread against weight growth.  ``u``
+    Needs |gamma| <= 1 on the sup lattice (rescale the operator first
+    otherwise); both sups are measured there, once, through
+    ``with_estimated_sups``.  The default horizon is 1/sup|beta|, trading
+    x-spread against weight growth.  ``u``
     is evaluated as in ``evaluate``, at the stopped states and at the one
     point ``start``: a constant result is broadcast, any other wrong shape
     and a k-point ``start`` are ValueErrors.
     """
     if not 0 <= k_sigma < np.inf:
         raise ValueError(f"k_sigma must be nonnegative and finite, got {k_sigma:g}")
-    # one sweep of the sup lattice: gate on the raw grid maximum (the
-    # step-size margin would reject the boundary case |gamma| = 1, which the
-    # bound does cover), and fill the missing sups with the margin, the
-    # product with_estimated_sups makes
-    gamma_gate = op.gamma_sup
-    if op.beta_sup is None or op.gamma_sup is None:
-        beta_max, gamma_max = estimate_sups(op, dom, margin=1.0)
-        if gamma_gate is None:
-            gamma_gate = gamma_max
-        op = dataclasses.replace(
-            op,
-            beta_sup=op.beta_sup if op.beta_sup is not None else _SUP_MARGIN * beta_max,
-            gamma_sup=op.gamma_sup if op.gamma_sup is not None else _SUP_MARGIN * gamma_max,
-        )
+    # one sweep of the sup lattice, shared with the path engine; the gate
+    # divides the step-size margin back out (with it the boundary case
+    # |gamma| = 1, which the bound does cover, would fail)
+    op = with_estimated_sups(op, dom)
+    gamma_gate = op.gamma_sup / _SUP_MARGIN
     if gamma_gate > 1.0 + 1e-9:
         raise ValueError(
             f"sandwich bound needs |gamma| <= 1 (estimated sup {gamma_gate:g}); rescale first"
@@ -164,8 +156,7 @@ def sandwich_check(
 
     batch, payoff = _run_one_start(op, dom, u, start, t, cfg, workers, stream)
     e_mean, se = _mean_se(payoff)
-    value = float(_payoff(u, np.array([batch.start_x]), batch.start_y[None, :],
-                          at="the start")[0])
+    value = float(_payoff(u, batch.start_x, batch.start_y, at="the start")[0])
 
     lower = np.exp(-t) * (e_mean - k_sigma * se)
     upper = np.exp(t) * (e_mean + k_sigma * se)

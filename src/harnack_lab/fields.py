@@ -299,8 +299,9 @@ _PALETTE = (
 )
 
 
-def heatmap_svg(field: ScalarField, title: str | None = None) -> str:
-    """Deterministic SVG heatmap of a field with one y axis.
+def heatmap_svg(field: ScalarField) -> str:
+    """Deterministic SVG heatmap of a field with one y axis, titled with the
+    field's name.
 
     Node (i, j) is drawn as a cell whose edges lie halfway between nodes.
     A cell's x edges depend only on its column i and its y edges only on its
@@ -350,10 +351,9 @@ def heatmap_svg(field: ScalarField, title: str | None = None) -> str:
         f'<rect x="{m}" y="{m}" width="{pw}" height="{ph}" fill="none" '
         'stroke="black" stroke-width="1"/>'
     )
-    label = title if title is not None else field.name
     parts.append(
         f'<text x="{width / 2:.0f}" y="25" font-family="monospace" font-size="14" '
-        f'text-anchor="middle">{label}</text>'
+        f'text-anchor="middle">{field.name}</text>'
     )
     parts.append(
         f'<text x="{m}" y="{height - 12}" font-family="monospace" font-size="11">'

@@ -121,36 +121,33 @@ def _grid_slabs(u, x_nodes, y_pts):
         yield np.asarray(u.at(x_nodes[lo:lo + rows, None], y_pts), dtype=float)
 
 
-def _eval_subgrid(u, sub: SubCylinder, grid: int):
-    """Evaluate u on the closed subcylinder lattice; returns (x, y, values),
-    flat and x-major, like the C order of the (x, y) grid the ball is cut
-    from."""
+def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> HarnackReport:
+    """Exact grid extrema and their quotient; refuses nonpositive fields.
+
+    u is evaluated on the closed subcylinder lattice, the x-nodes times the
+    points of the closed ball cut from a box lattice of the same node count,
+    as an (x-node, ball point) array whose extrema are read in place."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
+    sub = sub or SubCylinder()
     ball, _ = ball_lattice(sub.y_radius, 2 * sub.y_radius / (grid - 1), u.n_y, closed=True)
     x_nodes = np.linspace(sub.x_lo, sub.x_hi, grid)
-    vals = np.concatenate(list(_grid_slabs(u, x_nodes, ball))).reshape(-1)
-    return np.repeat(x_nodes, ball.shape[0]), np.tile(ball, (grid, 1)), vals
-
-
-def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> HarnackReport:
-    """Exact grid extrema and their quotient; refuses nonpositive fields."""
-    sub = sub or SubCylinder()
-    x, y, vals = _eval_subgrid(u, sub, grid)
-    i_min = int(np.argmin(vals))
-    i_max = int(np.argmax(vals))
-    if vals[i_min] <= 0:
-        loc = ", ".join(format(v, "g") for v in (x[i_min], *y[i_min]))
+    vals = np.concatenate(list(_grid_slabs(u, x_nodes, ball)))
+    at_min = np.unravel_index(np.argmin(vals), vals.shape)
+    at_max = np.unravel_index(np.argmax(vals), vals.shape)
+    arg_min = (float(x_nodes[at_min[0]]), *map(float, ball[at_min[1]]))
+    if vals[at_min] <= 0:
+        loc = ", ".join(format(v, "g") for v in arg_min)
         raise ValueError(
-            f"{u.name} is not positive on the subdomain: min {vals[i_min]:g} at ({loc})"
+            f"{u.name} is not positive on the subdomain: min {vals[at_min]:g} at ({loc})"
         )
     return HarnackReport(
         solution=u.name,
-        sup=float(vals[i_max]),
-        inf=float(vals[i_min]),
-        ratio=float(vals[i_max] / vals[i_min]),
-        argmax=(float(x[i_max]), *map(float, y[i_max])),
-        argmin=(float(x[i_min]), *map(float, y[i_min])),
+        sup=float(vals[at_max]),
+        inf=float(vals[at_min]),
+        ratio=float(vals[at_max] / vals[at_min]),
+        argmax=(float(x_nodes[at_max[0]]), *map(float, ball[at_max[1]])),
+        argmin=arg_min,
     )
 
 

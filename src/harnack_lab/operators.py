@@ -59,16 +59,18 @@ class OperatorSpec:
 
     ``beta`` depends on the y variables only; ``gamma`` may also use x.
     ``dim_n`` is the dimension of the full state (x, y), so y has
-    ``dim_n - 1`` coordinates named y1, y2, ...  The sup norms are upper
-    bounds used for step-size control and horizon defaults; leave them None
-    to have them estimated from a grid (see ``with_estimated_sups``).
+    ``dim_n - 1`` coordinates named y1, y2, ...  ``beta_sup`` and
+    ``gamma_sup``, the upper bounds on |beta| and |gamma| behind step-size
+    control, horizon defaults and the path checks, are measured, never
+    given: they are None here and on every copy ``dataclasses.replace``
+    makes, and only ``with_estimated_sups`` fills them.
     """
 
     beta: Expr
     gamma: Expr = Const(0.0)
     dim_n: int = 2
-    beta_sup: float | None = None
-    gamma_sup: float | None = None
+    beta_sup: float | None = dataclasses.field(default=None, init=False)
+    gamma_sup: float | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
         if self.dim_n < 2:
@@ -84,9 +86,6 @@ class OperatorSpec:
             raise ValueError(
                 f"gamma may depend only on x and {sorted(y_names)}; found {sorted(stray)}"
             )
-        for label, sup in (("beta_sup", self.beta_sup), ("gamma_sup", self.gamma_sup)):
-            if sup is not None and not sup >= 0:
-                raise ValueError(f"{label} must be nonnegative")
 
     @property
     def n_y(self) -> int:
@@ -417,12 +416,10 @@ def residual(u: ScalarField, op: OperatorSpec) -> ScalarField:
     return ScalarField(interior, out, name=f"residual of {u.name}")
 
 
-def estimate_sups(
-    op: OperatorSpec, dom: CylinderDomain, margin: float = _SUP_MARGIN
-) -> tuple[float, float]:
+def estimate_sups(op: OperatorSpec, dom: CylinderDomain) -> tuple[float, float]:
     """Grid maxima of |beta| (outer ball) and |gamma| (full cylinder), each
-    inflated by a safety factor; upper bounds for step-size control.  Pass
-    margin=1.0 for the raw grid maximum."""
+    inflated by the safety factor _SUP_MARGIN; upper bounds for step-size
+    control and the path checks."""
     y_pts, _ = ball_lattice(dom.y_outer_radius, _SUP_GRID_STEP, op.n_y, closed=True)
     beta_max = float(np.abs(op.beta_at(y_pts)).max())
     xs = step_axis(dom.x_lo, dom.x_hi, _SUP_GRID_STEP)
@@ -432,16 +429,16 @@ def estimate_sups(
     for x in xs:  # one x slice at a time keeps the product grid small
         g = op.gamma_at(np.full(y_pts.shape[0], x), y_pts)
         gamma_max = max(gamma_max, float(np.abs(g).max()))
-    return margin * beta_max, margin * gamma_max
+    return _SUP_MARGIN * beta_max, _SUP_MARGIN * gamma_max
 
 
 def with_estimated_sups(op: OperatorSpec, dom: CylinderDomain) -> OperatorSpec:
-    """Fill in any missing sup bounds from a grid estimate."""
-    if op.beta_sup is not None and op.gamma_sup is not None:
+    """A copy of ``op`` with both sup bounds filled from ``estimate_sups``;
+    ``op`` itself when they are filled already, so an op filled once costs
+    no further sweep of the sup lattice."""
+    if op.beta_sup is not None:
         return op
-    beta_sup, gamma_sup = estimate_sups(op, dom)
-    return dataclasses.replace(
-        op,
-        beta_sup=op.beta_sup if op.beta_sup is not None else beta_sup,
-        gamma_sup=op.gamma_sup if op.gamma_sup is not None else gamma_sup,
-    )
+    filled = dataclasses.replace(op)
+    for name, sup in zip(("beta_sup", "gamma_sup"), estimate_sups(op, dom)):
+        object.__setattr__(filled, name, sup)
+    return filled

@@ -100,12 +100,12 @@ class SimConfig:
 class PathBatch:
     """Stopped states of one batch; arrays are indexed by row.
 
-    From one start, ``start_x`` is a number, ``start_y`` has shape (n_y,) and
-    row i is path i.  From k starts, they have shapes (k,) and (k, n_y), and
-    rows are start-major: ``n_paths`` counts the rows of all starts.
+    ``start_x`` has shape (k,) and ``start_y`` (k, n_y) for the k starts,
+    one start included; rows are start-major, and ``n_paths`` counts the
+    rows of all starts.
     """
 
-    start_x: float | np.ndarray
+    start_x: np.ndarray
     start_y: np.ndarray
     stopped_x: np.ndarray
     stopped_y: np.ndarray
@@ -184,14 +184,14 @@ class EmpiricalMeasure:
         write_csv(path, header, fmt, rows, footer=[exit_row])
 
 
-def _normalize_starts(start, n_y: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Starts as x (k,) and y (k, n_y), and whether ``start`` was one point."""
+def _normalize_starts(start, n_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts as x (k,) and y (k, n_y); one point is k = 1."""
     x, y = start
     if np.ndim(x) == 0:
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         if y_arr.shape != (n_y,):
             raise ValueError(f"start y must have {n_y} coordinates, got shape {y_arr.shape}")
-        return np.array([float(x)]), y_arr[None, :], True
+        return np.array([float(x)]), y_arr[None, :]
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if x_arr.ndim != 1 or x_arr.size == 0 or y_arr.shape != (x_arr.size, n_y):
@@ -199,7 +199,7 @@ def _normalize_starts(start, n_y: int) -> tuple[np.ndarray, np.ndarray, bool]:
             f"k starts need x of shape (k,) and y of shape (k, {n_y}), "
             f"got {x_arr.shape} and {y_arr.shape}"
         )
-    return x_arr, y_arr, False
+    return x_arr, y_arr
 
 
 def _time_grid(dt: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -412,30 +412,12 @@ def _run_chunk(
         out["exited"][rows] = False
 
 
-def _broken_bound(op: OperatorSpec, dom: CylinderDomain, which: str, what: str) -> Exception:
-    """The error for a path that broke ``what``, a bound built on the sup
-    ``which`` of ``op``: a ValueError naming that sup when it is below the
-    raw grid maximum of ``estimate_sups``, which only a caller's bound can
-    be (an estimated one is that maximum times a margin of at least 1), and
-    the internal-error RuntimeError otherwise."""
-    given = getattr(op, which)
-    coeff = which.removesuffix("_sup")
-    grid_max = estimate_sups(op, dom, margin=1.0)[0 if coeff == "beta" else 1]
-    if given < grid_max:
-        return ValueError(
-            f"{which} = {given:g} is below the sup of |{coeff}| on the domain grid, "
-            f"{grid_max:g}, and a path broke the {what}; give a bound at least "
-            f"that large or leave {which} to the estimate"
-        )
-    return RuntimeError(f"internal error: a path broke the {what}")
-
-
 def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> None:
-    starts_x = np.atleast_1d(batch.start_x)
-    disp = np.abs(batch.stopped_x - np.repeat(starts_x, batch.n_paths // starts_x.size))
+    per_start = batch.n_paths // batch.start_x.size
+    disp = np.abs(batch.stopped_x - np.repeat(batch.start_x, per_start))
     bound = op.beta_sup * (batch.stop_time + batch.dt) + 1e-9
     if np.any(disp > bound):
-        raise _broken_bound(op, dom, "beta_sup", "x-displacement bound")
+        raise RuntimeError("internal error: a path broke the x-displacement bound")
     r2 = np.einsum("ij,ij->i", batch.stopped_y, batch.stopped_y)
     r2_max = dom.y_outer_radius**2
     if np.any(r2 > r2_max * (1 + 1e-12) + 1e-12):
@@ -446,13 +428,13 @@ def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> Non
         # within the displacement bound of a start, and never below the
         # cylinder's bound
         reach = op.beta_sup * (batch.horizon + batch.dt)
-        wide = replace(dom, x_lo=min(dom.x_lo, starts_x.min() - reach),
-                       x_hi=max(dom.x_hi, starts_x.max() + reach))
+        wide = replace(dom, x_lo=min(dom.x_lo, batch.start_x.min() - reach),
+                       x_hi=max(dom.x_hi, batch.start_x.max() + reach))
         if wide != dom:
             gamma_sup = max(gamma_sup, estimate_sups(op, wide)[1])
     g_bound = gamma_sup * batch.stop_time * (1 + 1e-9) + 1e-12
     if np.any(np.abs(batch.gamma_integral) > g_bound):
-        raise _broken_bound(op, dom, "gamma_sup", "gamma-integral bound")
+        raise RuntimeError("internal error: a path broke the gamma-integral bound")
 
 
 def starts_per_call(n_paths: int) -> int:
@@ -478,7 +460,8 @@ def simulate_batch(
     in the same engine pass, and path i of every start draws from the same
     key (common random numbers), so each start's rows equal, bit for bit,
     a batch run from that start alone.  The returned arrays hold the rows
-    start-major: row s * cfg.n_paths + i is path i from start s.
+    start-major: row s * cfg.n_paths + i is path i from start s; the batch
+    keeps the starts in the k-point form either way.
 
     ``stream`` selects an independent substream under the same master seed.
     Results are identical for every ``workers`` value.
@@ -488,7 +471,7 @@ def simulate_batch(
     if not 0 <= stream < 2**32:
         raise ValueError("stream must fit in 32 bits")
     op = with_estimated_sups(op, dom)
-    starts_x, starts_y, single = _normalize_starts(start, op.n_y)
+    starts_x, starts_y = _normalize_starts(start, op.n_y)
     starts_r2 = np.array([y @ y for y in starts_y])
     radius = dom.y_outer_radius
     if not np.all(starts_r2 < radius * radius):  # a NaN y fails too
@@ -534,8 +517,8 @@ def simulate_batch(
         out["gamma_integral"] = op.gamma.value * out["stop_time"]
 
     batch = PathBatch(
-        start_x=float(starts_x[0]) if single else starts_x,
-        start_y=starts_y[0] if single else starts_y,
+        start_x=starts_x,
+        start_y=starts_y,
         stopped_x=np.repeat(starts_x, cfg.n_paths) + out["x_disp"],
         stopped_y=out["stopped_y"],
         stop_time=out["stop_time"],
@@ -553,7 +536,7 @@ def measure_from_batch(batch: PathBatch, dom: CylinderDomain, bins: int) -> Empi
     to the exit shell."""
     if bins < 1:
         raise ValueError("bins must be at least 1")
-    if np.size(batch.start_x) > 1:
+    if batch.start_x.size > 1:
         raise ValueError("measure_from_batch needs a one-start batch; "
                          "slice a multi-start batch by start first")
     radius = dom.y_outer_radius

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -218,8 +216,6 @@ def counted_calls(monkeypatch):
                         counted("simulate_batch", feynman_kac.simulate_batch))
     monkeypatch.setattr(operators, "estimate_sups",
                         counted("estimate_sups", operators.estimate_sups))
-    monkeypatch.setattr(feynman_kac, "estimate_sups",
-                        counted("estimate_sups", feynman_kac.estimate_sups))
     return counts, rows
 
 
@@ -233,20 +229,17 @@ def test_sandwich_rejects_a_bad_k_sigma_before_any_work(monkeypatch, k_sigma):
 
 
 @pytest.mark.parametrize("gamma", ["0.2*y1", "0.05*x*y1"])
-@pytest.mark.parametrize("beta_sup, gamma_sup, sweeps",
-                         [(None, None, 1), (3.0, None, 1), (None, 0.9, 1), (3.0, 0.9, 0)])
-def test_sandwich_sweeps_the_sup_lattice_at_most_once(monkeypatch, gamma, beta_sup, gamma_sup,
-                                                     sweeps):
-    # one sweep gates gamma on the raw maxima and fills the missing sups with
-    # with_estimated_sups' margin: the same report as with the sups filled
-    op = dataclasses.replace(OperatorSpec.from_strings("y1", gamma),
-                             beta_sup=beta_sup, gamma_sup=gamma_sup)
+def test_sandwich_sweeps_the_sup_lattice_at_most_once(monkeypatch, gamma):
+    # one sweep fills both sups and gates gamma on them, none when the op
+    # comes filled: the same report either way
+    op = OperatorSpec.from_strings("y1", gamma)
     cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=200, master_seed=6)
-    filled = sandwich_check(with_estimated_sups(op, DOM), DOM, kolmogorov_fn, (0.2, 0.1),
-                            cfg=cfg)
+    filled_op = with_estimated_sups(op, DOM)
     counts, _ = counted_calls(monkeypatch)
+    filled = sandwich_check(filled_op, DOM, kolmogorov_fn, (0.2, 0.1), cfg=cfg)
+    assert counts == {"simulate_batch": 1, "estimate_sups": 0}
     rep = sandwich_check(op, DOM, kolmogorov_fn, (0.2, 0.1), cfg=cfg)
-    assert counts == {"simulate_batch": 1, "estimate_sups": sweeps}
+    assert counts == {"simulate_batch": 2, "estimate_sups": 1}
     assert rep == filled
 
 
@@ -321,6 +314,9 @@ def test_sandwich_accepts_a_constant_callable():
     assert rep.passed
     assert rep.value_at_start == 1.0
     assert rep.estimate.value == 1.0 and rep.estimate.std_error == 0.0
+    # the batches pass their bound checks under the estimated sups
+    sandwich_check(DRIFT_Y, DOM, lambda x, y: np.ones_like(x), (0.5, 0.0),
+                   cfg=SimConfig(t_max=1.0, n_paths=500))
 
 
 @pytest.mark.parametrize("check", [
@@ -349,17 +345,3 @@ def test_package_exports():
     # evaluator stays at harnack_lab.expressions.evaluate
     assert harnack_lab.evaluate is feynman_kac.evaluate
     assert [name for name in harnack_lab.__all__ if not hasattr(harnack_lab, name)] == []
-
-
-def test_a_given_sup_below_the_true_sup_is_named():
-    # |0.4*y1| reaches 0.8 on the outer ball, so paths break a gamma_sup of 0.5
-    op = dataclasses.replace(OperatorSpec.from_strings("y1", "0.4*y1"), gamma_sup=0.5)
-    with pytest.raises(ValueError, match=r"gamma_sup = 0\.5 is below the sup of \|gamma\|"):
-        sandwich_check(op, DOM, lambda x, y: np.ones_like(x), (0.5, 0.0),
-                       cfg=SimConfig(t_max=1.0, n_paths=500))
-    op = dataclasses.replace(DRIFT_Y, beta_sup=0.5)
-    with pytest.raises(ValueError, match=r"beta_sup = 0\.5 is below the sup of \|beta\|"):
-        sde.simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=500))
-    # the same batches under estimated bounds pass their checks
-    sandwich_check(DRIFT_Y, DOM, lambda x, y: np.ones_like(x), (0.5, 0.0),
-                   cfg=SimConfig(t_max=1.0, n_paths=500))

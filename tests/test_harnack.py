@@ -12,7 +12,6 @@ from harnack_lab.harnack import (
     FamilyScan,
     RegionCheck,
     SubCylinder,
-    _eval_subgrid,
     counterexample_scan,
     ratio_plot_svg,
     region_inequality_check,
@@ -58,18 +57,26 @@ def test_counterexample_ratio_closed_form():
 
 @pytest.mark.parametrize("radius, n_y, grid", [(1.7, 2, 41), (2.0, 1, 101)])
 def test_subgrid_is_the_masked_box_lattice(radius, n_y, grid):
-    # the points and their order, so argmin and argmax stay where they were
+    # the grid calls get the x-nodes and the ball points in box-lattice
+    # order, so argmin and argmax stay where they were
     sub = SubCylinder(-0.3, 0.8, radius)
-    probe = types.SimpleNamespace(n_y=n_y, at=lambda x, y: x + y.sum(axis=-1))
-    axes = (np.linspace(sub.x_lo, sub.x_hi, grid),) + (np.linspace(-radius, radius, grid),) * n_y
-    mesh = np.meshgrid(*axes, indexing="ij")
-    x = mesh[0].reshape(-1)
-    y = np.stack([m.reshape(-1) for m in mesh[1:]], axis=-1)
-    keep = (y * y).sum(axis=-1) <= radius**2 * (1 + 1e-12)
-    got_x, got_y, vals = _eval_subgrid(probe, sub, grid)
-    assert np.array_equal(got_x, x[keep])
-    assert np.array_equal(got_y, y[keep])
-    assert np.array_equal(vals, x[keep] + y[keep].sum(axis=-1))
+    calls = []
+
+    def at(x, y):
+        calls.append((x, y))
+        return 10.0 + x + y.sum(axis=-1)
+
+    axis = np.linspace(-radius, radius, grid)
+    y = np.stack([m.reshape(-1) for m in np.meshgrid(*(axis,) * n_y, indexing="ij")], axis=-1)
+    ball = y[(y * y).sum(axis=-1) <= radius**2 * (1 + 1e-12)]
+    rep = sup_inf_ratio(types.SimpleNamespace(n_y=n_y, at=at, name="probe"), sub, grid)
+    assert np.array_equal(np.concatenate([x[:, 0] for x, _ in calls]),
+                          np.linspace(sub.x_lo, sub.x_hi, grid))
+    assert all(np.array_equal(y_pts, ball) for _, y_pts in calls)
+    # 10 + x + sum(y) is extreme at the end x-nodes and the first ball point of
+    # extreme sum
+    assert rep.argmax == (sub.x_hi, *ball[np.argmax(ball.sum(axis=-1))])
+    assert rep.argmin == (sub.x_lo, *ball[np.argmin(ball.sum(axis=-1))])
 
 
 def test_refuses_nonpositive_field():

@@ -307,10 +307,21 @@ def test_estimate_sups():
 
     filled = with_estimated_sups(op, CylinderDomain())
     assert filled.beta_sup == beta_sup and filled.gamma_sup == gamma_sup
-    # user-provided bounds are kept
-    op2 = dataclasses.replace(OperatorSpec.from_strings("y1"), beta_sup=5.0)
-    filled2 = with_estimated_sups(op2, CylinderDomain())
-    assert filled2.beta_sup == 5.0 and filled2.gamma_sup == 0.0
+
+
+def test_sup_bounds_are_measured_never_given():
+    with pytest.raises(TypeError):
+        OperatorSpec(parse("y1", ("y1",)), beta_sup=1.0)
+    op = OperatorSpec.from_strings("y1", gamma="0.4*y1")
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(op, gamma_sup=0.5)
+    assert op.beta_sup is None and op.gamma_sup is None
+    filled = with_estimated_sups(op, CylinderDomain())
+    assert (filled.beta_sup, filled.gamma_sup) == estimate_sups(op, CylinderDomain())
+    assert filled.beta_sup == pytest.approx(2.1) and filled.gamma_sup == pytest.approx(0.84)
+    # a filled op is its own fill; a copy of it is measured afresh
+    assert with_estimated_sups(filled, CylinderDomain()) is filled
+    assert dataclasses.replace(filled).beta_sup is None
 
 
 def meshgrid_ball_lattice(radius, grid_step, n_axes, closed):

@@ -45,8 +45,9 @@ def test_heatmap_uniform_grid():
 def test_heatmap_nonuniform_axes():
     xs = np.array([-0.3, 0.1, 0.35, 0.9, 1.0, 2.75])
     ys = np.array([-1.0, -0.2, 0.05, 0.7, 1.3])
-    f = ScalarField.sample(lambda x, y: 2 * x - y[:, 0] ** 2 + x * y[:, 0], (xs, ys))
-    assert sha(heatmap_svg(f, title="non-uniform")) == (
+    f = ScalarField.sample(lambda x, y: 2 * x - y[:, 0] ** 2 + x * y[:, 0], (xs, ys),
+                           name="non-uniform")
+    assert sha(heatmap_svg(f)) == (
         "7b7ffc381e71945fffcc64477544aa18a806bb37633076a298587105745082ed")
 
 
