@@ -20,6 +20,7 @@ here is pure, apart from the ``SharedSubtrees`` memo a caller may pass to
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass
@@ -244,40 +245,73 @@ class SharedSubtrees:
 
     A composite subtree that this evaluation meets more than once is computed
     at its first use and held until its last, then released; the values are
-    those of evaluating each expression on its own, bit for bit.
+    those of evaluating each expression on its own, bit for bit.  ``fresh``
+    gives a memo for the same expressions on another binding without
+    counting the uses again.
+
+    Equal subtrees share one key, found in one structural pass; lookups read
+    it by node identity, so no lookup hashes a subtree again.  The memo keeps
+    ``exprs`` alive, so no keyed node's identity is reused.
     """
 
     def __init__(self, exprs):
-        uses: dict[Expr, int] = {}
-        stack = list(reversed(exprs))
+        self._exprs = tuple(exprs)
+        self._key: dict[int, object] = {}
+        interned: dict[tuple, int] = {}
+
+        def key_of(e):
+            k = self._key.get(id(e))
+            if k is None:
+                if isinstance(e, (Const, Var)):
+                    k = e
+                elif isinstance(e, Unary):
+                    k = interned.setdefault((e.op, key_of(e.arg)), len(interned))
+                else:
+                    k = interned.setdefault((e.op, key_of(e.left), key_of(e.right)),
+                                            len(interned))
+                self._key[id(e)] = k
+            return k
+
+        uses: dict[object, int] = {}
+        stack = list(reversed(self._exprs))
         while stack:  # the order _eval meets the nodes: left before right
             e = stack.pop()
             if isinstance(e, (Const, Var)):
                 continue
-            if e in uses:  # a held value: its subtrees are not met again
-                uses[e] += 1
+            k = key_of(e)
+            if k in uses:  # a held value: its subtrees are not met again
+                uses[k] += 1
                 continue
-            uses[e] = 1
+            uses[k] = 1
             stack += (e.arg,) if isinstance(e, Unary) else (e.right, e.left)
-        self._left = {e: n for e, n in uses.items() if n > 1}
-        self._held: dict[Expr, object] = {}
+        self._uses = {k: n for k, n in uses.items() if n > 1}
+        self._left = dict(self._uses)
+        self._held: dict[object, object] = {}
+
+    def fresh(self) -> "SharedSubtrees":
+        """A memo with this one's keys and use counts and nothing held."""
+        memo = copy.copy(self)
+        memo._left, memo._held = dict(self._uses), {}
+        return memo
 
     def take(self, e: Expr):
         """The held value of ``e`` at one of its uses, or None when none is
         held; the last use releases it."""
-        value = self._held.get(e)
+        k = self._key.get(id(e))
+        value = self._held.get(k)
         if value is not None:
-            self._left[e] -= 1
-            if self._left[e] == 0:
-                del self._held[e], self._left[e]
+            self._left[k] -= 1
+            if self._left[k] == 0:
+                del self._held[k], self._left[k]
         return value
 
     def keep(self, e: Expr, value) -> None:
         """Hold the value of ``e``, computed at its first use, when ``e`` has
         later uses."""
-        if e in self._left:
-            self._left[e] -= 1
-            self._held[e] = value
+        k = self._key.get(id(e))
+        if k in self._left:
+            self._left[k] -= 1
+            self._held[k] = value
 
 
 def _eval(e: Expr, env: Mapping[str, float | np.ndarray], memo: SharedSubtrees | None):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FLOAT_FMT, ScalarField, csv_field, line_plot_svg, step_axis, write_csv
-from .operators import CylinderDomain, OperatorSpec, ball_lattice, classify_regions
+from .operators import _SLAB_NODES, CylinderDomain, OperatorSpec, ball_lattice, classify_regions
 from .solutions import counterexample_family
 
 __all__ = [
@@ -107,18 +107,13 @@ class RegionCheck:
         return dataclasses.asdict(self)
 
 
-# points of one grid ``u.at`` call at most: a larger grid runs in slabs of
-# x-nodes, which bounds the working set of an n_y >= 2 lattice
-_GRID_CALL_POINTS = 1 << 17
-
-
 def _grid_slabs(u, x_nodes, y_pts):
-    """u on x_nodes x y_pts, as (slab, m) arrays of consecutive x-nodes from
-    grid ``u.at`` calls of at most _GRID_CALL_POINTS points each; one call
-    when the whole grid fits."""
-    rows = max(1, _GRID_CALL_POINTS // y_pts.shape[0])
+    """u on x_nodes x y_pts, as (first x-node, (slab, m) values) for slabs of
+    consecutive x-nodes from grid ``u.at`` calls of at most _SLAB_NODES
+    points each; one call when the whole grid fits."""
+    rows = max(1, _SLAB_NODES // y_pts.shape[0])
     for lo in range(0, x_nodes.shape[0], rows):
-        yield np.asarray(u.at(x_nodes[lo:lo + rows, None], y_pts), dtype=float)
+        yield lo, np.asarray(u.at(x_nodes[lo:lo + rows, None], y_pts), dtype=float)
 
 
 def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> HarnackReport:
@@ -126,27 +121,33 @@ def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> Harnack
 
     u is evaluated on the closed subcylinder lattice, the x-nodes times the
     points of the closed ball cut from a box lattice of the same node count,
-    as an (x-node, ball point) array whose extrema are read in place."""
+    in slabs of x-nodes of at most _SLAB_NODES grid points; each slab is
+    reduced to its extrema before the next is evaluated, and the report has
+    the bits of the whole grid's first argmin and argmax in C order."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     sub = sub or SubCylinder()
     ball, _ = ball_lattice(sub.y_radius, 2 * sub.y_radius / (grid - 1), u.n_y, closed=True)
     x_nodes = np.linspace(sub.x_lo, sub.x_hi, grid)
-    vals = np.concatenate(list(_grid_slabs(u, x_nodes, ball)))
-    at_min = np.unravel_index(np.argmin(vals), vals.shape)
-    at_max = np.unravel_index(np.argmax(vals), vals.shape)
-    arg_min = (float(x_nodes[at_min[0]]), *map(float, ball[at_min[1]]))
-    if vals[at_min] <= 0:
+    lo = hi = None  # (value, x-node, ball point) at the first grid argmin / argmax so far
+    for row, vals in _grid_slabs(u, x_nodes, ball):
+        # strict comparisons keep the first extreme in C order, as argmin/argmax do
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        if lo is None or vals[i, j] < lo[0]:
+            lo = (vals[i, j], row + i, j)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        if hi is None or vals[i, j] > hi[0]:
+            hi = (vals[i, j], row + i, j)
+    arg_min = (float(x_nodes[lo[1]]), *map(float, ball[lo[2]]))
+    if lo[0] <= 0:
         loc = ", ".join(format(v, "g") for v in arg_min)
-        raise ValueError(
-            f"{u.name} is not positive on the subdomain: min {vals[at_min]:g} at ({loc})"
-        )
+        raise ValueError(f"{u.name} is not positive on the subdomain: min {lo[0]:g} at ({loc})")
     return HarnackReport(
         solution=u.name,
-        sup=float(vals[at_max]),
-        inf=float(vals[at_min]),
-        ratio=float(vals[at_max] / vals[at_min]),
-        argmax=(float(x_nodes[at_max[0]]), *map(float, ball[at_max[1]])),
+        sup=float(hi[0]),
+        inf=float(lo[0]),
+        ratio=float(hi[0] / lo[0]),
+        argmax=(float(x_nodes[hi[1]]), *map(float, ball[hi[2]])),
         argmin=arg_min,
     )
 
@@ -208,7 +209,7 @@ def region_inequality_check(
     The x interval is the domain's inner interval, at x-nodes ``grid_step``
     apart.  u is evaluated by one grid-form ``u.at`` call per point set
     (A_d, then the inner-ball lattice) against the x-nodes, in slabs of
-    x-nodes when the grid exceeds _GRID_CALL_POINTS points.
+    x-nodes when the grid exceeds _SLAB_NODES points.
     """
     regions = classify_regions(op, dom, level, grid_step)
     missing = [tag for tag, pts in (("+", regions.plus_points), ("-", regions.minus_points))
@@ -221,9 +222,9 @@ def region_inequality_check(
         raise ValueError("solution and operator dimensions differ")
     x_nodes = step_axis(dom.inner_x_lo, dom.inner_x_hi, grid_step)
     a_d = np.concatenate([regions.plus_points, regions.minus_points], axis=0)
-    sup_val = max(float(vals.max()) for vals in _grid_slabs(u, x_nodes, a_d))
+    sup_val = max(float(vals.max()) for _, vals in _grid_slabs(u, x_nodes, a_d))
     ball_pts, _ = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=True)
-    inf_val = min(float(vals.min()) for vals in _grid_slabs(u, x_nodes, ball_pts))
+    inf_val = min(float(vals.min()) for _, vals in _grid_slabs(u, x_nodes, ball_pts))
     if inf_val <= 0:
         raise ValueError(f"{u.name} is not positive on the inner subcylinder: min {inf_val:g}")
     ratio = sup_val / inf_val

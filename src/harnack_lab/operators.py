@@ -51,6 +51,9 @@ MASS_TOLERANCE = 1e-12
 _SUP_GRID_STEP = 0.05
 # safety factor on the grid maxima of the sup estimates
 _SUP_MARGIN = 1.05
+# grid nodes one slab of a lattice sweep covers at most: bounds the working
+# set of a sweep, and of a grid ``at`` call in ``harnack``, to a few MB
+_SLAB_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -213,23 +216,42 @@ def ball_lattice(
 
     Returns (points of shape (k, n_axes), actual step).  ``closed`` keeps
     points on the sphere (within 1e-12 of it); otherwise membership is
-    strict and sphere points are excluded.
+    strict and sphere points are excluded.  The points are built in the
+    slabs of ``_ball_slabs``, at most _SLAB_NODES grid nodes each, and
+    joined: the whole lattice's points, bit for bit, in C order of the
+    (n,) * n_axes box lattice.
+    """
+    slabs, actual = _ball_slabs(radius, grid_step, n_axes, closed)
+    return np.concatenate(list(slabs)), actual
+
+
+def _ball_slabs(radius: float, grid_step: float, n_axes: int, closed: bool):
+    """The points of ``ball_lattice`` as a lazy sequence of (k, n_axes) slabs
+    of consecutive first-axis nodes, at most _SLAB_NODES grid nodes each (one
+    first-axis node when its nodes alone exceed that), and the actual step.
+
+    r^2 is summed axis by axis from the first, so every point is kept or
+    dropped with the bits of the whole lattice, and the kept nodes'
+    coordinates are read off the axis: no (n^d, d) node table.
     """
     if radius <= 0 or grid_step <= 0:
         raise ValueError("radius and grid_step must be positive")
     axis = step_axis(-radius, radius, grid_step)
-    actual = 2 * radius / (axis.size - 1)
-    # r^2 on the (n,) * n_axes grid, summed axis by axis from the first, and
-    # the kept nodes' coordinates read off the axis: no (n^d, d) node table
     sq = axis * axis
-    r2 = sq
-    for _ in range(n_axes - 1):
-        r2 = np.add.outer(r2, sq)
-    if closed:
-        keep = r2 <= radius * radius + 1e-12
-    else:
-        keep = r2 < radius * radius - 1e-12
-    return np.stack([axis[i] for i in np.nonzero(keep)], axis=-1), actual
+    rows = max(1, _SLAB_NODES // axis.size ** (n_axes - 1))
+
+    def slab(lo: int) -> np.ndarray:
+        r2 = sq[lo:lo + rows]
+        for _ in range(n_axes - 1):
+            r2 = np.add.outer(r2, sq)
+        if closed:
+            keep = r2 <= radius * radius + 1e-12
+        else:
+            keep = r2 < radius * radius - 1e-12
+        idx = np.nonzero(keep)
+        return np.stack([axis[lo:][idx[0]], *(axis[i] for i in idx[1:])], axis=-1)
+
+    return map(slab, range(0, axis.size, rows)), 2 * radius / (axis.size - 1)
 
 
 def _check_resolves(radius: float, grid_step: float, ball: str) -> None:
@@ -282,11 +304,15 @@ def check_hypothesis(
     documented MASS_TOLERANCE is the computable surrogate.  Expression
     failures (domain errors, underivable powers) are reported in the
     ``error`` field with passed=False rather than raised.
+
+    The lattice is swept in the slabs of ``_ball_slabs``, at most
+    _SLAB_NODES grid nodes each, and each slab is reduced before the next
+    is built; the report has the bits of a sweep of the whole lattice.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     _check_resolves(dom.y_outer_radius, grid_step, "outer")
-    pts, actual_step = ball_lattice(dom.y_outer_radius, grid_step, op.n_y, closed=True)
+    slabs, actual_step = _ball_slabs(dom.y_outer_radius, grid_step, op.n_y, closed=True)
 
     def failed(message: str) -> HormanderReport:
         return HormanderReport(
@@ -304,29 +330,41 @@ def check_hypothesis(
     except ExprError as err:
         return failed(f"cannot differentiate beta: {err}")
 
-    # each subtree the derivatives share is evaluated once, and the mass is
-    # summed as each derivative arrives
-    env = {name: pts[:, k] for k, name in enumerate(op.y_names)}
-    memo = SharedSubtrees(exprs)
-    mass = np.zeros(pts.shape[0])
-    for i, e in enumerate(exprs):
-        try:
-            v = evaluate(e, env, memo)
-        except EvalDomainError:
-            return failed(_locate_eval_failure(exprs, op.y_names, pts))
-        if i == 0:
-            beta_vals = np.full(pts.shape[0], v) if np.ndim(v) == 0 else v
-        mass += np.abs(v)
+    # each subtree the derivatives share is evaluated once per slab, from use
+    # counts taken once, and the mass is summed as each derivative arrives
+    shared = SharedSubtrees(exprs)
+    min_mass = np.inf
+    lo = hi = None  # (beta, point) at the first grid argmin / argmax so far
+    for pts in slabs:
+        if pts.shape[0] == 0:
+            continue
+        env = {name: pts[:, k] for k, name in enumerate(op.y_names)}
+        memo = shared.fresh()
+        mass = np.zeros(pts.shape[0])
+        for i, e in enumerate(exprs):
+            try:
+                v = evaluate(e, env, memo)
+            except EvalDomainError:
+                # earlier slabs evaluated everywhere: the first failing point is here
+                return failed(_locate_eval_failure(exprs, op.y_names, pts))
+            if i == 0:
+                beta_vals = np.full(pts.shape[0], v) if np.ndim(v) == 0 else v
+            mass += np.abs(v)
+        min_mass = min(min_mass, float(mass.min()))
+        # strict comparisons keep the first extreme in C order, as argmin/argmax do
+        i_min = int(np.argmin(beta_vals))
+        if lo is None or beta_vals[i_min] < lo[0]:
+            lo = (beta_vals[i_min], tuple(pts[i_min]))
+        i_max = int(np.argmax(beta_vals))
+        if hi is None or beta_vals[i_max] > hi[0]:
+            hi = (beta_vals[i_max], tuple(pts[i_max]))
 
-    i_min = int(np.argmin(beta_vals))
-    i_max = int(np.argmax(beta_vals))
-    sign_ok = beta_vals[i_min] < 0 < beta_vals[i_max]
-    min_mass = float(mass.min())
+    sign_ok = lo[0] < 0 < hi[0]
     return HormanderReport(
         passed=bool(sign_ok and min_mass > MASS_TOLERANCE),
         order_used=order,
         sign_change_ok=bool(sign_ok),
-        sign_witnesses=(tuple(pts[i_min]), tuple(pts[i_max])),
+        sign_witnesses=(lo[1], hi[1]),
         min_derivative_mass=min_mass,
         grid_step=actual_step,
     )

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import tracemalloc
 import types
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from harnack_lab.fields import ScalarField, box_axes, step_axis
 from harnack_lab.harnack import (
-    _GRID_CALL_POINTS,
     FamilyScan,
     RegionCheck,
     SubCylinder,
@@ -20,7 +20,13 @@ from harnack_lab.harnack import (
     sup_inf_ratio,
     window_average_x,
 )
-from harnack_lab.operators import CylinderDomain, OperatorSpec, ball_lattice, classify_regions
+from harnack_lab.operators import (
+    _SLAB_NODES,
+    CylinderDomain,
+    OperatorSpec,
+    ball_lattice,
+    classify_regions,
+)
 from harnack_lab.solutions import (
     constant,
     counterexample_family,
@@ -60,23 +66,25 @@ def test_subgrid_is_the_masked_box_lattice(radius, n_y, grid):
     # the grid calls get the x-nodes and the ball points in box-lattice
     # order, so argmin and argmax stay where they were
     sub = SubCylinder(-0.3, 0.8, radius)
-    calls = []
-
-    def at(x, y):
-        calls.append((x, y))
-        return 10.0 + x + y.sum(axis=-1)
-
     axis = np.linspace(-radius, radius, grid)
     y = np.stack([m.reshape(-1) for m in np.meshgrid(*(axis,) * n_y, indexing="ij")], axis=-1)
     ball = y[(y * y).sum(axis=-1) <= radius**2 * (1 + 1e-12)]
-    rep = sup_inf_ratio(types.SimpleNamespace(n_y=n_y, at=at, name="probe"), sub, grid)
-    assert np.array_equal(np.concatenate([x[:, 0] for x, _ in calls]),
-                          np.linspace(sub.x_lo, sub.x_hi, grid))
-    assert all(np.array_equal(y_pts, ball) for _, y_pts in calls)
-    # 10 + x + sum(y) is extreme at the end x-nodes and the first ball point of
-    # extreme sum
-    assert rep.argmax == (sub.x_hi, *ball[np.argmax(ball.sum(axis=-1))])
-    assert rep.argmin == (sub.x_lo, *ball[np.argmin(ball.sum(axis=-1))])
+    for sign in (1.0, -1.0):
+        calls = []
+
+        def at(x, y):
+            calls.append((x, y))
+            return 10.0 + sign * (x + y.sum(axis=-1))
+
+        rep = sup_inf_ratio(types.SimpleNamespace(n_y=n_y, at=at, name="probe"), sub, grid)
+        assert np.array_equal(np.concatenate([x[:, 0] for x, _ in calls]),
+                              np.linspace(sub.x_lo, sub.x_hi, grid))
+        assert all(np.array_equal(y_pts, ball) for _, y_pts in calls)
+        # 10 +- (x + sum(y)) is extreme at the end x-nodes, in the first and
+        # the last slab of x-nodes, and the first ball point of extreme sum
+        hi, lo = (sub.x_hi, sub.x_lo)[::int(sign)]
+        assert rep.argmax == (hi, *ball[np.argmax(sign * ball.sum(axis=-1))])
+        assert rep.argmin == (lo, *ball[np.argmin(sign * ball.sum(axis=-1))])
 
 
 def test_refuses_nonpositive_field():
@@ -84,6 +92,21 @@ def test_refuses_nonpositive_field():
     dipped = ScalarField.sample(lambda x, y: x - 0.5, axes, name="dipped")
     with pytest.raises(ValueError, match="not positive"):
         sup_inf_ratio(dipped)
+
+
+def test_ratio_grid_working_set():
+    # each grid slab is reduced before the next is evaluated, so the traced
+    # peak stays far below the 101 x 7,845 grid's 6.3 MB of values
+    u = constant(2.0, OperatorSpec.from_strings("y1", "0", dim_n=3))
+    tracemalloc.start()
+    try:
+        rep = sup_inf_ratio(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.1e6, f"traced peak {peak / 1e6:.2f} MB"
+    # every value ties: the first grid point in C order is both extremes
+    assert rep.argmin == rep.argmax == (0.0, -1.0, 0.0)
 
 
 def test_scan_family_constants():
@@ -208,11 +231,11 @@ class AtSpy:
     (lambda: kolmogorov_poly(10.0), "y1", 0.01, 2),
     (lambda: separable(0.8, OperatorSpec.from_strings("y1^3 - 0.2*y1", "0")),
      "y1^3 - 0.2*y1", 0.01, 2),
-    # 51 x-nodes against 4,994 points of A_d (slabs of 26 x-nodes) and the
-    # 7,845 ball points (slabs of 16)
+    # 51 x-nodes against 4,994 points of A_d (slabs of 6 x-nodes) and the
+    # 7,845 ball points (slabs of 4)
     (lambda: ScalarField.sample(lambda x, y: 3 + x * y[:, 0] - y[:, 1] ** 2,
                                 box_axes(-0.1, 1.1, 13, 1.2, 25, 2), name="field-2d"),
-     "y1 + 0.3*y2", 0.02, 2 + 4),
+     "y1 + 0.3*y2", 0.02, 9 + 13),
 ])
 def test_region_check_makes_one_grid_call_per_point_set(build, beta, grid_step, calls):
     u = build()
@@ -223,7 +246,7 @@ def test_region_check_makes_one_grid_call_per_point_set(build, beta, grid_step, 
     assert len(spy.calls) == calls
     n_x = step_axis(DOM.inner_x_lo, DOM.inner_x_hi, grid_step).shape[0]
     assert sum(x_shape[0] for x_shape, _ in spy.calls) == 2 * n_x
-    assert all(len(x_shape) == 2 and x_shape[0] * y_shape[0] <= _GRID_CALL_POINTS
+    assert all(len(x_shape) == 2 and x_shape[0] * y_shape[0] <= _SLAB_NODES
                for x_shape, y_shape in spy.calls)
 
 

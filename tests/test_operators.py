@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from harnack_lab.expressions import SharedSubtrees, UnknownIdentifierError, eval
 from harnack_lab.fields import ScalarField, box_axes, grid_points, step_axis
 from harnack_lab.operators import (
     MASS_TOLERANCE,
+    _SLAB_NODES,
     CylinderDomain,
     HormanderReport,
     OperatorSpec,
@@ -145,24 +147,62 @@ def test_check_hypothesis_equals_each_derivative_alone(beta, dim_n, order):
         "<d", want.min_derivative_mass)
 
 
+@pytest.mark.parametrize("beta, witnesses", [
+    # the minimum -1 (the maximum 1) ties along y2 = 0 in every slab: the
+    # first in C order wins
+    ("y2^2 - 1", ((-2.0, 0.0), (0.0, -2.0))),
+    ("1 - y2^2", ((0.0, -2.0), (-2.0, 0.0))),
+    # both witnesses lie in slabs after the first
+    ("y1*y2 - 0.3*y2^2", ((1.2, -1.6), (1.6, 1.2))),
+])
+def test_slab_sweep_is_the_whole_lattice_sweep(beta, witnesses):
+    op = OperatorSpec.from_strings(beta, dim_n=3)
+    assert 401 ** 2 > 4 * _SLAB_NODES  # the lattice at step 0.01 spans several slabs
+    want = check_each_derivative_alone(op, CylinderDomain(), 2, 0.01)
+    got = check_hypothesis(op, CylinderDomain(), order=2)
+    assert got == want
+    assert np.allclose(got.sign_witnesses, witnesses, rtol=0, atol=1e-12)
+
+
+def test_slab_sweep_names_the_first_failing_point():
+    op = OperatorSpec.from_strings("1/(y1 - 1)", dim_n=3)
+    report = check_hypothesis(op, CylinderDomain(), order=2)
+    assert not report.passed
+    assert report.error == "evaluation failed at y=(1, -1.73): division by zero"
+
+
+def test_check_hypothesis_working_set():
+    # the lattice is reduced slab by slab, so one slab's derivative values,
+    # not the 126k-point lattice's, set the traced peak
+    op = OperatorSpec.from_strings("sin(1.3*y1)*y2 + 0.7*y1", dim_n=3)
+    tracemalloc.start()
+    try:
+        report = check_hypothesis(op, CylinderDomain(), order=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 3.5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 def test_check_hypothesis_evaluates_each_shared_function_once(monkeypatch):
     op = OperatorSpec.from_strings("sin(1.3*y1)*y2 + 0.7*y1", dim_n=3)
     n_pts = ball_lattice(2.0, 0.01, 2, closed=True)[0].shape[0]
-    passes = {"sin": 0, "cos": 0}
+    # the lattice is swept in slabs: count the points each function sees
+    seen = {"sin": 0, "cos": 0}
 
     def counted(name, fn):
         def wrapper(a):
-            if np.shape(a) == (n_pts,):
-                passes[name] += 1
+            seen[name] += np.size(a)
             return fn(a)
         return wrapper
 
-    for name in passes:
+    for name in seen:
         fn = expressions._FUNCTIONS[name]
         monkeypatch.setitem(expressions._FUNCTIONS, name, counted(name, fn))
     report = check_hypothesis(op, CylinderDomain(), order=2)
     # beta, d2/dy1^2 and d/dy2 hold sin(1.3*y1); d/dy1 and d2/dy1dy2 hold cos(1.3*y1)*1.3
-    assert passes == {"sin": 1, "cos": 1}
+    assert seen == {"sin": n_pts, "cos": n_pts}
     assert report.passed
 
 
