@@ -123,11 +123,15 @@ def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> Harnack
     points of the closed ball cut from a box lattice of the same node count,
     in slabs of x-nodes of at most _SLAB_NODES grid points; each slab is
     reduced to its extrema before the next is evaluated, and the report has
-    the bits of the whole grid's first argmin and argmax in C order."""
+    the bits of the whole grid's first argmin and argmax in C order.  A grid
+    whose ball holds no lattice point is refused."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     sub = sub or SubCylinder()
     ball, _ = ball_lattice(sub.y_radius, 2 * sub.y_radius / (grid - 1), u.n_y, closed=True)
+    if ball.shape[0] == 0:  # e.g. grid 2 puts only the box corners on n_y >= 2 axes
+        raise ValueError(f"grid {grid} leaves the closed y-ball of radius {sub.y_radius:g} "
+                         f"with no lattice point on {u.n_y} y axes")
     x_nodes = np.linspace(sub.x_lo, sub.x_hi, grid)
     lo = hi = None  # (value, x-node, ball point) at the first grid argmin / argmax so far
     for row, vals in _grid_slabs(u, x_nodes, ball):

@@ -216,23 +216,25 @@ def ball_lattice(
 
     Returns (points of shape (k, n_axes), actual step).  ``closed`` keeps
     points on the sphere (within 1e-12 of it); otherwise membership is
-    strict and sphere points are excluded.  The points are built in the
+    strict and sphere points are excluded.  The points are read off the
     slabs of ``_ball_slabs``, at most _SLAB_NODES grid nodes each, and
     joined: the whole lattice's points, bit for bit, in C order of the
     (n,) * n_axes box lattice.
     """
     slabs, actual = _ball_slabs(radius, grid_step, n_axes, closed)
-    return np.concatenate(list(slabs)), actual
+    return np.concatenate([_nodes(axes, keep) for axes, keep in slabs]), actual
 
 
 def _ball_slabs(radius: float, grid_step: float, n_axes: int, closed: bool):
-    """The points of ``ball_lattice`` as a lazy sequence of (k, n_axes) slabs
-    of consecutive first-axis nodes, at most _SLAB_NODES grid nodes each (one
+    """The lattice of ``ball_lattice`` as a lazy sequence of slabs of
+    consecutive first-axis nodes, at most _SLAB_NODES grid nodes each (one
     first-axis node when its nodes alone exceed that), and the actual step.
 
-    r^2 is summed axis by axis from the first, so every point is kept or
-    dropped with the bits of the whole lattice, and the kept nodes'
-    coordinates are read off the axis: no (n^d, d) node table.
+    A slab is (axes, keep): its first-axis nodes, then the whole axis once
+    per later axis, and the mask of the ball's nodes over the box lattice
+    of those axes.  r^2 is summed axis by axis from the first, so every
+    node is kept or dropped with the bits of the whole lattice: no (n^d, d)
+    node table.
     """
     if radius <= 0 or grid_step <= 0:
         raise ValueError("radius and grid_step must be positive")
@@ -240,7 +242,7 @@ def _ball_slabs(radius: float, grid_step: float, n_axes: int, closed: bool):
     sq = axis * axis
     rows = max(1, _SLAB_NODES // axis.size ** (n_axes - 1))
 
-    def slab(lo: int) -> np.ndarray:
+    def slab(lo: int):
         r2 = sq[lo:lo + rows]
         for _ in range(n_axes - 1):
             r2 = np.add.outer(r2, sq)
@@ -248,10 +250,39 @@ def _ball_slabs(radius: float, grid_step: float, n_axes: int, closed: bool):
             keep = r2 <= radius * radius + 1e-12
         else:
             keep = r2 < radius * radius - 1e-12
-        idx = np.nonzero(keep)
-        return np.stack([axis[lo:][idx[0]], *(axis[i] for i in idx[1:])], axis=-1)
+        return (axis[lo:lo + rows],) + (axis,) * (n_axes - 1), keep
 
     return map(slab, range(0, axis.size, rows)), 2 * radius / (axis.size - 1)
+
+
+def _nodes(axes, mask) -> np.ndarray:
+    """The (k, len(axes)) coordinates of the nodes ``mask`` picks from the
+    box lattice of ``axes``, in C order."""
+    idx = np.nonzero(mask)
+    return np.stack([a[i] for a, i in zip(axes, idx)], axis=-1)
+
+
+def _slab_values(fn, names, axes, keep) -> list:
+    """``fn(env, shape)``, a sequence of arrays of that shape, over the box
+    lattice of a slab of ``_ball_slabs`` in grid form: each name is bound
+    to its axis, shaped to broadcast against the others, so a subtree that
+    depends on one axis is computed once per node of that axis.
+
+    Off the ball the values may be undefined: where the box raises
+    EvalDomainError, ``fn`` runs again on the slab's ball points alone and
+    its values are placed on the box, zero off the ball; a failure there
+    is raised.
+    """
+    try:
+        return fn({name: a.reshape((-1,) + (1,) * (len(axes) - 1 - k))
+                   for k, (name, a) in enumerate(zip(names, axes))}, keep.shape)
+    except EvalDomainError:
+        pts = _nodes(axes, keep)
+        boxed = []
+        for v in fn({name: pts[:, k] for k, name in enumerate(names)}, pts.shape[:1]):
+            boxed.append(np.zeros(keep.shape))
+            boxed[-1][keep] = v
+        return boxed
 
 
 def _check_resolves(radius: float, grid_step: float, ball: str) -> None:
@@ -307,7 +338,12 @@ def check_hypothesis(
 
     The lattice is swept in the slabs of ``_ball_slabs``, at most
     _SLAB_NODES grid nodes each, and each slab is reduced before the next
-    is built; the report has the bits of a sweep of the whole lattice.
+    is built.  A slab is evaluated in grid form, over its box lattice from
+    the axes (``_slab_values``), and reduced under the ball mask.  Off the
+    ball beta may be undefined: a slab whose box fails to evaluate is
+    evaluated again on its ball points alone, and only a failure there is
+    reported, at its first failing point.  The report has the bits of a
+    sweep of the whole lattice's points.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
@@ -333,31 +369,36 @@ def check_hypothesis(
     # each subtree the derivatives share is evaluated once per slab, from use
     # counts taken once, and the mass is summed as each derivative arrives
     shared = SharedSubtrees(exprs)
+
+    def sweep(env, shape):
+        memo = shared.fresh()
+        mass = np.zeros(shape)
+        for i, e in enumerate(exprs):
+            v = evaluate(e, env, memo)
+            if i == 0:
+                beta_vals = np.broadcast_to(v, shape)
+            mass += np.abs(v)
+        return beta_vals, mass
+
     min_mass = np.inf
     lo = hi = None  # (beta, point) at the first grid argmin / argmax so far
-    for pts in slabs:
-        if pts.shape[0] == 0:
+    for axes, keep in slabs:
+        if not keep.any():
             continue
-        env = {name: pts[:, k] for k, name in enumerate(op.y_names)}
-        memo = shared.fresh()
-        mass = np.zeros(pts.shape[0])
-        for i, e in enumerate(exprs):
-            try:
-                v = evaluate(e, env, memo)
-            except EvalDomainError:
-                # earlier slabs evaluated everywhere: the first failing point is here
-                return failed(_locate_eval_failure(exprs, op.y_names, pts))
-            if i == 0:
-                beta_vals = np.full(pts.shape[0], v) if np.ndim(v) == 0 else v
-            mass += np.abs(v)
-        min_mass = min(min_mass, float(mass.min()))
-        # strict comparisons keep the first extreme in C order, as argmin/argmax do
-        i_min = int(np.argmin(beta_vals))
+        try:
+            beta_vals, mass = _slab_values(sweep, op.y_names, axes, keep)
+        except EvalDomainError:
+            # earlier slabs evaluated everywhere: the first failing point is here
+            return failed(_locate_eval_failure(exprs, op.y_names, _nodes(axes, keep)))
+        min_mass = min(min_mass, float(np.min(mass, where=keep, initial=np.inf)))
+        # the first masked extreme in C order is the ball points' argmin /
+        # argmax; strict comparisons keep the first across slabs
+        i_min = np.unravel_index(np.argmin(np.where(keep, beta_vals, np.inf)), keep.shape)
         if lo is None or beta_vals[i_min] < lo[0]:
-            lo = (beta_vals[i_min], tuple(pts[i_min]))
-        i_max = int(np.argmax(beta_vals))
+            lo = (beta_vals[i_min], tuple(a[i] for a, i in zip(axes, i_min)))
+        i_max = np.unravel_index(np.argmax(np.where(keep, beta_vals, -np.inf)), keep.shape)
         if hi is None or beta_vals[i_max] > hi[0]:
-            hi = (beta_vals[i_max], tuple(pts[i_max]))
+            hi = (beta_vals[i_max], tuple(a[i] for a, i in zip(axes, i_max)))
 
     sign_ok = lo[0] < 0 < hi[0]
     return HormanderReport(
@@ -390,14 +431,30 @@ def classify_regions(
     grid_step: float = 0.01,
 ) -> RegionSet:
     """Split the open inner-ball lattice by the drift sign at the given level;
-    the lattice must resolve the inner ball as in ``check_hypothesis``."""
+    the lattice must resolve the inner ball as in ``check_hypothesis``.
+
+    beta is evaluated slab by slab in the grid form of ``check_hypothesis``,
+    under the open-ball mask and with its fallback to the ball points; an
+    evaluation failure raises the whole lattice's error.  The plus and
+    minus points are read off the masks in C order: the points, bit for
+    bit, of splitting the whole ``ball_lattice``.
+    """
     if not 0 < level < np.inf:
         raise ValueError("level must be positive and finite")
     _check_resolves(dom.y_inner_radius, grid_step, "inner")
-    pts, actual_step = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=False)
-    beta_vals = op.beta_at(pts)
-    plus = pts[beta_vals > level]
-    minus = pts[beta_vals < -level]
+    slabs, actual_step = _ball_slabs(dom.y_inner_radius, grid_step, op.n_y, closed=False)
+    plus, minus = [], []
+    for axes, keep in slabs:
+        try:
+            (beta_vals,) = _slab_values(lambda env, shape: [evaluate(op.beta, env)],
+                                        op.y_names, axes, keep)
+        except EvalDomainError:
+            # raise the error of evaluating the whole lattice at once
+            op.beta_at(ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=False)[0])
+            raise
+        plus.append(_nodes(axes, keep & (beta_vals > level)))
+        minus.append(_nodes(axes, keep & (beta_vals < -level)))
+    plus, minus = np.concatenate(plus), np.concatenate(minus)
     empty = [name for name, p in (("plus", plus), ("minus", minus)) if p.shape[0] == 0]
     warning = None
     if empty:

@@ -618,6 +618,16 @@ def test_regions_lattice_must_resolve_the_inner_ball(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_harnack_grid_with_an_empty_ball_fails_cleanly(tmp_path, capsys):
+    rc, out = run(tmp_path, "harnack", "--set", "operator.dim_n=3",
+                  "--set", "harnack.family=catalog", "--set", "harnack.solutions=constant(2)",
+                  "--set", "harnack.grid=2")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid 2 leaves the closed y-ball") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_failed_run_removes_only_the_empty_out_dirs_it_made(tmp_path):
     bad = ["harnack", "--set", "harnack.grid=1", "--out"]
     assert main([*bad, str(tmp_path / "new" / "deeper")]) == 1

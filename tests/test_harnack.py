@@ -94,6 +94,16 @@ def test_refuses_nonpositive_field():
         sup_inf_ratio(dipped)
 
 
+def test_refuses_a_grid_with_an_empty_ball():
+    # 2 nodes per axis are the box corners, outside the ball from n_y = 2 on
+    u = constant(2.0, OperatorSpec.from_strings("y1", "0", dim_n=3))
+    with pytest.raises(ValueError, match="grid 2 leaves the closed y-ball of radius 1 "
+                                         "with no lattice point on 2 y axes"):
+        sup_inf_ratio(u, grid=2)
+    # on one y axis the corners are the ball's ends
+    assert sup_inf_ratio(constant(2.0), grid=2).ratio == 1.0
+
+
 def test_ratio_grid_working_set():
     # each grid slab is reduced before the next is evaluated, so the traced
     # peak stays far below the 101 x 7,845 grid's 6.3 MB of values

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from harnack_lab import expressions
-from harnack_lab.expressions import SharedSubtrees, UnknownIdentifierError, evaluate, parse
+from harnack_lab.expressions import (
+    EvalDomainError,
+    SharedSubtrees,
+    UnknownIdentifierError,
+    evaluate,
+    parse,
+)
 from harnack_lab.fields import ScalarField, box_axes, grid_points, step_axis
 from harnack_lab.operators import (
     MASS_TOLERANCE,
@@ -16,6 +22,7 @@ from harnack_lab.operators import (
     HormanderReport,
     OperatorSpec,
     _derivative_exprs,
+    _locate_eval_failure,
     ball_lattice,
     check_hypothesis,
     classify_regions,
@@ -111,11 +118,32 @@ def test_check_hypothesis_reports_expression_failures():
 
 
 def check_each_derivative_alone(op, dom, order, grid_step):
-    """check_hypothesis with every derivative evaluated on its own and the
-    mass summed over the kept arrays."""
+    """check_hypothesis as a sweep of the whole ball_lattice's points, with
+    every derivative evaluated on its own and the mass summed over the kept
+    arrays; a failure is named at the first failing point in C order."""
     pts, step = ball_lattice(dom.y_outer_radius, grid_step, op.n_y, closed=True)
-    env = {name: pts[:, k] for k, name in enumerate(op.y_names)}
-    values = [evaluate(e, env) for e in _derivative_exprs(op.beta, op.y_names, order)]
+    exprs = _derivative_exprs(op.beta, op.y_names, order)
+
+    def evaluate_all(p):
+        env = {name: p[:, k] for k, name in enumerate(op.y_names)}
+        return [evaluate(e, env) for e in exprs]
+
+    try:
+        values = evaluate_all(pts)
+    except EvalDomainError:
+        # the shortest failing prefix of the points ends at the first failing point
+        ok, bad = 0, pts.shape[0]
+        while bad - ok > 1:
+            mid = (ok + bad) // 2
+            try:
+                evaluate_all(pts[:mid])
+                ok = mid
+            except EvalDomainError:
+                bad = mid
+        return HormanderReport(
+            passed=False, order_used=order, sign_change_ok=False, sign_witnesses=None,
+            min_derivative_mass=None, grid_step=step,
+            error=_locate_eval_failure(exprs, op.y_names, pts[bad - 1:bad]))
     values = [np.full(pts.shape[0], v) if np.ndim(v) == 0 else v for v in values]
     mass = np.zeros(pts.shape[0])
     for v in values:
@@ -128,6 +156,27 @@ def check_each_derivative_alone(op, dom, order, grid_step):
         min_derivative_mass=float(mass.min()), grid_step=step)
 
 
+# the scan beta, one beta per function of the expression language, a
+# fourth-order check, betas undefined at box nodes off the ball (N = 3 and 4)
+# but defined on it, and one undefined on the ball; N = 2, 3 and 4, at steps
+# that give N = 3 and 4 several slabs (N = 4 at 0.1: 41 nodes per axis, 19
+# first-axis nodes a slab)
+_FUNCTION_BETAS = {
+    "sin": ("sin(2*y1) + 0.2", 2),
+    "cos": ("cos(y1)*y2 - 0.3*y1", 3),
+    "exp": ("exp(0.5*y1 - y2) - 1", 3),
+    "cosh": ("cosh(y1*y2) - 1.5 + y3", 4),
+    "sinh": ("sinh(y1) - y2^2", 3),
+    "sqrt": ("sqrt(5 + y1)*y1 - 1/(4 - y1)", 2),
+}
+
+
+def test_check_cases_cover_every_function():
+    assert set(_FUNCTION_BETAS) == set(expressions._FUNCTIONS)
+    for name, (beta, _dim_n) in _FUNCTION_BETAS.items():
+        assert f"{name}(" in beta
+
+
 @pytest.mark.parametrize("beta, dim_n, order", [
     ("sin(1.3*y1)*y2 + 0.7*y1", 3, 2),
     ("sin(1.3*y1)*y2 + 0.7*y1", 3, 3),
@@ -136,15 +185,33 @@ def check_each_derivative_alone(op, dom, order, grid_step):
     ("(y1^2 - 0.25)*cosh(y1)", 2, 3),
     ("y1 + 0.3", 2, 0),
     ("-(y1*y2*y3) + y3", 4, 2),
+    ("sin(1.37*y1)*y2 + 1.1*y1", 3, 2),
+    ("sin(1.37*y1)*y2 + 1.1*y1 - y3", 4, 2),
+    *((beta, dim_n, 2) for beta, dim_n in _FUNCTION_BETAS.values()),
+    ("y1^3*y2 - y2", 3, 4),
+    ("y1^3*y2 - y2", 4, 4),
+    ("sqrt(4.5 - y1^2)*y1", 2, 2),
+    ("sqrt(4.5 - y1^2 - y2^2)*y1", 3, 2),
+    ("sqrt(4.5 - y1^2 - y2^2 - y3^2)*y1", 4, 2),
+    ("1/(y1 - 1)", 2, 2),
+    ("1/(y1 - 1)", 3, 2),
+    ("1/(y1 - 1)", 4, 2),
 ])
 def test_check_hypothesis_equals_each_derivative_alone(beta, dim_n, order):
     op = OperatorSpec.from_strings(beta, dim_n=dim_n)
-    step = 0.02 if dim_n < 4 else 0.2
+    step = 0.02 if dim_n < 4 else 0.1
     want = check_each_derivative_alone(op, CylinderDomain(), order, step)
     got = check_hypothesis(op, CylinderDomain(), order=order, grid_step=step)
     assert got == want
-    assert struct.pack("<d", got.min_derivative_mass) == struct.pack(
-        "<d", want.min_derivative_mass)
+    if want.error is None:
+        assert struct.pack("<d", got.min_derivative_mass) == struct.pack(
+            "<d", want.min_derivative_mass)
+        assert np.array(got.sign_witnesses).tobytes() == np.array(want.sign_witnesses).tobytes()
+    if beta.startswith("sqrt(4.5"):
+        # the slabs' boxes hold nodes off the ball, where beta is undefined
+        assert got.passed
+    if beta == "1/(y1 - 1)":
+        assert got.error.startswith("evaluation failed at y=(1")
 
 
 @pytest.mark.parametrize("beta, witnesses", [
@@ -171,6 +238,39 @@ def test_slab_sweep_names_the_first_failing_point():
     assert report.error == "evaluation failed at y=(1, -1.73): division by zero"
 
 
+@pytest.mark.parametrize("beta, dim_n", [
+    ("sin(1.37*y1)*y2 + 1.1*y1", 3),
+    ("cos(3*y1) - 0.1", 2),
+    ("exp(y1)*y2 - sinh(y2) + cosh(y1) - 1.2", 3),
+    # undefined at the box corners and on the sphere, which the open ball leaves out
+    ("sqrt(1.2 - y1^2 - y2^2)*y1", 3),
+    ("1/(1 - y1^2) - 1.5", 2),
+    ("1", 2),
+])
+def test_grid_form_regions_are_the_point_split(beta, dim_n):
+    op = OperatorSpec.from_strings(beta, dim_n=dim_n)
+    pts, step = ball_lattice(1.0, 0.01, op.n_y, closed=False)
+    beta_vals = op.beta_at(pts)
+    for level in (0.3, 0.7):
+        got = classify_regions(op, CylinderDomain(), level, 0.01)
+        assert got.grid_step == step
+        for got_pts, want_pts in ((got.plus_points, pts[beta_vals > level]),
+                                  (got.minus_points, pts[beta_vals < -level])):
+            assert got_pts.shape == want_pts.shape
+            assert got_pts.tobytes() == want_pts.tobytes()
+
+
+def test_grid_form_regions_raise_the_whole_lattice_error():
+    # the first slab fails only at 1/y2, the whole lattice first at the sqrt
+    op = OperatorSpec.from_strings("sqrt(0.7 - y1) + 1/y2", dim_n=3)
+    pts, _ = ball_lattice(1.0, 0.01, 2, closed=False)
+    with pytest.raises(EvalDomainError) as want:
+        op.beta_at(pts)
+    with pytest.raises(EvalDomainError) as got:
+        classify_regions(op, CylinderDomain(), 0.5, 0.01)
+    assert str(got.value) == str(want.value) == "sqrt of negative value"
+
+
 def test_check_hypothesis_working_set():
     # the lattice is reduced slab by slab, so one slab's derivative values,
     # not the 126k-point lattice's, set the traced peak
@@ -187,8 +287,9 @@ def test_check_hypothesis_working_set():
 
 def test_check_hypothesis_evaluates_each_shared_function_once(monkeypatch):
     op = OperatorSpec.from_strings("sin(1.3*y1)*y2 + 0.7*y1", dim_n=3)
-    n_pts = ball_lattice(2.0, 0.01, 2, closed=True)[0].shape[0]
-    # the lattice is swept in slabs: count the points each function sees
+    # the lattice is swept in slabs in grid form, and sin(1.3*y1) and
+    # cos(1.3*y1) depend on y1 alone: count the elements each function sees
+    n_y1 = step_axis(-2.0, 2.0, 0.01).size
     seen = {"sin": 0, "cos": 0}
 
     def counted(name, fn):
@@ -201,8 +302,9 @@ def test_check_hypothesis_evaluates_each_shared_function_once(monkeypatch):
         fn = expressions._FUNCTIONS[name]
         monkeypatch.setitem(expressions._FUNCTIONS, name, counted(name, fn))
     report = check_hypothesis(op, CylinderDomain(), order=2)
-    # beta, d2/dy1^2 and d/dy2 hold sin(1.3*y1); d/dy1 and d2/dy1dy2 hold cos(1.3*y1)*1.3
-    assert seen == {"sin": n_pts, "cos": n_pts}
+    # beta, d2/dy1^2 and d/dy2 hold sin(1.3*y1); d/dy1 and d2/dy1dy2 hold
+    # cos(1.3*y1)*1.3: each is computed once per first-axis node
+    assert seen == {"sin": n_y1, "cos": n_y1}
     assert report.passed
 
 
