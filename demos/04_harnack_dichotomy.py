@@ -10,6 +10,7 @@ from harnack_lab import (
     CylinderDomain,
     OperatorSpec,
     SimConfig,
+    classify_regions,
     counterexample_scan,
     kolmogorov_poly,
     ratio_plot_svg,
@@ -52,7 +53,7 @@ print(f"family max ratio: {fam_scan.max_ratio:.5f}")
 dom = CylinderDomain()
 op = OperatorSpec.from_strings("y1", "0")
 sol = kolmogorov_poly(10.0)
-check = region_inequality_check(sol, op, dom, level=0.5, cap=10.0)
+check = region_inequality_check(sol, op, dom, classify_regions(op, dom, level=0.5), cap=10.0)
 print(f"\nregion inequality for kolmogorov(10) at drift level 0.5:")
 print(f"  sup over A+ u A- = {check.sup:.4f}, inf over inner ball = {check.inf:.4f}, "
       f"ratio {check.ratio:.4f} <= cap {check.cap} -> passed = {check.passed}")

@@ -404,11 +404,10 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 def cmd_regions(cfg: RunConfig) -> int:
     """drift regions, with an optional restricted ratio check -> regions.csv, regions.json"""
     level = cfg.get("regions", "d")
-    grid_step = cfg.get("regions", "grid_step")
-    regions = classify_regions(cfg.op, cfg.dom, level, grid_step)
+    regions = classify_regions(cfg.op, cfg.dom, level, cfg.get("regions", "grid_step"))
     sol_text = cfg.get("regions", "solution")
     check = None if sol_text is None else region_inequality_check(
-        cfg.solution(sol_text), cfg.op, cfg.dom, level, cfg.get("regions", "cap"), grid_step)
+        cfg.solution(sol_text), cfg.op, cfg.dom, regions, cfg.get("regions", "cap"))
 
     fmt = ",".join(["%s"] + [FLOAT_FMT] * cfg.op.n_y)
     rows = [("plus", *p) for p in regions.plus_points.tolist()]

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FLOAT_FMT, ScalarField, csv_field, line_plot_svg, step_axis, write_csv
-from .operators import _SLAB_NODES, CylinderDomain, OperatorSpec, ball_lattice, classify_regions
+# ``classify_regions`` stays bound here for perfbench, which wraps it at this lookup site
+from .operators import (_SLAB_NODES, CylinderDomain, OperatorSpec, RegionSet, ball_lattice,
+                        classify_regions)
 from .solutions import counterexample_family
 
 __all__ = [
@@ -202,28 +204,29 @@ def region_inequality_check(
     u,
     op: OperatorSpec,
     dom: CylinderDomain,
-    level: float,
+    regions: RegionSet,
     cap: float,
-    grid_step: float = 0.01,
 ) -> RegionCheck:
     """Compare sup over [a,b] x A_d with inf over [a,b] x inner ball.
 
-    A_d is the union of the drift regions at the given level; both signs
+    A_d is the union of the drift regions ``regions``, the
+    ``classify_regions`` split of the inner ball at level d; both signs
     must be populated (a one-signed drift has no level-d Harnack bound).
-    The x interval is the domain's inner interval, at x-nodes ``grid_step``
-    apart.  u is evaluated by one grid-form ``u.at`` call per point set
-    (A_d, then the inner-ball lattice) against the x-nodes, in slabs of
-    x-nodes when the grid exceeds _SLAB_NODES points.
+    The x interval is the domain's inner interval, at x-nodes the regions'
+    lattice step apart, and the inner-ball lattice has that step too.  u is
+    evaluated by one grid-form ``u.at`` call per point set (A_d, then the
+    inner-ball lattice) against the x-nodes, in slabs of x-nodes when the
+    grid exceeds _SLAB_NODES points.
     """
-    regions = classify_regions(op, dom, level, grid_step)
+    level, grid_step = regions.level, regions.grid_step
     missing = [tag for tag, pts in (("+", regions.plus_points), ("-", regions.minus_points))
                if pts.shape[0] == 0]
     if missing:
         sides = ", ".join(f"A_{level:g}^{tag}" for tag in missing)
         raise ValueError(f"empty drift region(s) {sides}; no restricted bound applies")
 
-    if u.n_y != op.n_y:
-        raise ValueError("solution and operator dimensions differ")
+    if u.n_y != op.n_y or regions.plus_points.shape[1] != op.n_y:
+        raise ValueError("solution, regions and operator dimensions differ")
     x_nodes = step_axis(dom.inner_x_lo, dom.inner_x_hi, grid_step)
     a_d = np.concatenate([regions.plus_points, regions.minus_points], axis=0)
     sup_val = max(float(vals.max()) for _, vals in _grid_slabs(u, x_nodes, a_d))

@@ -310,8 +310,31 @@ def _derivative_exprs(beta: Expr, names: tuple[str, ...], order: int) -> list[Ex
 
 
 def _locate_eval_failure(exprs, names, pts) -> str:
-    """Find the first grid point where some derivative fails to evaluate."""
-    for i in range(pts.shape[0]):
+    """Find the first grid point where some derivative fails to evaluate.
+
+    The shortest failing prefix of the points is bisected with array
+    evaluations; its last point is then evaluated one expression at a time
+    on scalars, which names the point and the error of the first failing
+    expression there.
+    """
+
+    def fails(k: int) -> bool:
+        env = {name: pts[:k, j] for j, name in enumerate(names)}
+        try:
+            for e in exprs:
+                evaluate(e, env)
+        except EvalDomainError:
+            return True
+        return False
+
+    ok, bad = 0, pts.shape[0]  # the first ``ok`` points evaluate
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        if fails(mid):
+            bad = mid
+        else:
+            ok = mid
+    for i in range(ok, pts.shape[0]):
         env = {name: float(pts[i, k]) for k, name in enumerate(names)}
         for e in exprs:
             try:

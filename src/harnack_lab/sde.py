@@ -30,10 +30,15 @@ Exp(1) draw, so a step whose endpoints are both inside the ball still stops
 the path with conditional probability p_k; the recorded y is the radial
 projection onto the sphere and the recorded time is the endpoint of the
 step.  This keeps the exit-time discretization bias at O(dt) (it halves when
-dt does).  Pass exit_detection="endpoint" to stop only when an endpoint
-lands outside; that variant is simpler but biased high by O(sqrt(dt)), which
-is visible at desk scale (roughly +0.06 on a mean exit time of 2.0 at
-dt = 1e-3).  Both modes draw the clock, so they share every Y increment.
+dt does).  Only steps with p_k >= e^-100 fold any hazard, so only rows that
+come within about sqrt(100*dt) of the sphere pay for the check; the dropped
+terms sum to less than half an ulp of the smallest positive clock numpy
+draws, so every path stops where folding every step would stop it (tested),
+unless its clock is exactly 0.0.  Pass exit_detection="endpoint" to stop
+only when an endpoint lands outside; that variant is simpler but biased high
+by O(sqrt(dt)), which is visible at desk scale (roughly +0.06 on a mean exit
+time of 2.0 at dt = 1e-3).  Both modes draw the clock, so they share every Y
+increment.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ __all__ = [
 _CHUNK_PATHS = 1024
 _DRAW_STEPS = 1024
 _BLOCK_STEPS = 128
+# exponent of a step's bridge-crossing probability from which the bridge
+# check takes the step's hazard as 0; no stop depends on it (see _run_chunk)
+_HAZARD_CUTOFF = 100.0
 
 
 @dataclass(frozen=True)
@@ -325,19 +333,24 @@ def _run_chunk(
                 # exit clock: the path stops once its cumulative bridge-crossing
                 # hazard h_k = -log1p(-p_k) reaches its Exp(1) draw, so a step
                 # that starts alive stops with p_k = exp(-(R-r_k)(R-r_{k+1})/dt).
-                # Once the exponent passes 708, p_k < 1e-307 and h_k is taken as
-                # 0: a sum of such terms stays far below the smallest nonzero
-                # Exp(1) draw (about 7e-18), so no stop decision moves.  That
-                # holds on every step of a row that stays 1% further from the
-                # sphere than sqrt(708*dt), so only the other rows fold any
+                # Once the exponent passes _HAZARD_CUTOFF = 100, p_k < 3.7e-44
+                # and h_k is taken as 0.  Even 1e10 such steps sum to under
+                # 3.7e-34, below half an ulp (7.7e-34) of the smallest
+                # positive Exp(1) draw numpy's ziggurat returns (7.09e-18:
+                # layer 1, ri = 1), so no stop decision moves.  The one
+                # exception is a clock of exactly 0.0 (probability 2**-53),
+                # which stops at the first step of the path's first block that
+                # folds any hazard.  The exponent passes the cutoff on every
+                # step of a row that stays 1% further from the sphere than
+                # sqrt(_HAZARD_CUTOFF*dt), so only the other rows fold any
                 # hazard.  Below 2**-54, -log1p(-p) is p in double precision.
-                reach = max(radius - 1.01 * np.sqrt(708.0 * dts.max()), 0.0)
+                reach = max(radius - 1.01 * np.sqrt(_HAZARD_CUTOFF * dts.max()), 0.0)
                 warm = np.flatnonzero(r2_top > reach * reach)
                 if warm.size:
                     d = radius - np.sqrt(r2s[warm])
                     expo = d[:, :-1] * d[:, 1:]
                     expo /= dts
-                    near = expo < 708.0
+                    near = expo < _HAZARD_CUTOFF
                     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                         h = np.exp(-expo[near])
                         big = np.flatnonzero(h >= 2.0**-54)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnack_lab import cli
+from harnack_lab import cli, harnack
 from harnack_lab.cli import SCHEMA, main
 from harnack_lab.operators import CylinderDomain
 from harnack_lab.sde import SimConfig
@@ -598,6 +598,24 @@ def test_regions_with_cap_check(tmp_path):
                 "--set", "regions.solution=kolmogorov(10)",
                 "--set", "regions.cap=1.01")
     assert rc == 1
+
+
+def test_regions_with_a_solution_classifies_once(tmp_path, monkeypatch):
+    # the restricted check reads A_d off the RegionSet that regions.csv is
+    # written from
+    calls = []
+    classify = cli.classify_regions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_regions", counted)
+    monkeypatch.setattr(harnack, "classify_regions", counted)
+    rc, out = run(tmp_path, "regions", "--set", "regions.solution=kolmogorov(10)")
+    assert rc == 0
+    assert len(calls) == 1
+    assert "check" in json.loads((out / "regions.json").read_text())
 
 
 @pytest.mark.parametrize("items", [

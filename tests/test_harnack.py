@@ -198,7 +198,8 @@ def test_ratio_stable_under_grid_doubling():
 
 def test_region_check_constant():
     op = OperatorSpec.from_strings("y1", "0")
-    chk = region_inequality_check(constant(1.0), op, DOM, level=0.5, cap=10.0)
+    chk = region_inequality_check(constant(1.0), op, DOM, classify_regions(op, DOM, 0.5),
+                                  cap=10.0)
     assert chk.ratio == 1.0
     assert chk.passed
     assert chk.plus_count > 0 and chk.minus_count > 0
@@ -206,7 +207,8 @@ def test_region_check_constant():
 
 def test_region_check_kolmogorov_closed_form():
     op = OperatorSpec.from_strings("y1", "0")
-    chk = region_inequality_check(kolmogorov_poly(10.0), op, DOM, level=0.5, cap=2.0)
+    chk = region_inequality_check(kolmogorov_poly(10.0), op, DOM,
+                                  classify_regions(op, DOM, 0.5), cap=2.0)
     # strict level sets at step 0.01 top out at y = +/-0.99
     assert chk.sup == pytest.approx(1 + 0.99**3 / 6 + 10, abs=1e-12)
     assert chk.inf == pytest.approx(10 - 1 / 6, abs=1e-12)
@@ -251,7 +253,8 @@ def test_region_check_makes_one_grid_call_per_point_set(build, beta, grid_step, 
     u = build()
     op = OperatorSpec.from_strings(beta, "0", dim_n=1 + u.n_y)
     spy = AtSpy(u)
-    got = region_inequality_check(spy, op, DOM, level=0.3, cap=2.0, grid_step=grid_step)
+    regions = classify_regions(op, DOM, 0.3, grid_step)
+    got = region_inequality_check(spy, op, DOM, regions, cap=2.0)
     assert got == region_check_per_node(u, op, DOM, 0.3, 2.0, grid_step)
     assert len(spy.calls) == calls
     n_x = step_axis(DOM.inner_x_lo, DOM.inner_x_hi, grid_step).shape[0]
@@ -266,14 +269,20 @@ def test_bad_subcylinder_and_mismatched_dimensions():
     with pytest.raises(ValueError, match="y_radius must be positive"):
         SubCylinder(0.0, 1.0, 0.0)
     op = OperatorSpec.from_strings("y1", "0", dim_n=3)
+    regions = classify_regions(op, DOM, 0.5)
     with pytest.raises(ValueError, match="dimensions differ"):
-        region_inequality_check(constant(1.0), op, DOM, level=0.5, cap=10.0)
+        region_inequality_check(constant(1.0), op, DOM, regions, cap=10.0)
+    # regions of another operator's dimension
+    op2 = OperatorSpec.from_strings("y1", "0")
+    with pytest.raises(ValueError, match="dimensions differ"):
+        region_inequality_check(constant(1.0), op2, DOM, regions, cap=10.0)
 
 
 def test_region_check_one_signed_drift_errors():
     op = OperatorSpec.from_strings("1", "0")
     with pytest.raises(ValueError, match="empty"):
-        region_inequality_check(constant(1.0, op=op), op, DOM, level=0.5, cap=10.0)
+        region_inequality_check(constant(1.0, op=op), op, DOM, classify_regions(op, DOM, 0.5),
+                                cap=10.0)
 
 
 def test_window_average_constant_and_linear():

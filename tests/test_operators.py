@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harnack_lab import expressions
+from harnack_lab import expressions, operators
 from harnack_lab.expressions import (
     EvalDomainError,
     SharedSubtrees,
@@ -236,6 +236,46 @@ def test_slab_sweep_names_the_first_failing_point():
     report = check_hypothesis(op, CylinderDomain(), order=2)
     assert not report.passed
     assert report.error == "evaluation failed at y=(1, -1.73): division by zero"
+
+
+def scalar_scan_failure(exprs, names, pts) -> str:
+    """The first failing point found by evaluating every point on scalars,
+    expression by expression, in order."""
+    for i in range(pts.shape[0]):
+        env = {name: float(pts[i, k]) for k, name in enumerate(names)}
+        for e in exprs:
+            try:
+                evaluate(e, env)
+            except EvalDomainError as err:
+                loc = ", ".join(format(v, ".6g") for v in pts[i])
+                return f"evaluation failed at y=({loc}): {err}"
+    return "evaluation failed on the grid"
+
+
+@pytest.mark.parametrize("beta, dim_n, step", [
+    ("1/(y1 - 1)", 2, 0.05),
+    ("1/(y1 - 1)", 3, 0.1),
+    ("1/(y1 - 1)", 4, 0.25),
+    # sqrt of a negative before the derivatives' division by zero at y2 = -1
+    ("sqrt(y2 + 1)*y1", 3, 0.05),
+    ("y1/(y3 - 0.5) + y2", 4, 0.1),
+])
+def test_eval_failure_is_located_by_bisection(monkeypatch, beta, dim_n, step):
+    op = OperatorSpec.from_strings(beta, dim_n=dim_n)
+    exprs = _derivative_exprs(op.beta, op.y_names, 2)
+    pts, _ = ball_lattice(2.0, step, op.n_y)
+    want = scalar_scan_failure(exprs, op.y_names, pts)
+    assert want.startswith("evaluation failed at y=(")
+    calls = {"array": 0, "scalar": 0}
+
+    def counted(e, env, memo=None):
+        calls["array" if np.ndim(next(iter(env.values()))) else "scalar"] += 1
+        return evaluate(e, env, memo)
+
+    monkeypatch.setattr(operators, "evaluate", counted)
+    assert _locate_eval_failure(exprs, op.y_names, pts) == want
+    assert 0 < calls["array"] <= len(exprs) * math.ceil(math.log2(pts.shape[0]))
+    assert 0 < calls["scalar"] <= len(exprs)
 
 
 @pytest.mark.parametrize("beta, dim_n", [

@@ -227,6 +227,67 @@ def test_bridge_stops_no_later_than_endpoint(gamma, n_y):
     assert np.array_equal(bridge.stopped_y[same], endpoint.stopped_y[same])
 
 
+# starts at |y| = 0.5, 1.9 and 1.99, the last two inside the band where rows
+# fold bridge hazards from their first block
+CUTOFF_X = np.array([0.2, -0.4, 0.9])
+CUTOFF_Y = {1: np.array([[0.5], [-1.9], [1.99]]),
+            2: np.array([[0.3, -0.4], [-1.14, 1.52], [1.194, -1.592]])}
+
+
+@ENGINE_CASES
+def test_hazard_cutoff_moves_no_stop(monkeypatch, gamma, n_y):
+    # with no cutoff every row folds every step's hazard
+    op = engine_op(gamma, n_y)
+    cfg = SimConfig(t_max=1.5, dt=1e-3, n_paths=400, master_seed=31)
+    starts = (CUTOFF_X, CUTOFF_Y[n_y])
+    cut = simulate_batch(op, DOM, starts, cfg)
+    monkeypatch.setattr(sde, "_HAZARD_CUTOFF", np.inf)
+    full = simulate_batch(op, DOM, starts, cfg)
+    for s in range(3):
+        rows = slice(s * cfg.n_paths, (s + 1) * cfg.n_paths)
+        assert 0 < cut.exited[rows].sum() < cfg.n_paths
+    for attr in BATCH_ARRAYS:
+        assert np.array_equal(getattr(cut, attr), getattr(full, attr)), attr
+
+
+def test_smallest_exponential_draw_clears_the_hazard_cutoff():
+    # numpy's ziggurat returns ri * w[idx] for a word's 53-bit ri and 8-bit
+    # layer idx whenever the draw reads at most two words (the second an
+    # acceptance test outside layer 0), so ri = 1 gives the smallest positive
+    # draw, min w.  Recover each layer's w from draws paired with the words
+    # they read, and check that 1e10 steps of dropped hazard stay below half
+    # an ulp of it
+    bitgen = np.random.Philox(key=[12345, 0])
+    raw, draw = bitgen.random_raw, np.random.Generator(bitgen).standard_exponential
+    n = 20_000
+    words = np.empty(n, dtype=np.uint64)
+    clocks = np.empty(n)
+    read = np.empty(n, dtype=np.int64)
+
+    def position(state):
+        return int(state["state"]["counter"][0]) * 4 + state["buffer_pos"]
+
+    for i in range(n):
+        state = bitgen.state
+        words[i] = raw()
+        bitgen.state = state
+        clocks[i] = draw()
+        read[i] = position(bitgen.state) - position(state)
+    layer = ((words >> np.uint64(3)) & np.uint64(0xFF)).astype(np.int64)
+    ri = (words >> np.uint64(11)).astype(float)
+    exact = ((read == 1) | ((read == 2) & (layer > 0))) & (ri > 0)
+    assert exact.mean() > 0.95
+    widths = clocks[exact] / ri[exact]
+    smallest = np.inf
+    for k in range(256):
+        w = widths[layer[exact] == k]
+        assert w.size > 0, f"layer {k} not drawn"
+        assert w.max() / w.min() - 1 < 1e-15, f"layer {k} is not ri * w"
+        smallest = min(smallest, w.min())
+    assert smallest >= 7e-18
+    assert 1e10 * np.exp(-sde._HAZARD_CUTOFF) < np.spacing(smallest) / 2
+
+
 def test_one_bit_generator_per_chunk(monkeypatch):
     made = []
     philox = np.random.Philox
