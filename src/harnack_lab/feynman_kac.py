@@ -11,6 +11,10 @@ where the path runs until it leaves the y-ball or reaches the horizon t.
 With |gamma| <= 1 the weight lies in [e^{-t}, e^{t}], which gives the
 sandwich   e^{-t} E[u(stopped)] <= u(x,y) <= e^{t} E[u(stopped)]
 that ``sandwich_check`` tests with a Monte Carlo confidence margin.
+
+The paths come from fixed streams of ``simulate_batch``: ``evaluate`` and
+``sandwich_check`` draw stream 0, ``make_solution`` stream 1, so checking
+a manufactured node with either draws fresh paths.
 """
 
 from __future__ import annotations
@@ -80,13 +84,13 @@ def _payoff(u, x, y, what="payoff", at="a stopped state") -> np.ndarray:
     return vals
 
 
-def _run_one_start(op, dom, u, start, t, cfg, workers, stream):
-    """cfg.n_paths stopped paths from one start to horizon t: the batch and
-    the payoff u at its stopped states."""
+def _run_one_start(op, dom, u, start, t, cfg, workers):
+    """cfg.n_paths stopped paths of stream 0 from one start to horizon t:
+    the batch and the payoff u at its stopped states."""
     if np.ndim(start[0]) != 0:
         raise ValueError("expected one start (x a number, y of shape (n_y,))")
     batch = simulate_batch(op, dom, start, dataclasses.replace(cfg, t_max=t),
-                           workers=workers, stream=stream)
+                           workers=workers, stream=0)
     return batch, _payoff(u, batch.stopped_x, batch.stopped_y)
 
 
@@ -98,19 +102,18 @@ def evaluate(
     t: float,
     cfg: SimConfig = SimConfig(t_max=1.0),
     workers: int = 1,
-    stream: int = 0,
 ) -> FKEstimate:
     """Weighted Monte Carlo evaluation of u_data through stopped paths.
 
-    Runs a fresh path batch from the one point ``start = (x, y)`` to horizon
-    ``t`` and averages exp(gamma_integral) * u_data(stopped state).
+    Runs a path batch of stream 0 from the one point ``start = (x, y)`` to
+    horizon ``t`` and averages exp(gamma_integral) * u_data(stopped state).
     ``u_data`` is evaluated through its ``at(x (n,), y (n, n_y)) -> (n,)``
     method (ScalarField, AnalyticSolution), or called when it has none.  A
     constant result counts for every path; any other shape than (n,) is a
     ValueError, as is a k-point ``start``.
     """
     t = float(t)
-    batch, payoff = _run_one_start(op, dom, u_data, start, t, cfg, workers, stream)
+    batch, payoff = _run_one_start(op, dom, u_data, start, t, cfg, workers)
     mean, se = _mean_se(np.exp(batch.gamma_integral) * payoff)
     return FKEstimate(value=mean, std_error=se, n_paths=cfg.n_paths, horizon=t)
 
@@ -124,10 +127,9 @@ def sandwich_check(
     cfg: SimConfig = SimConfig(t_max=1.0),
     k_sigma: float = 3.0,
     workers: int = 1,
-    stream: int = 0,
 ) -> SandwichReport:
     """Check  e^{-t}(E - k*se) <= u(start) <= e^{t}(E + k*se)  where E is the
-    unweighted mean of u at stopped states.
+    unweighted mean of u at the stopped states of a stream-0 path batch.
 
     Needs |gamma| <= 1 on the sup lattice (rescale the operator first
     otherwise); both sups are measured there, once, through
@@ -154,7 +156,7 @@ def sandwich_check(
         t = 1.0 / op.beta_sup
     t = float(t)
 
-    batch, payoff = _run_one_start(op, dom, u, start, t, cfg, workers, stream)
+    batch, payoff = _run_one_start(op, dom, u, start, t, cfg, workers)
     e_mean, se = _mean_se(payoff)
     value = float(_payoff(u, batch.start_x, batch.start_y, at="the start")[0])
 
@@ -184,9 +186,10 @@ def make_solution(
     """Manufacture a positive field node-by-node from boundary data g > 0.
 
     Every node draws from stream 1 (common random numbers), so each node
-    equals ``evaluate(op, dom, g, node, t_solve, cfg, stream=1)`` bit for
-    bit, and the field is independent of worker count.  Stream 1 keeps the
-    field off stream 0, the default of ``evaluate`` and ``sandwich_check``,
+    equals, bit for bit, the mean of exp(gamma_integral) * g over
+    ``simulate_batch(op, dom, node, cfg, stream=1)`` at horizon t_solve,
+    and the field is independent of worker count.  Stream 1 keeps the
+    field off stream 0, the stream of ``evaluate`` and ``sandwich_check``,
     so checking a node with those draws fresh paths.  Y paths get no
     feedback from x, so when gamma does not depend on x the paths from a
     y-node at x = 0 serve its whole x-row by translation; otherwise every

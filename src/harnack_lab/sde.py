@@ -96,6 +96,9 @@ class SimConfig:
             raise ValueError("t_max must be positive and finite")
         if self.dt > self.t_max:
             raise ValueError("dt must not exceed t_max")
+        if self.t_max / self.dt >= 2**32:
+            raise ValueError(f"t_max/dt must be under 2**32 steps, got {self.t_max / self.dt:.3g} "
+                             f"(t_max {self.t_max:g}, dt {self.dt:g})")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.n_paths >= 2**32:

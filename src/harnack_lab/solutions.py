@@ -4,9 +4,9 @@ Four constructors; a CLI run builds each on ``[domain]``, for ``[operator]`` onl
 
 * ``kolmogorov_poly(C)``: u = x - y^3/6 + C with beta = y, the linear-drift
   polynomial solution, exact under the finite-difference oracle.
-* ``separable(lam, op, y0, dom)``: u = e^{lam*x} * phi(y) where the profile
-  solves phi'' = -(lam*beta(y) + gamma) phi, integrated by fixed-step RK4
-  with Hermite dense output.
+* ``separable(lam, op, dom)``: u = e^{lam*x} * phi(y) where the profile
+  solves phi'' = -(lam*beta(y) + gamma) phi from phi(0) = 1, phi'(0) = 0,
+  integrated by fixed-step RK4 with Hermite dense output.
 * ``counterexample_family(lam)``: u = e^{-lam*x} cosh(sqrt(lam) y) with
   beta constant 1.  beta never changes sign here, and the sup/inf ratio of
   this family over a fixed subcylinder grows like e^lam cosh(sqrt(lam)),
@@ -152,7 +152,7 @@ def constant(c: float, op: OperatorSpec | None = None,
 
 def _rk4_sweep(q_half: np.ndarray, h: float, p0: float, v0: float):
     """March (phi, phi') through n = (len(q_half)-1)/2 uniform RK4 steps;
-    q_half holds q at the half-step grid y0, y0+h/2, y0+h, ...
+    q_half holds q at the half-step grid a, a+h/2, a+h, ... from the start a.
 
     The loop runs on Python floats (numpy scalars cost several times more
     per operation); IEEE double arithmetic in the same order gives the same
@@ -180,30 +180,22 @@ def _rk4_sweep(q_half: np.ndarray, h: float, p0: float, v0: float):
     return np.array(p), np.array(v)
 
 
-def _integrate_profile(op: OperatorSpec, lam: float, gamma0: float,
-                       y0: float, y_lo: float, y_hi: float, h: float):
-    """Solve phi'' = -(lam*beta(y) + gamma0) phi from phi(y0)=1, phi'(y0)=0
-    over [y_lo, y_hi]; returns (nodes, phi, dphi) with nodes ascending."""
+def _integrate_profile(op: OperatorSpec, lam: float, gamma0: float, radius: float, h: float):
+    """Solve phi'' = -(lam*beta(y) + gamma0) phi from phi(0)=1, phi'(0)=0
+    over [-radius, radius], sweeping down and then up from 0; returns
+    (nodes, phi, dphi) with nodes ascending."""
 
     def q_at(pts: np.ndarray) -> np.ndarray:
         return -(lam * op.beta_at(pts[:, None]) + gamma0)
 
-    pieces = []
-    for target in (y_lo, y_hi):
-        span = abs(target - y0)
-        if span < 1e-14:
-            continue
-        n = max(int(np.ceil(span / h - 1e-9)), 1)
-        step = (target - y0) / n  # signed, |step| <= h
-        half_grid = y0 + step * np.arange(2 * n + 1) / 2.0
+    n = max(int(np.ceil(radius / h - 1e-9)), 1)
+    nodes, phis, dphis = [np.array([0.0])], [np.array([1.0])], [np.array([0.0])]
+    for step in (-radius / n, radius / n):  # signed, |step| <= h
+        # ``0.0 +`` turns the -0.0 of a downward sweep's first node into 0.0
+        half_grid = 0.0 + step * np.arange(2 * n + 1) / 2.0
         p, v = _rk4_sweep(q_at(half_grid), step, 1.0, 0.0)
-        pieces.append((y0 + step * np.arange(n + 1), p, v))
-
-    nodes = [np.array([y0])]
-    phis = [np.array([1.0])]
-    dphis = [np.array([0.0])]
-    for ys, p, v in pieces:
-        if ys[-1] < y0:  # downward sweep: reverse, drop the shared y0 node
+        ys = step * np.arange(n + 1)
+        if step < 0:  # downward sweep: reverse, drop the shared node at 0
             nodes.insert(0, ys[:0:-1])
             phis.insert(0, p[:0:-1])
             dphis.insert(0, v[:0:-1])
@@ -236,14 +228,13 @@ def _cubic_hermite(nodes: np.ndarray, phi: np.ndarray, dphi: np.ndarray) -> Call
 def separable(
     lam: float,
     op: OperatorSpec,
-    y0: float = 0.0,
     dom: CylinderDomain = CylinderDomain(),
 ) -> AnalyticSolution:
     """u = e^{lam x} phi(y) for scalar y and constant gamma.
 
     The profile ODE is integrated by classical RK4 at (close to) a fixed
-    step of 1e-3 across the outer interval, in both directions from y0 where
-    phi(y0) = 1, phi'(y0) = 0; values between nodes come from cubic Hermite
+    step of 1e-3 across the outer interval, in both directions from y = 0
+    where phi(0) = 1, phi'(0) = 0; values between nodes come from cubic Hermite
     interpolation, matching the integrator's fourth order.  Profiles that
     are not positive throughout the inner interval are rejected with the
     first zero location.
@@ -255,20 +246,17 @@ def separable(
         raise ValueError("separable solutions need a constant gamma")
     gamma0 = gamma_expr.value
     radius = dom.y_outer_radius
-    if not -radius <= y0 <= radius:
-        raise ValueError("y0 must lie in the outer interval")
-
-    nodes, phi, dphi = _integrate_profile(op, lam, gamma0, y0, -radius, radius, _PROFILE_STEP)
+    nodes, phi, dphi = _integrate_profile(op, lam, gamma0, radius, _PROFILE_STEP)
 
     inner = np.abs(nodes) <= dom.y_inner_radius + 1e-12
     if np.any(phi[inner] <= 0):
-        # the first zero met when marching away from y0: the sign change
+        # the first zero met when marching away from 0: the sign change
         # closest to the initial point, located by linear interpolation
         cross = np.nonzero((phi[:-1] > 0) != (phi[1:] > 0))[0]
         if cross.size:
             frac = phi[cross] / (phi[cross] - phi[cross + 1])
             zeros = nodes[cross] + frac * (nodes[cross + 1] - nodes[cross])
-            zero_at = zeros[np.argmin(np.abs(zeros - y0))]
+            zero_at = zeros[np.argmin(np.abs(zeros))]
         else:
             zero_at = nodes[np.nonzero(inner & (phi <= 0))[0][0]]
         raise ValueError(

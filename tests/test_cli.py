@@ -88,6 +88,7 @@ START_KEYS = [(command, f"{command}.{key}=1", f"{command}.{key}: unknown key")
 @pytest.mark.parametrize("command, item, named", [
     ("counterexample", "counterexample.lambdaz=1,2", "counterexample.lambdaz"),
     ("check", "chek.r=9", "[chek]"),
+    ("harnack", "harnack.constants=1,5", "harnack.constants: unknown key"),
     *BOX_KEYS,
     *START_KEYS,
 ])
@@ -103,7 +104,9 @@ def test_unknown_key_or_section_is_an_error(tmp_path, capsys, command, item, nam
     ([], "5", "HARNACK_LAB_SEED is not read; set sim.master_seed"),
     (["--set", "sim.dt=0"], None, "sim: dt must be positive"),
     (["--config", "{ini}"], None, "bad config syntax"),
-], ids=["workers", "env-seed", "sim-dt", "ini-syntax"])
+    (["--set", "sim.dt=1e-300"], None,
+     "sim: t_max/dt must be under 2**32 steps, got 1e+300 (t_max 1, dt 1e-300)"),
+], ids=["workers", "env-seed", "sim-dt", "ini-syntax", "sim-horizon"])
 def test_bad_flag_environment_or_file_exits_2(tmp_path, capsys, monkeypatch, flags, env,
                                                message):
     ini = tmp_path / "bad.ini"
@@ -135,8 +138,10 @@ def test_bad_values_in_one_section_are_all_reported(tmp_path, capsys):
     ("simulate", "simulate.bins=0", "simulate.bins: must be at least 1, got 0"),
     ("check", "operator.dim_n=1", "operator.dim_n: must be at least 2, got 1"),
     ("evaluate", "evaluate.mode=bogus", "evaluate.mode: expected one of value, sandwich"),
+    ("harnack", "harnack.family=constants",
+     "harnack.family: expected one of kolmogorov, catalog, got 'constants'"),
 ], ids=["check", "simulate", "evaluate", "make-solution", "harnack", "simulate-bins",
-        "dim-n", "evaluate-mode"])
+        "dim-n", "evaluate-mode", "harnack-family"])
 def test_checks_across_values_join_the_one_error_pass(tmp_path, capsys, command, item, message):
     rc, out = run(tmp_path, command, "--set", item, "--set", "sim.dt=fast")
     assert rc == 2
@@ -198,20 +203,32 @@ def test_subcommand_help_lists_its_keys(capsys):
     assert len(lines) == 1 and "101" in lines[0]
 
 
+# a lattice step of 1e-17 asks for about 2.8 EiB, more than any hardware
+# address space holds, so the allocation fails at once
+@pytest.mark.parametrize("command", ["check", "regions"])
+def test_a_lattice_too_large_to_allocate_exits_1(tmp_path, capsys, command):
+    rc, out = run(tmp_path, command, "--set", f"{command}.grid_step=1e-17")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 # --help stdout at 80 columns; main, simulate and evaluate list the start as
-# sim.start_x and sim.start_y, the others are as recorded while main still
-# built its argparse tree on every call
+# sim.start_x and sim.start_y, main and harnack list no constants family or
+# key, the others are as recorded while main still built its argparse tree
+# on every call
 HELP_SHA = {
-    None: "e7d28a8745afc0b1cd7f51dc89e2ac951f56ad662c42f838169aa6d9cb6a9b31",
+    None: "cb49f839c48b0300dafad98dab010dffc273a6bcee22d004c7e3286c0923fa16",
     "check": "20afbafdf5a91e0164c219da82a515ab9890c3768f2ee3bd441feab677bd8bbb",
     "simulate": "a15a4220eb7479e2ada90fefa5b4670131acb15fd0d1645b7c5a58a1803b0148",
     "evaluate": "02ffba685ced78de96613ad313e316ef969bd2e1dad1ea88ebae3a203450ea96",
     "make-solution": "83ee6a7cd658e4ddec058b6bfdd067ceba17cdc3594bc5339d03ae3320caa58b",
-    "harnack": "4bf732249e87a9cc4a4fac5ee753d48aae283b9587cd9be2f3e1a46849071c32",
+    "harnack": "03f18016f6dd3e4143f52b84488c5f5aa3608fddae2738d6a2f375e63ce8d9c3",
     "counterexample": "e9b6ee437fe023c62a0639229622b1e9b42b309d258f5b05ec0d7e904a8c713b",
     "regions": "3da04df3aad42c96ca0b082173f38b4ac2b5e697ef493ea04e83758984a82561",
     "average": "a2f2d433130d2ee5b42c548974cd6bc573854218eddb236d5ba7e4689456e3a0",
@@ -462,7 +479,7 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, key, text):
 @pytest.mark.parametrize("command, key, text", [
     ("harnack", "harnack.offsets", "5,,7"),
     ("harnack", "harnack.offsets", ""),
-    ("harnack", "harnack.constants", "1,5,"),
+    ("harnack", "harnack.offsets", "1,5,"),
     ("counterexample", "counterexample.lambdas", ",1"),
     ("simulate", "sim.start_y", " "),
 ], ids=["inner", "whole-list", "trailing", "leading", "blank"])
@@ -523,15 +540,23 @@ def test_make_solution_refuses_a_nonpositive_field(tmp_path, capsys):
     assert not out.exists()
 
 
+CONSTANTS = ["--set", "harnack.family=catalog",
+             "--set", "harnack.solutions=constant(1),constant(5),constant(100)"]
+
+
 def test_harnack_constants_family(tmp_path):
-    rc, out = run(tmp_path, "harnack", "--set", "harnack.family=constants")
+    # the catalog of constants writes the harnack.csv bytes of the constants
+    # family it replaced, recorded before that family went
+    rc, out = run(tmp_path, "harnack", *CONSTANTS)
     assert rc == 0
     payload = json.loads((out / "harnack.json").read_text())
-    assert payload == {"family": "constants", "max_ratio": 1.0, "verdict": None}
+    assert payload == {"family": "catalog", "max_ratio": 1.0, "verdict": None}
+    assert sha((out / "harnack.csv").read_bytes()) == (
+        "c8602f7cb069e222617d542956629be77c0fb4997c85a464db64e876768c0ddd")
 
 
 @pytest.mark.parametrize("argv", [
-    ["harnack", "--set", "harnack.family=constants"],
+    ["harnack", "--set", "harnack.family=catalog", "--set", "harnack.solutions=constant(2)"],
     ["regions", "--set", "regions.solution=constant(2)"],
 ], ids=["harnack", "regions"])
 def test_constant_solutions_need_the_configured_gamma_zero(tmp_path, capsys, argv):
@@ -541,8 +566,8 @@ def test_constant_solutions_need_the_configured_gamma_zero(tmp_path, capsys, arg
 
 
 def test_constant_family_lives_on_the_configured_dimension(tmp_path):
-    rc, out = run(tmp_path, "harnack", "--set", "harnack.family=constants",
-                  "--set", "operator.dim_n=3")
+    rc, out = run(tmp_path, "harnack", "--set", "harnack.family=catalog",
+                  "--set", "harnack.solutions=constant(2)", "--set", "operator.dim_n=3")
     assert rc == 0
     header = (out / "harnack.csv").read_text().split("\n", 1)[0].split(",")
     assert [h for h in header if h.startswith("argmax_")] == [
@@ -707,7 +732,7 @@ SCHEMA_RUNS = [
     ["make-solution", *SMALL_SIM, "--set", "make_solution.grid_nx=3",
      "--set", "make_solution.grid_ny=3"],
     ["harnack"],
-    ["harnack", "--set", "harnack.family=constants"],
+    ["harnack", *CONSTANTS],
     ["harnack", "--set", "harnack.family=catalog", "--set", "harnack.solutions=kolmogorov(5)"],
     ["counterexample"],
     ["regions"],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,13 @@ DRIFT_Y = OperatorSpec.from_strings("y1", "0")
 
 def kolmogorov_fn(x, y):
     return x - y[:, 0] ** 3 / 6 + 10.0
+
+
+def stream_batch(op, g, start, t, cfg, stream):
+    """A fresh batch of STREAM from START to horizon t, with exp(gamma_integral)
+    and g at its stopped states."""
+    batch = sde.simulate_batch(op, DOM, start, dataclasses.replace(cfg, t_max=t), stream=stream)
+    return np.exp(batch.gamma_integral), g(batch.stopped_x, batch.stopped_y)
 
 
 def test_unit_payoff_zero_gamma_exact():
@@ -174,15 +183,16 @@ def test_make_solution_worker_count_invariance():
 def test_make_solution_nodes_match_y_node_streams(gamma, workers):
     # every node equals a fresh batch from that node on stream 1, the stream
     # all y-nodes share, whether a y-node's batch serves its x-row (x-free
-    # gamma) or every node is a start of its own
+    # gamma) or every node is a start of its own; the node value is
+    # evaluate's expression, the mean of exp(gamma_integral) * g
     op = OperatorSpec.from_strings("y1", gamma)
     axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
     cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=200, master_seed=5)
     field = make_solution(op, DOM, kolmogorov_fn, 1.0, cfg, axes, workers=workers)
     for ix, x in enumerate(axes[0]):
         for iy, y in enumerate(axes[1]):
-            est = evaluate(op, DOM, kolmogorov_fn, (x, y), 1.0, cfg, stream=1)
-            assert field.values[ix, iy] == est.value
+            weight, payoff = stream_batch(op, kolmogorov_fn, (x, y), 1.0, cfg, stream=1)
+            assert field.values[ix, iy] == float(np.mean(weight * payoff))
 
 
 def test_make_solution_two_y_axes_match_evaluate():
@@ -196,7 +206,25 @@ def test_make_solution_two_y_axes_match_evaluate():
     field = make_solution(op, DOM, g, 0.8, cfg, axes)
     x, y = field.node_points()
     for k, value in enumerate(field.values.reshape(-1)):
-        assert value == evaluate(op, DOM, g, (x[k], y[k]), 0.8, cfg, stream=1).value
+        weight, payoff = stream_batch(op, g, (x[k], y[k]), 0.8, cfg, stream=1)
+        assert value == float(np.mean(weight * payoff))
+
+
+@pytest.mark.parametrize("gamma", ["0", "0.3*y1"])
+def test_evaluate_and_sandwich_draw_stream_0(gamma):
+    # evaluate's value is the weighted stream-0 batch mean, sandwich_check's
+    # estimate the unweighted one; make_solution's stream 1 gives others
+    op = OperatorSpec.from_strings("y1", gamma)
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=300, master_seed=4)
+    start = (0.3, 0.2)
+    weight, payoff = stream_batch(op, kolmogorov_fn, start, 0.6, cfg, stream=0)
+    value = evaluate(op, DOM, kolmogorov_fn, start, 0.6, cfg).value
+    assert value == float(np.mean(weight * payoff))
+    estimate = sandwich_check(op, DOM, kolmogorov_fn, start, t=0.6, cfg=cfg).estimate
+    assert estimate.value == float(np.mean(payoff))
+    other_weight, other_payoff = stream_batch(op, kolmogorov_fn, start, 0.6, cfg, stream=1)
+    assert value != float(np.mean(other_weight * other_payoff))
+    assert estimate.value != float(np.mean(other_payoff))
 
 
 def counted_calls(monkeypatch):

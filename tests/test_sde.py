@@ -41,6 +41,11 @@ def test_sim_config_validation():
         SimConfig(t_max=1.0, n_paths=2**32)
     with pytest.raises(ValueError, match="t_max must be positive and finite"):
         SimConfig(t_max=float("inf"))
+    # a horizon of 2**32 or more steps is refused, whatever the two values
+    for t_max, dt in [(1.0, 1e-300), (2.0**32, 1.0), (1e300, 1e-300)]:
+        with pytest.raises(ValueError, match=r"t_max/dt must be under 2\*\*32 steps"):
+            SimConfig(t_max=t_max, dt=dt)
+    assert SimConfig(t_max=2.0**32 - 1, dt=1.0).dt == 1.0
 
 
 def test_start_and_step_validation():

@@ -32,11 +32,11 @@ def grid_min(sol: AnalyticSolution, x_span=None, y_radius=None) -> float:
 
 
 def profile_step_error(sol: AnalyticSolution, lam: float) -> float:
-    """Endpoint change of a separable profile (y0 = 0, gamma = 0) when the RK4
+    """Endpoint change of a separable profile (gamma = 0) when the RK4
     step is halved."""
     radius = sol.domain.y_outer_radius
-    _, phi, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 1e-3)
-    _, phi_h, _ = _integrate_profile(sol.op, lam, 0.0, 0.0, -radius, radius, 5e-4)
+    _, phi, _ = _integrate_profile(sol.op, lam, 0.0, radius, 1e-3)
+    _, phi_h, _ = _integrate_profile(sol.op, lam, 0.0, radius, 5e-4)
     # both runs share their first and last node (the interval endpoints)
     return float(max(abs(phi_h[0] - phi[0]), abs(phi_h[-1] - phi[-1])))
 
@@ -140,15 +140,6 @@ def test_separable_rejects_inner_zero():
         separable(0.0, OperatorSpec.from_strings("y1", "4"))
 
 
-def test_separable_offset_start():
-    op = OperatorSpec.from_strings("1", "0")
-    sol = separable(-4.0, op, y0=0.5)
-    ys = np.linspace(-2, 2, 201)
-    got = sol.at(np.zeros_like(ys), ys[:, None])
-    want = np.cosh(2 * (ys - 0.5))
-    assert np.abs(got - want).max() / np.abs(want).max() < 1e-8
-
-
 def test_separable_airy_oracle():
     # beta = y, lam = 1: phi'' = -y phi, an Airy equation; compare against
     # the scipy Ai/Bi pair fitted to the initial data
@@ -168,8 +159,6 @@ def test_separable_input_validation():
         separable(1.0, OperatorSpec.from_strings("y1", "sin(x)"))
     with pytest.raises(ValueError, match="one-dimensional"):
         separable(1.0, OperatorSpec.from_strings("y1", "0", dim_n=3))
-    with pytest.raises(ValueError, match="y0"):
-        separable(1.0, OperatorSpec.from_strings("y1", "0"), y0=3.0)
 
 
 def test_residual_second_order_on_separable():
@@ -224,7 +213,7 @@ def test_separable_profile_matches_scipy_bitwise():
     op = OperatorSpec.from_strings("y1", "0.5")
     dom = CylinderDomain()
     sol = separable(1.5, op, dom=dom)
-    nodes, phi, dphi = _integrate_profile(op, 1.5, 0.5, 0.0, -2.0, 2.0, 1e-3)
+    nodes, phi, dphi = _integrate_profile(op, 1.5, 0.5, 2.0, 1e-3)
     ys = np.concatenate([np.linspace(-2.0, 2.0, 301), nodes[::97]])
     xs = np.linspace(-1.0, 1.0, ys.size)
     want = np.exp(1.5 * xs) * CubicHermiteSpline(nodes, phi, dphi)(ys)
