@@ -84,8 +84,14 @@ def grid_points(axes) -> np.ndarray:
 
 def step_axis(lo: float, hi: float, step: float) -> np.ndarray:
     """Nodes from lo to hi about ``step`` apart: the span over the step,
-    rounded, intervals of equal length, and at least one."""
-    return np.linspace(lo, hi, max(int(round((hi - lo) / step)), 1) + 1)
+    rounded, intervals of equal length, and at least one.  A step so small
+    that the span over it is not finite is refused, as a lattice too large
+    to allocate."""
+    n = (hi - lo) / step
+    if not np.isfinite(n):
+        raise ValueError(f"a step of {step:g} over [{lo:g}, {hi:g}] "
+                         "makes a lattice too large to allocate")
+    return np.linspace(lo, hi, max(int(round(n)), 1) + 1)
 
 
 def at_points(x, y, n_y: int):

@@ -179,7 +179,7 @@ class RegionSet:
 class HormanderReport:
     """Outcome of the structural hypothesis check on beta.
 
-    passed = sign change present and the derivative mass
+    passed = order at least 1, sign change present and the derivative mass
     sum over |zeta| <= order of |D^zeta beta| stays above MASS_TOLERANCE on
     the closed outer-ball grid.  Witnesses are the grid argmin/argmax of
     beta.  ``error`` carries expression failures (with location) instead of
@@ -355,9 +355,11 @@ def check_hypothesis(
     closed outer ball, sampled on a regular lattice.
 
     The hypothesis is pointwise on the continuum; the grid check with the
-    documented MASS_TOLERANCE is the computable surrogate.  Expression
-    failures (domain errors, underivable powers) are reported in the
-    ``error`` field with passed=False rather than raised.
+    documented MASS_TOLERANCE is the computable surrogate.  Order 0 never
+    passes: its mass is |beta|, which the required sign change forces to
+    vanish somewhere in the connected ball, between lattice nodes if need
+    be.  Expression failures (domain errors, underivable powers) are
+    reported in the ``error`` field with passed=False rather than raised.
 
     The lattice is swept in the slabs of ``_ball_slabs``, at most
     _SLAB_NODES grid nodes each, and each slab is reduced before the next
@@ -425,7 +427,7 @@ def check_hypothesis(
 
     sign_ok = lo[0] < 0 < hi[0]
     return HormanderReport(
-        passed=bool(sign_ok and min_mass > MASS_TOLERANCE),
+        passed=bool(sign_ok and order > 0 and min_mass > MASS_TOLERANCE),
         order_used=order,
         sign_change_ok=bool(sign_ok),
         sign_witnesses=(lo[1], hi[1]),
@@ -435,9 +437,10 @@ def check_hypothesis(
 
 
 def smallest_passing_order(op: OperatorSpec, dom: CylinderDomain) -> int | None:
-    """Smallest derivative order, 0 to 4, at which ``check_hypothesis``
-    passes at its default grid step; None when none does."""
-    for order in range(5):
+    """Smallest derivative order, 1 to 4, at which ``check_hypothesis``
+    passes at its default grid step; None when none does.  Order 0 never
+    passes."""
+    for order in range(1, 5):
         if check_hypothesis(op, dom, order=order).passed:
             return order
     return None

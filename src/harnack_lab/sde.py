@@ -7,21 +7,24 @@ measures.
 
 Reproducibility contract: path i draws from its own counter-based stream
 keyed by (master_seed, stream, i) (Philox): first one Exp(1) exit clock, then
-its Y normals in step order.  Every accumulation is a left fold seeded with
-the carried state, and every reduction is written in path-index order, so
-results are a pure function of the inputs: byte-identical for any worker
-count, chunk size or step-block size.  Path i takes the same steps whatever
-the path count, and whatever the horizon up to the last step (whose end time
-is pinned to t_max).  Two symmetries of the operator hold bit for bit:
-translating the start in x translates stopped_x (Y gets no feedback from x),
-and for beta = y1^k with a power-of-two lam, dilating the domain, the start,
-dt and t_max by (x, y, t) -> (lam^(k+2) x, lam y, lam^2 t) dilates every
-stopped state and stop time the same way.
+its Y normals z in step order.  Its Y after n steps is the start plus its
+key's Brownian sum, the left fold of sqrt(2 dt) z over those steps.  X, the
+gamma integral and the bridge hazard are left folds seeded with the carried
+state; a row takes their prefix sums only in a block where it may stop.
+Every reduction is written in path-index order, so results are a pure
+function of the inputs: byte-identical for any worker count, chunk size or
+step-block size.  Path i takes the same steps whatever the path count, and
+whatever the horizon up to the last step (whose end time is pinned to
+t_max).  Two symmetries of the operator hold bit for bit: translating the
+start in x translates stopped_x (Y gets no feedback from x), and for
+beta = y1^k with a power-of-two lam, dilating the domain, the start, dt and
+t_max by (x, y, t) -> (lam^(k+2) x, lam y, lam^2 t) dilates every stopped
+state and stop time the same way.
 
 A batch may run from k starts at once.  Path i of every start uses the same
-key, whose clock and normals are drawn once for all k rows (common random
-numbers), so each start's rows are bit for bit the batch run from that start
-alone; ``make_solution`` runs its grid nodes this way.
+key, whose clock, normals and Brownian sums are computed once for all k rows
+(common random numbers), so each start's rows are bit for bit the batch run
+from that start alone; ``make_solution`` runs its grid nodes this way.
 
 Exit handling: by default each path runs an exit clock.  It stops at the
 first step where its cumulative Brownian-bridge crossing hazard,
@@ -66,18 +69,21 @@ __all__ = [
 # shares one bit generator and is one thread task.  Each running path draws
 # the normals of _DRAW_STEPS steps per refill; the steps are computed in blocks
 # of _BLOCK_STEPS, small enough for the temporaries to stay in cache, and rows
-# that stopped are dropped after every block.  A chunk holds its rows' normals
-# for _DRAW_STEPS steps (8 MB at n_y = 1) plus the per-block temporaries (a
-# full 1,024-row chunk at n_y = 1 traces a 15-17 MB peak); 1,024 rows keep that
-# working set small while each block's numpy calls still span enough rows to
-# amortize their fixed cost (512 rows already slow a 900-row make_solution
-# batch by a seventh)
+# that stopped are dropped after every block.  A chunk holds its keys' normals
+# for _DRAW_STEPS steps, folded in place into their Brownian sums (8 MB at
+# n_y = 1), plus the per-block temporaries (a full 1,024-row chunk at n_y = 1
+# traces a 15-17 MB peak); 1,024 rows keep that working set small while each
+# block's numpy calls still span enough rows to amortize their fixed cost (512
+# rows already slow a 900-row make_solution batch by a seventh)
 _CHUNK_PATHS = 1024
 _DRAW_STEPS = 1024
 _BLOCK_STEPS = 128
 # exponent of a step's bridge-crossing probability from which the bridge
 # check takes the step's hazard as 0; no stop depends on it (see _run_chunk)
 _HAZARD_CUTOFF = 100.0
+# row count from which _fold adds one step at a time across rows; below it a
+# cumsum over the rows is faster.  Both give the same bits
+_FOLD_LOOP_ROWS = 200
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,36 @@ def _time_grid(dt: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     return dt_steps, t_grid
 
 
+def _prefix(carry: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Prefix sums (rows, steps + 1) of each row: column i is the left fold of
+    ``carry`` and the row's first i increments."""
+    sums = np.empty((inc.shape[0], inc.shape[1] + 1))
+    sums[:, 0] = carry
+    sums[:, 1:] = inc
+    return np.cumsum(sums, axis=1, out=sums)
+
+
+def _fold(acc: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Fold the increments ``inc`` (rows, steps) into ``acc`` (rows,) in place,
+    left to right: bit for bit the last column of ``_prefix(acc, inc)``, NaN
+    and inf carried through.  np.add.reduce would not do: on one row it sums
+    pairwise."""
+    if inc.shape[0] < _FOLD_LOOP_ROWS:
+        acc[:] = _prefix(acc, inc)[:, -1]
+    else:
+        for i in range(inc.shape[1]):
+            np.add(acc, inc[:, i], out=acc)
+    return acc
+
+
+def _fold_to_stops(acc: np.ndarray, inc: np.ndarray, idx: np.ndarray, j: np.ndarray):
+    """Fold ``inc`` into ``acc`` in place; return the prefix sums of the
+    stopping rows ``idx`` at their stop columns ``j``."""
+    at_stop = _prefix(acc[idx], inc[idx])[np.arange(idx.size), j]
+    _fold(acc, inc)
+    return at_stop
+
+
 def _run_chunk(
     op: OperatorSpec,
     radius: float,
@@ -249,6 +285,7 @@ def _run_chunk(
     n_steps = dt_steps.shape[0]
     r2_max = radius * radius
     gamma_const = isinstance(op.gamma, Const)
+    gamma_x = "x" in free_variables(op.gamma)
     sq_steps = np.sqrt(2.0 * dt_steps)
 
     # one bit generator per chunk; every path sets its own state before drawing,
@@ -270,15 +307,18 @@ def _run_chunk(
     key_base = (stream << 32) | lo
     states = [None] * m  # Philox state of a path that outlives a draw refill
     key_clock = np.empty(m)
+    key_sum = np.zeros((m, n_y))  # each key's Brownian sum sqrt(2) B so far
 
     # chunk rows are start-major: row r runs path lo + r % m from start r // m
     start_of = np.repeat(np.arange(starts_x.shape[0]), m)
     key_of = np.tile(np.arange(m), starts_x.shape[0])
     out_row = start_of * cfg.n_paths + lo + key_of
 
-    # carried state of the running rows, aligned with ``live`` (chunk rows)
+    # carried state of the running rows, aligned with ``live`` (chunk rows);
+    # a row's y is its start plus its key's Brownian sum
     live = np.arange(start_of.shape[0])
-    y = starts_y[start_of]
+    sy = starts_y[start_of]
+    y = sy
     r2 = starts_r2[start_of]
     sx = starts_x[start_of]
     x_disp = np.zeros(live.shape[0])
@@ -293,7 +333,7 @@ def _run_chunk(
         # each key still running in some row draws once for all its rows
         live_keys = key_of[live]
         drawn = np.unique(live_keys)
-        normals = np.empty((drawn.size, w1 - w0, n_y))
+        bsum = np.empty((drawn.size, w1 - w0, n_y))
         for j, p in enumerate(drawn.tolist()):
             if w0 == 0:
                 fresh_key[1] = key_base + p
@@ -301,10 +341,18 @@ def _run_chunk(
                 key_clock[p] = exponential()
             else:
                 bitgen.state = states[p]
-            normal(out=normals[j])
+            normal(out=bsum[j])
             if save:
                 states[p] = bitgen.state
-        src = np.searchsorted(drawn, live_keys)  # ``normals`` row of each running row
+        # the keys' Brownian sums over this refill, once per key whatever its
+        # number of rows: the increments sqrt(2 dt) z folded in place, left to
+        # right from the carried sum, so the bits do not depend on where a
+        # refill, block or chunk starts
+        bsum *= sq_steps[w0:w1, None]
+        bsum[:, 0] += key_sum[drawn]
+        np.cumsum(bsum, axis=1, out=bsum)
+        key_sum[drawn] = bsum[:, -1]
+        src = np.searchsorted(drawn, live_keys)  # ``bsum`` row of each running row
         if w0 == 0:
             clock = key_clock[live_keys]
 
@@ -312,12 +360,11 @@ def _run_chunk(
             b1 = min(b0 + _BLOCK_STEPS, w1)
             k = live.size
             dts = dt_steps[b0:b1]
-            # left folds over [carry, increments...]: the bits do not depend on
-            # where a block starts
+            # column 0 is the carried state, column i the state after the
+            # block's i-th step
             ys = np.empty((k, b1 - b0 + 1, n_y))
             ys[:, 0] = y
-            np.multiply(normals[src, b0 - w0 : b1 - w0], sq_steps[b0:b1, None], out=ys[:, 1:])
-            np.cumsum(ys, axis=1, out=ys)
+            np.add(sy[:, None], bsum[src, b0 - w0 : b1 - w0], out=ys[:, 1:])
             r2s = np.empty((k, b1 - b0 + 1))
             r2s[:, 0] = r2
             np.square(ys[:, 1:, 0], out=r2s[:, 1:])
@@ -358,18 +405,19 @@ def _run_chunk(
                         h = np.exp(-expo[near])
                         big = np.flatnonzero(h >= 2.0**-54)
                         h[big] = -np.log1p(-h[big])
-                    hs = np.zeros((warm.size, b1 - b0 + 1))
-                    hs[:, 0] = hazard[warm]
-                    hs[:, 1:][near] = h
-                    np.cumsum(hs, axis=1, out=hs)
-                    hazard[warm] = hs[:, -1]
+                    hs = np.zeros((warm.size, b1 - b0))
+                    hs[near] = h
+                    h0 = hazard[warm]
+                    h1 = _fold(h0.copy(), hs)
+                    hazard[warm] = h1
                     # the fold never decreases until a step with an outside
                     # endpoint turns it NaN, so only rows whose block-end
                     # hazard is not below the clock can cross in this block;
-                    # a NaN end may still hide an earlier crossing
-                    late = np.flatnonzero(~(hs[:, -1] < clock[warm]))
+                    # a NaN end may still hide an earlier crossing.  Only
+                    # those rows take the prefix sums
+                    late = np.flatnonzero(~(h1 < clock[warm]))
                     if late.size:
-                        cross = hs[late, 1:] >= clock[warm[late], None]
+                        cross = _prefix(h0[late], hs[late])[:, 1:] >= clock[warm[late], None]
                         has = cross.any(axis=1)
                         rows_h = warm[late[has]]
                         j_h = np.argmax(cross[has], axis=1) + 1
@@ -395,26 +443,26 @@ def _run_chunk(
                 scale = np.minimum(1.0, radius / np.maximum(np.sqrt(r2s[over, 1:-1]), 1e-300))
                 ys[over, 1:-1] *= scale[:, :, None]
             prev = ys[:, :-1]
-            xs = np.empty((k, b1 - b0 + 1))
-            xs[:, 0] = x_disp
-            np.multiply(op.beta_at(prev), dts, out=xs[:, 1:])
-            np.cumsum(xs, axis=1, out=xs)
-            if idx.size:
+            # X and the gamma integral fold only their carries; a stopping row
+            # takes its prefix sums, and so does every row when gamma reads x
+            x_inc = np.multiply(op.beta_at(prev), dts)
+            if gamma_x:
+                xs = _prefix(x_disp, x_inc)
                 out["x_disp"][rows] = xs[idx, j]
+                x_disp = xs[:, -1]
+            else:
+                out["x_disp"][rows] = _fold_to_stops(x_disp, x_inc, idx, j)
             if not gamma_const:
-                gs = np.empty((k, b1 - b0 + 1))
-                gs[:, 0] = g_acc
-                np.multiply(op.gamma_at(sx[:, None] + xs[:, :-1], prev), dts, out=gs[:, 1:])
-                np.cumsum(gs, axis=1, out=gs)
-                if idx.size:
-                    out["gamma_integral"][rows] = gs[idx, j]
+                g_x = sx[:, None] + xs[:, :-1] if gamma_x else 0.0  # 0.0: gamma reads no x
+                g_inc = np.multiply(op.gamma_at(g_x, prev), dts)
+                out["gamma_integral"][rows] = _fold_to_stops(g_acc, g_inc, idx, j)
 
             keep = ~stop
             live, src, clock = live[keep], src[keep], clock[keep]
-            y, r2, x_disp = ys[keep, -1], r2s[keep, -1], xs[keep, -1]
-            hazard = hazard[keep]
-            if not gamma_const:
-                sx, g_acc = sx[keep], gs[keep, -1]
+            sy, y, r2 = sy[keep], ys[keep, -1], r2s[keep, -1]
+            x_disp, g_acc, hazard = x_disp[keep], g_acc[keep], hazard[keep]
+            if gamma_x:
+                sx = sx[keep]
             if live.size == 0:
                 break
 

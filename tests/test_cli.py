@@ -214,6 +214,17 @@ def test_a_lattice_too_large_to_allocate_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# 5e-324 leaves the span over the step infinite: refused before any allocation
+@pytest.mark.parametrize("command", ["check", "regions"])
+def test_a_lattice_step_with_no_finite_node_count_exits_1(tmp_path, capsys, command):
+    rc, out = run(tmp_path, command, "--set", f"{command}.grid_step=5e-324")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a step of 4.94066e-324 over ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -390,15 +401,16 @@ def test_simulate_rerun_bitwise_identical(tmp_path, argv, names):
 
 
 # outputs from a start off the origin at 3,000 paths, recorded when simulate
-# and evaluate each read their own start_x and start_y keys
+# and evaluate each read their own start_x and start_y keys; the paths.csv
+# digests since a path's y became its start plus its key's Brownian sum
 START_SHA = {
     "simulate": (["simulate", "--set", "sim.start_x=1.25", "--set", "sim.start_y=0.5"], {
         "measure.csv": "da83fece469d6a53c1b83632aed85a155c66783f520f10ed34a61fa360dc4434",
-        "paths.csv": "7d2a5747b27a463f5b9f9651c8e05b41a8d5830559b3d063258a8d7e98a43346"}),
+        "paths.csv": "cc82f68be74109e8a6db67e7f215db6c08612a66a0e681a2d071d100d0432137"}),
     "simulate-3d": (["simulate", "--set", "operator.dim_n=3", "--set", "sim.start_x=-2",
                      "--set", "sim.start_y=0.3,-0.4"], {
         "measure.csv": "834e528e8017d46b1d62312281c1acfb338ca9d29e567b4e2d8d4a24e6848df5",
-        "paths.csv": "81935b0c184119bd344389eb17fd397d0d7b982f1f134a9e463123a2422300a8"}),
+        "paths.csv": "ed94c4d501eca4441eac995f17a8cb1e191f45d0041fe1dc61fd44d6b0ad0e84"}),
     "evaluate-value": (["evaluate", "--set", "sim.start_x=0.4", "--set", "sim.start_y=-0.6"], {
         "evaluate.json": "97089603ab9782e985280c479ae2f8fbbc7edd8c33b13dbc51b9b5702256dd28"}),
     "evaluate-sandwich": (["evaluate", "--set", "evaluate.mode=sandwich",

@@ -382,6 +382,16 @@ def test_smallest_passing_order():
     assert smallest_passing_order(OperatorSpec.from_strings("y1^3"), dom) == 3
 
 
+def test_order_zero_never_passes_with_a_sign_change():
+    # beta = (y1 - 0.0123)^3 vanishes between lattice nodes, so |beta| stays
+    # above the mass tolerance on the lattice while beta changes sign
+    op = OperatorSpec.from_strings("(y1-0.0123)^3")
+    zero = check_hypothesis(op, CylinderDomain(), order=0)
+    assert zero.sign_change_ok and zero.min_derivative_mass > MASS_TOLERANCE
+    assert not zero.passed
+    assert smallest_passing_order(op, CylinderDomain()) != 0
+
+
 def test_classify_regions_linear_drift():
     op = OperatorSpec.from_strings("y1")
     dom = CylinderDomain()

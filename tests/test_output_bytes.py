@@ -95,14 +95,16 @@ def test_field_csv_two_y_axes(tmp_path):
         "2f40b063e3d209af2a34fc25e5a8b31fde4195ec20df811cc6ec8be117353252")
 
 
+# case ids name the case rather than its digest, so a declared re-pin keeps
+# the test names
 @pytest.mark.parametrize("n_y, beta, gamma, start, want_paths, want_measure", [
     (1, "y1", "0.3*y1", (0.25, [1.5]),
-     "a4911c5efa07bf09a4c52fe3dee6ac3cdc540764703f0349f99213f3cd08b31a",
+     "b5a47479ad9a828fd7e12a8aafa70733fbd47eeaa44c4b4da8e3d0600dde5ba6",
      "2e5e7733104a0fa4c082733f2703303d6d570cd91d8f92ee74bada64fa6aa559"),
     (2, "y1 - y2*y2", "0.2*x*y2", (-0.5, [0.9, -1.1]),
-     "30d8121b6a9637201e1080356333e2c20aae38d4d5752dd666b427b465802124",
+     "f8c028089b254b44cacf1ebdc07d595d200b30219afebc77a470e8dcbec92393",
      "23cc1501025928fe79d81cfa3840d608659eaa139ab0447bf823d7890e6a358d"),
-])
+], ids=["1d", "2d-x-gamma"])
 def test_batch_and_measure_csv(tmp_path, n_y, beta, gamma, start,
                                want_paths, want_measure):
     op = OperatorSpec.from_strings(beta, gamma, dim_n=n_y + 1)
@@ -119,20 +121,20 @@ def test_batch_and_measure_csv(tmp_path, n_y, beta, gamma, start,
 # 3-start batch spans several engine chunks
 @pytest.mark.parametrize("n_y, beta, gamma, start, t_max, n_paths, want", [
     (1, "y1", "0", (0.25, [0.5]), 1.5, 200,
-     "b940ce8dd6bd5d767bc3dc0896f2353b20197ac5eb2e483e0c637f6f5c200657"),
+     "a5afb62e34024d229404df7fbb8159cd7f541a23d85bd2f88a8ba313c86e3a15"),
     (1, "y1", "0.3*y1", (0.0, [1.2]), 1.5, 200,
-     "da507cfd39381f17b84b5ded7bf086b7c9846baf6bcf99b8cfe7150438fca5a4"),
+     "8aee27708262b423a13424f1751c263be8509ff43d14ba6ed84dabcb9ea5c8e8"),
     (1, "1 - y1*y1", "0.2*sin(x)*y1", (-0.5, [-0.3]), 1.5, 200,
-     "d246f7bca6accc1b9de85813cc1beb2aa7d095885efebf7fb4a0a74dcadc16e9"),
+     "d7511be3ca71b3f3fe64ab6dc9855a2f2293a43cb13a8ec4e21b97460f93f4b9"),
     (2, "y1 - y2*y2", "0", (0.5, [0.3, -0.4]), 1.2, 200,
-     "895ef0aa5c340abfc6b65b98541ec32b1fea4fa26f1918ee86f07038c547774e"),
+     "133531d5db50e12455c70f679fa1745ef22c09963d1a3b054b68928bb5371e1c"),
     (2, "y1 - y2*y2", "0.3*y1", (0.0, [1.0, 0.5]), 1.2, 200,
-     "0946c3dbfdaeed2434f2a6b6e1f859e2ea0c2ee5e0d14c82ed0564237771ad68"),
+     "a1addef380aeb9fdb282681fd3d2844adf3c9370c8022518c98d10ac32b3f03c"),
     (2, "y2", "0.2*sin(x)*y1", (0.75, [-0.2, 0.6]), 1.2, 200,
-     "a0d587e6b7c262b7b23d8f599c4152a36de177cd1adc067682bc50810adfce15"),
+     "a23ca09191437933330cc34e58060b4ac5bc81484e868b5bab02e09c0478e6ec"),
     (1, "y1", "0.2*sin(x)*y1", ([0.0, 0.5, -0.3], [[0.0], [1.0], [-1.5]]), 1.1, 700,
-     "a9f74f4d1aa1147ff4a0b7d6d2289efdd9ef839ed8c47dd85be961e419c52312"),
-])
+     "bc2a3b3736a1229036c8b695e584c18eb539fcbc7c2b476c5c8db19ad9a5f04b"),
+], ids=["1d", "1d-gamma", "1d-x-gamma", "2d", "2d-gamma", "2d-x-gamma", "1d-3-starts"])
 def test_bridge_batch_csv(tmp_path, n_y, beta, gamma, start, t_max, n_paths, want):
     op = OperatorSpec.from_strings(beta, gamma, dim_n=n_y + 1)
     cfg = SimConfig(t_max=t_max, dt=1e-3, n_paths=n_paths, master_seed=29)

@@ -448,3 +448,53 @@ def test_check_batch_fires_on_multi_start_batch():
     big[75] = 10.0
     with pytest.raises(RuntimeError, match="gamma-integral"):
         sde._check_batch(dataclasses.replace(batch, gamma_integral=big), op, DOM)
+
+
+# dt = 2^-10 divides t_max, so every one of the 1,536 steps (more than one
+# 1,024-step refill) has the same sqrt(2 dt); 2,100 rows of the 3-start batch
+# make three engine chunks
+@pytest.mark.parametrize("n_y, start_x, start_y, n_paths", [
+    (1, 0.3, [0.4], 300),
+    (2, 0.3, [0.4, -0.2], 300),
+    (1, [0.0, 0.5, -0.3], [[0.0], [1.0], [-1.5]], 700),
+], ids=["1d", "2d", "1d-3-starts"])
+def test_survivor_y_is_its_start_plus_its_keys_brownian_sum(n_y, start_x, start_y, n_paths):
+    dt, t_max, seed, stream = 2.0**-10, 1.5, 41, 2
+    n_steps = 1536
+    op = engine_op("0", n_y)
+    cfg = SimConfig(t_max=t_max, dt=dt, n_paths=n_paths, master_seed=seed)
+    batch = simulate_batch(op, DOM, (start_x, start_y), cfg, stream=stream)
+    starts = batch.start_y
+    # path i's key is (master_seed, stream << 32 | i): its exit clock first,
+    # then its normals in step order
+    sums = np.empty((n_paths, n_y))
+    for i in range(n_paths):
+        gen = np.random.Generator(np.random.Philox(key=[seed, stream << 32 | i]))
+        gen.standard_exponential()
+        sums[i] = np.cumsum(np.sqrt(2 * dt) * gen.standard_normal((n_steps, n_y)), axis=0)[-1]
+    for s in range(starts.shape[0]):
+        rows = slice(s * n_paths, (s + 1) * n_paths)
+        alive = ~batch.exited[rows]
+        assert 0 < alive.sum() < n_paths
+        want = starts[s] + sums[alive]
+        assert batch.stopped_y[rows][alive].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1024])
+@pytest.mark.parametrize("loop_rows", [0, 10**9], ids=["step-loop", "cumsum"])
+def test_fold_equals_the_last_prefix_sum(monkeypatch, rows, loop_rows):
+    # the two ways _fold picks between, both checked against a cumsum's last
+    # column; magnitudes from 1e-12 to 1e12 make every rounding show
+    monkeypatch.setattr(sde, "_FOLD_LOOP_ROWS", loop_rows)
+    rng = np.random.default_rng(rows)
+    inc = rng.standard_normal((rows, 128)) * 10.0 ** rng.integers(-12, 13, (rows, 128))
+    carry = rng.standard_normal(rows) * 1e6
+    want = np.cumsum(np.column_stack([carry, inc]), axis=1)[:, -1]
+    assert sde._fold(carry.copy(), inc).tobytes() == want.tobytes()
+    # NaN and inf reach the end of their row
+    inc[0, 5], inc[-1, 100] = np.nan, np.inf
+    got = sde._fold(carry.copy(), inc)
+    assert np.isnan(got[0])
+    if rows > 1:
+        assert got[-1] == np.inf
+        assert np.array_equal(got[1:-1], want[1:-1])
