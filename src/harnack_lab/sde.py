@@ -10,7 +10,8 @@ keyed by (master_seed, stream, i) (Philox): first one Exp(1) exit clock, then
 its Y normals z in step order.  Its Y after n steps is the start plus its
 key's Brownian sum, the left fold of sqrt(2 dt) z over those steps.  X, the
 gamma integral and the bridge hazard are left folds seeded with the carried
-state; a row takes their prefix sums only in a block where it may stop.
+state; a row takes their prefix sums only in a block where it may stop,
+except X, whose prefix every row takes when gamma reads x.
 Every reduction is written in path-index order, so results are a pure
 function of the inputs: byte-identical for any worker count, chunk size or
 step-block size.  Path i takes the same steps whatever the path count, and
@@ -81,9 +82,6 @@ _BLOCK_STEPS = 128
 # exponent of a step's bridge-crossing probability from which the bridge
 # check takes the step's hazard as 0; no stop depends on it (see _run_chunk)
 _HAZARD_CUTOFF = 100.0
-# row count from which _fold adds one step at a time across rows; below it a
-# cumsum over the rows is faster.  Both give the same bits
-_FOLD_LOOP_ROWS = 200
 
 
 @dataclass(frozen=True)
@@ -244,14 +242,11 @@ def _prefix(carry: np.ndarray, inc: np.ndarray) -> np.ndarray:
 
 def _fold(acc: np.ndarray, inc: np.ndarray) -> np.ndarray:
     """Fold the increments ``inc`` (rows, steps) into ``acc`` (rows,) in place,
-    left to right: bit for bit the last column of ``_prefix(acc, inc)``, NaN
-    and inf carried through.  np.add.reduce would not do: on one row it sums
-    pairwise."""
-    if inc.shape[0] < _FOLD_LOOP_ROWS:
-        acc[:] = _prefix(acc, inc)[:, -1]
-    else:
-        for i in range(inc.shape[1]):
-            np.add(acc, inc[:, i], out=acc)
+    left to right, one step across all rows at a time: bit for bit the last
+    column of ``_prefix(acc, inc)``, NaN and inf carried through.
+    np.add.reduce would not do: on one row it sums pairwise."""
+    for i in range(inc.shape[1]):
+        np.add(acc, inc[:, i], out=acc)
     return acc
 
 

@@ -389,7 +389,7 @@ def test_order_zero_never_passes_with_a_sign_change():
     zero = check_hypothesis(op, CylinderDomain(), order=0)
     assert zero.sign_change_ok and zero.min_derivative_mass > MASS_TOLERANCE
     assert not zero.passed
-    assert smallest_passing_order(op, CylinderDomain()) != 0
+    assert smallest_passing_order(op, CylinderDomain()) == 1
 
 
 def test_classify_regions_linear_drift():

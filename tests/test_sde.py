@@ -481,11 +481,8 @@ def test_survivor_y_is_its_start_plus_its_keys_brownian_sum(n_y, start_x, start_
 
 
 @pytest.mark.parametrize("rows", [1, 2, 1024])
-@pytest.mark.parametrize("loop_rows", [0, 10**9], ids=["step-loop", "cumsum"])
-def test_fold_equals_the_last_prefix_sum(monkeypatch, rows, loop_rows):
-    # the two ways _fold picks between, both checked against a cumsum's last
-    # column; magnitudes from 1e-12 to 1e12 make every rounding show
-    monkeypatch.setattr(sde, "_FOLD_LOOP_ROWS", loop_rows)
+def test_fold_equals_the_last_prefix_sum(rows):
+    # magnitudes from 1e-12 to 1e12 make every rounding show
     rng = np.random.default_rng(rows)
     inc = rng.standard_normal((rows, 128)) * 10.0 ** rng.integers(-12, 13, (rows, 128))
     carry = rng.standard_normal(rows) * 1e6
