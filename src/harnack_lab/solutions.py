@@ -150,31 +150,48 @@ def constant(c: float, op: OperatorSpec | None = None,
     return AnalyticSolution(name=f"constant({c:g})", op=op, domain=dom, fn=fn)
 
 
+def _rk4_increment(qa, qm, qb, h: float, cp, cv):
+    """The increment of (phi, phi') over one classical RK4 step of
+    phi'' = q phi from (cp, cv), with q = qa, qm, qb at the step's start,
+    midpoint and end; numpy arrays of q give every step's at once."""
+    hh = 0.5 * h
+    k1v = qa * cp  # k1p is cv
+    k2p = cv + hh * k1v
+    k2v = qm * (cp + hh * cv)
+    k3p = cv + hh * k2v
+    k3v = qm * (cp + hh * k2p)
+    k4p = cv + h * k3v
+    k4v = qb * (cp + h * k3p)
+    return (h * (cv + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0,
+            h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
+
+
 def _rk4_sweep(q_half: np.ndarray, h: float, p0: float, v0: float):
     """March (phi, phi') through n = (len(q_half)-1)/2 uniform RK4 steps;
     q_half holds q at the half-step grid a, a+h/2, a+h, ... from the start a.
 
-    The loop runs on Python floats (numpy scalars cost several times more
-    per operation); IEEE double arithmetic in the same order gives the same
-    bits either way.  ``0.5 * h`` is taken once: ``0.5 * h * k`` parses as
-    ``(0.5 * h) * k``, so the hoisted product rounds the same."""
-    q = q_half.tolist()
+    The equation is linear, so step n adds E_n (phi, phi') to (phi, phi'),
+    where E_n = M_n - I and M_n is the step's transfer matrix.  The columns
+    of every E_n are the step's increments from (1, 0) and (0, 1), taken in
+    two array passes; the march is then one four-coefficient update per
+    step on Python floats (numpy scalars cost several times more per
+    operation).  E_n is stored, not M_n: M_n's diagonal is 1 + O(h^2 q), so
+    applying M_n would round each step's increment against 1, and on a
+    constant q that rounding error recurs on every step.  The method, the
+    q nodes and the step are unchanged, so RK4's truncation error is too;
+    only rounding differs from marching the stages one step at a time."""
+    qa, qm, qb = q_half[:-1:2], q_half[1::2], q_half[2::2]
     h = float(h)
+    # a q so large that h^2 q^2 overflows gives inf/nan entries without a
+    # warning, as the stages did on floats; separable refuses that profile
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_pp, e_vp = _rk4_increment(qa, qm, qb, h, 1.0, 0.0)
+        e_pv, e_vv = _rk4_increment(qa, qm, qb, h, 0.0, 1.0)
     cp, cv = float(p0), float(v0)
     p = [cp]
     v = [cv]
-    hh = 0.5 * h
-    for qa, qm, qb in zip(q[::2], q[1::2], q[2::2]):
-        # k1p is cv
-        k1v = qa * cp
-        k2p = cv + hh * k1v
-        k2v = qm * (cp + hh * cv)
-        k3p = cv + hh * k2v
-        k3v = qm * (cp + hh * k2p)
-        k4p = cv + h * k3v
-        k4v = qb * (cp + h * k3p)
-        cp += h * (cv + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        cv += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+    for a, b, c, d in zip(e_pp.tolist(), e_pv.tolist(), e_vp.tolist(), e_vv.tolist()):
+        cp, cv = cp + (a * cp + b * cv), cv + (c * cp + d * cv)
         p.append(cp)
         v.append(cv)
     return np.array(p), np.array(v)
@@ -239,6 +256,8 @@ def separable(
     are not positive throughout the inner interval are rejected with the
     first zero location.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if op.n_y != 1:
         raise ValueError("separable solutions need a one-dimensional y")
     gamma_expr = simplify(op.gamma)
@@ -274,7 +293,8 @@ def separable(
 
 def parse_solution_name(text: str) -> tuple[str, list[float]]:
     """Split a catalog name like ``kolmogorov(10)`` into head and arguments,
-    validating the shape but not constructing anything."""
+    validating the shape and that every argument is finite, but not
+    constructing anything."""
     text = text.strip()
     if "(" in text:
         if not text.endswith(")"):
@@ -282,10 +302,14 @@ def parse_solution_name(text: str) -> tuple[str, list[float]]:
         head, _, rest = text.partition("(")
         head = head.strip()
         args_text = rest[:-1].strip()
+        entries = [a.strip() for a in args_text.split(",")] if args_text else []
         try:
-            args = [float(a) for a in args_text.split(",")] if args_text else []
+            args = [float(a) for a in entries]
         except ValueError:
             raise ValueError(f"malformed solution arguments in {text!r}") from None
+        for entry, arg in zip(entries, args):
+            if not np.isfinite(arg):
+                raise ValueError(f"not a finite number: {entry!r}")
     else:
         head, args = text, []
 

@@ -290,7 +290,9 @@ DEFAULT_CHECK_SHA = "c9310bd89490d721b1a523a89d02903fc37d2e653f5cfceaaeddfd4dca9
 # outputs of the deterministic grid work: the check lattices, the catalog
 # samples and the separable profiles; recorded before the ball lattice and
 # the samples were built from their axes and the RK4 sweep hoisted its
-# constants
+# constants, except harnack.csv of harnack-separable and both average-separable
+# files, recorded again when the sweep became per-step increments (its
+# profiles moved at rounding level)
 GRID_SHA = {
     "check-2": (["check"], "hypothesis pass: r=2 min_derivative_mass=1\n", {
         "hormander_report.json": DEFAULT_CHECK_SHA}),
@@ -301,7 +303,7 @@ GRID_SHA = {
     "harnack-separable": (["harnack", "--svg", "--set", "harnack.family=catalog",
                            "--set", "harnack.solutions=separable(0.8),separable(-1.6)"],
                           "family catalog: max sup/inf ratio 8.49237 over 2 solution(s)\n", {
-        "harnack.csv": "ffe96a574d29e9654a50fbb4993dac285a4ef90e6a69a952712fd1e67785b97e",
+        "harnack.csv": "945242239a48347ffc1e7a2065d6f8ca2d7560980f173240a5f5db158425ed15",
         "harnack.json": "21c33a1b7eb5aa7f4f1900a522f8684281c41988ec6167fb6e86e0cae0693fd3",
         "harnack.svg": "0ba6804cf4ff7729df7e8ecc5369343d0431c7fb84a07ead3390cbdea1e4ae99"}),
     "regions-kolmogorov": (["regions", "--set", "regions.solution=kolmogorov(20)"],
@@ -316,8 +318,8 @@ GRID_SHA = {
     "average-separable": (["average", "--set", "average.solution=separable(1.2)"],
                           "window average of separable(lambda=1.2,gamma=0) with z=0.25: "
                           "105 x-node(s) kept\n", {
-        "average.csv": "8a16aaf296edfcba49bdb84fbc1a18a9e88c1488a7ac5c5b93dddd7d287f872f",
-        "average.json": "a64c339526552f04d46e25a9f807e355ff37bc9f720dfa2ffc4d7e907229e778"}),
+        "average.csv": "19af384fe022cef09dfdb77beeb028205f9e7d0c80371effcedacb25938d3cce",
+        "average.json": "eab07eb66e523759515748815ff76d3ec12e86d55074bd75a0e2c3c7fcbae2a5"}),
 }
 
 
@@ -479,8 +481,13 @@ def test_a_run_reads_only_its_config(tmp_path, capsys, monkeypatch, argv, env, w
     (["regions", "--set", "regions.d=nan"], "regions.d", "nan"),
     (["check", "--set", "check.grid_step=nan"], "check.grid_step", "nan"),
     (["harnack", "--set", "harnack.offsets=2,-inf"], "harnack.offsets", "2,-inf"),
+    (["average", "--set", "average.solution=separable(nan)"], "average.solution", "nan"),
+    (["average", "--set", "average.solution=kolmogorov(inf)"], "average.solution", "inf"),
+    (["regions", "--set", "regions.solution=constant(inf)"], "regions.solution", "inf"),
+    (["harnack", "--set", "harnack.family=catalog",
+      "--set", "harnack.solutions=separable(1.5),separable( -inf )"], "harnack.solutions", "-inf"),
 ], ids=["t_max", "t_solve", "evaluate-t", "k_sigma", "start_x", "regions-d", "grid_step",
-        "offsets"])
+        "offsets", "separable-nan", "kolmogorov-inf", "constant-inf", "catalog-list"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, key, text):
     rc, out = run(tmp_path, *argv)
     assert rc == 2

@@ -172,9 +172,9 @@ def test_regions_csv(tmp_path, args, want):
 
 @pytest.mark.parametrize("lam, want", [
     (2.0,
-     "08c77470ad0fba2543bce45b6236df70e472cbc90d5fd37c2143bbc91c42f617"),
+     "b31d69f9d23d88d4e930a827fb375808250d82987795bfb14257b918b4162b3e"),
     (-2.0,
-     "20ec4211582492e9827dcdce4c2925062a6253097c48e05fda192257984e0782"),
+     "96c7a38e3f54b42f5adef8259b4d4d46895ea0465cca5e2252e1aa7a3ca32b4a"),
 ])
 def test_profile_arrays(lam, want):
     # the sweep separable() runs at construction, at the step, and the same

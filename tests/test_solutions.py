@@ -1,4 +1,6 @@
 import dataclasses
+import decimal
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.special import airy
 
 from harnack_lab import solutions
 from harnack_lab.fields import ScalarField
+from harnack_lab.harnack import sup_inf_ratio
 from harnack_lab.operators import CylinderDomain, OperatorSpec, residual
 from harnack_lab.solutions import (
     AnalyticSolution,
@@ -186,9 +189,27 @@ def test_catalog_entry_forms():
 
 def test_catalog_entry_rejects_malformed():
     for bad in ("fourier", "kolmogorov(2", "separable(a)", "separable()", "constant()",
-                "counterexample(1,2)", "separable(1.5,2)"):
+                "counterexample(1,2)", "separable(1.5,2)", "separable(nan)", "kolmogorov(inf)",
+                "constant(inf)", "counterexample(-inf)", "separable(1e999)"):
         with pytest.raises(ValueError):
             catalog_entry(bad)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_separable_refuses_a_non_finite_lambda_before_integrating(lam, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept a non-finite lambda")
+
+    monkeypatch.setattr(solutions, "_rk4_sweep", no_sweep)
+    with pytest.raises(ValueError, match=f"lambda must be finite, got {lam}"):
+        separable(lam, OperatorSpec.from_strings("y1", "0"))
+
+
+def test_separable_refuses_an_overflowing_profile_without_a_warning():
+    # at lambda = 1e300, h^2 q^2 overflows the step coefficients; the profile
+    # is refused by the positivity check, and no RuntimeWarning escapes
+    with pytest.raises(ValueError, match="separable profile vanishes"):
+        separable(1e300, OperatorSpec.from_strings("y1", "0"))
 
 
 def test_cubic_hermite_matches_scipy_bitwise():
@@ -290,6 +311,59 @@ def rk4_sweep_as_written_before(q_half, h, p0, v0):
     return np.array(p), np.array(v)
 
 
+def rk4_sweep_plain_matrix(q_half, h, p0, v0):
+    """_rk4_sweep with M_n = I + E_n stored and applied: each step's increment
+    is rounded against the 1 on M_n's diagonal."""
+    qa, qm, qb = q_half[:-1:2], q_half[1::2], q_half[2::2]
+    e_pp, e_vp = solutions._rk4_increment(qa, qm, qb, h, 1.0, 0.0)
+    e_pv, e_vv = solutions._rk4_increment(qa, qm, qb, h, 0.0, 1.0)
+    m = [1.0 + e_pp, e_pv, e_vp, 1.0 + e_vv]
+    cp, cv = float(p0), float(v0)
+    p = [cp]
+    v = [cv]
+    for ma, mb, mc, md in zip(*(c.tolist() for c in m)):
+        cp, cv = ma * cp + mb * cv, mc * cp + md * cv
+        p.append(cp)
+        v.append(cv)
+    return np.array(p), np.array(v)
+
+
+def rk4_sweep_decimal(q_half, h, p0, v0):
+    """The step expressions of rk4_sweep_as_written_before in 40-digit decimal
+    arithmetic on the same float inputs: the exact RK4 map, to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        q = [Decimal(x) for x in q_half.tolist()]
+        h = Decimal(float(h))
+        hh = h / 2
+        cp, cv = Decimal(float(p0)), Decimal(float(v0))
+        p = [cp]
+        v = [cv]
+        for qa, qm, qb in zip(q[::2], q[1::2], q[2::2]):
+            k1v = qa * cp
+            k2p = cv + hh * k1v
+            k2v = qm * (cp + hh * cv)
+            k3p = cv + hh * k2v
+            k3v = qm * (cp + hh * k2p)
+            k4p = cv + h * k3v
+            k4v = qb * (cp + h * k3p)
+            cp += h * (cv + 2 * k2p + 2 * k3p + k4p) / 6
+            cv += h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6
+            p.append(cp)
+            v.append(cv)
+    return p, v
+
+
+def sweep_inputs(beta, lam, y0, target, h):
+    """(q_half, step) of the sweep from y0 to target at a step of at most h,
+    as _integrate_profile builds them (gamma = 0)."""
+    op = OperatorSpec.from_strings(beta, "0")
+    n = int(np.ceil(abs(target - y0) / h - 1e-9))
+    step = (target - y0) / n
+    half_grid = y0 + step * np.arange(2 * n + 1) / 2.0
+    return -(lam * op.beta_at(half_grid[:, None])), step
+
+
 @pytest.mark.parametrize("beta, lam, y0, target, h", [
     ("y1", 1.3, 0.0, 2.0, 1e-3),
     ("y1", 1.3, 0.0, -2.0, 1e-3),     # a downward sweep: negative step
@@ -297,16 +371,68 @@ def rk4_sweep_as_written_before(q_half, h, p0, v0):
     ("sin(3*y1)", 0.8, -0.5, 1.9, 5e-4),
 ])
 def test_rk4_sweep_equals_the_old_step_expressions(beta, lam, y0, target, h):
-    op = OperatorSpec.from_strings(beta, "0")
-    n = int(np.ceil(abs(target - y0) / h - 1e-9))
-    step = (target - y0) / n
-    half_grid = y0 + step * np.arange(2 * n + 1) / 2.0
-    q_half = -(lam * op.beta_at(half_grid[:, None]))
+    # the increment form reorders each step's arithmetic, so the arrays move
+    # by rounding only: at most 4 n eps of the array's largest magnitude
+    q_half, step = sweep_inputs(beta, lam, y0, target, h)
+    n = (q_half.size - 1) // 2
     for p0, v0 in [(1.0, 0.0), (0.3, -1.7)]:
-        p, v = solutions._rk4_sweep(q_half, step, p0, v0)
-        want_p, want_v = rk4_sweep_as_written_before(q_half, step, p0, v0)
-        assert p.tobytes() == want_p.tobytes()
-        assert v.tobytes() == want_v.tobytes()
+        got = solutions._rk4_sweep(q_half, step, p0, v0)
+        want = rk4_sweep_as_written_before(q_half, step, p0, v0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 4 * n * np.finfo(float).eps * np.abs(w).max()
+
+
+def ulps_off(got, exact) -> float:
+    """Largest distance of got from the decimal sweep exact, in ulps of the
+    largest |exact|."""
+    err = max(abs(Decimal(float(g)) - e) for g, e in zip(got, exact))
+    return float(err) / np.spacing(max(abs(float(e)) for e in exact))
+
+
+# the n_y = 1 drifts of the drift matrix, lambda of both signs, and the two
+# steep cases: cosh(4y) at beta = 1, lambda = -16, and y1^2 - 0.25 at -15.9
+SWEEP_ACCURACY = [(b, lam) for b in ("y1", "y1^2 - 0.25", "y1^3", "1", "y1^2")
+                  for lam in (-2.5, 2.5)] + [("1", -16.0), ("y1^2 - 0.25", -15.9)]
+
+
+def sweep_accuracy_gate(sweep, beta, lam):
+    """(ulps off, bound) of each array of both sweep directions: sweep may be
+    off the exact RK4 map by twice the old loop's error plus 16 ulps."""
+    out = []
+    for target in (-2.0, 2.0):
+        q_half, step = sweep_inputs(beta, lam, 0.0, target, 1e-3)
+        exact = rk4_sweep_decimal(q_half, step, 1.0, 0.0)
+        old = rk4_sweep_as_written_before(q_half, step, 1.0, 0.0)
+        new = sweep(q_half, step, 1.0, 0.0)
+        out += [(ulps_off(g, e), 2 * ulps_off(o, e) + 16) for g, o, e in zip(new, old, exact)]
+    return out
+
+
+@pytest.mark.parametrize("beta, lam", SWEEP_ACCURACY)
+def test_rk4_sweep_keeps_the_old_rounding_error(beta, lam):
+    for off, bound in sweep_accuracy_gate(solutions._rk4_sweep, beta, lam):
+        assert off <= bound
+
+
+@pytest.mark.parametrize("beta, lam", [("1", -16.0), ("y1^2 - 0.25", -15.9)])
+def test_a_stored_step_matrix_fails_the_accuracy_gate(beta, lam):
+    # M_n's diagonal is 1 + O(h^2 q): storing it rounds every increment
+    # against 1, and on a constant q the same rounding recurs each step
+    gate = sweep_accuracy_gate(rk4_sweep_plain_matrix, beta, lam)
+    assert any(off > bound for off, bound in gate)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 4.0, 8.0])
+def test_separable_on_constant_drift_is_the_counterexample_family(lam):
+    # beta = 1: phi'' = lam phi from phi(0) = 1 is cosh(sqrt(lam) y), so
+    # separable(-lam) is e^{-lam x} cosh(sqrt(lam) y) up to RK4 and Hermite error
+    sep = separable(-lam, OperatorSpec.from_strings("1", "0"))
+    ce = counterexample_family(lam)
+    a, b = sep.as_field().values, ce.as_field().values
+    assert np.abs(a / b - 1.0).max() <= 1e-10
+    ratio_sep, ratio_ce = sup_inf_ratio(sep).ratio, sup_inf_ratio(ce).ratio
+    assert abs(ratio_sep / ratio_ce - 1.0) <= 1e-10
 
 
 CATALOG = [
