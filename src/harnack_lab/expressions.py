@@ -14,13 +14,11 @@ deliberately no more: polynomials and trigonometric shears cover every
 coefficient this toolkit works with.
 
 ASTs are frozen dataclasses, safe to share across workers; every operation
-here is pure, apart from the ``SharedSubtrees`` memo a caller may pass to
-``evaluate`` to compute the subtrees that a list of expressions shares once.
+here is pure.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from dataclasses import dataclass
@@ -41,7 +39,6 @@ __all__ = [
     "DerivativeError",
     "parse",
     "evaluate",
-    "SharedSubtrees",
     "differentiate",
     "simplify",
     "to_string",
@@ -239,82 +236,7 @@ def _check(cond_ok, message: str):
         raise EvalDomainError(message)
 
 
-class SharedSubtrees:
-    """Use-counted memo for evaluating the expressions ``exprs`` in list order
-    on one binding, ``evaluate(e, env, memo)`` for each e in turn.
-
-    A composite subtree that this evaluation meets more than once is computed
-    at its first use and held until its last, then released; the values are
-    those of evaluating each expression on its own, bit for bit.  ``fresh``
-    gives a memo for the same expressions on another binding without
-    counting the uses again.
-
-    Equal subtrees share one key, found in one structural pass; lookups read
-    it by node identity, so no lookup hashes a subtree again.  The memo keeps
-    ``exprs`` alive, so no keyed node's identity is reused.
-    """
-
-    def __init__(self, exprs):
-        self._exprs = tuple(exprs)
-        self._key: dict[int, object] = {}
-        interned: dict[tuple, int] = {}
-
-        def key_of(e):
-            k = self._key.get(id(e))
-            if k is None:
-                if isinstance(e, (Const, Var)):
-                    k = e
-                elif isinstance(e, Unary):
-                    k = interned.setdefault((e.op, key_of(e.arg)), len(interned))
-                else:
-                    k = interned.setdefault((e.op, key_of(e.left), key_of(e.right)),
-                                            len(interned))
-                self._key[id(e)] = k
-            return k
-
-        uses: dict[object, int] = {}
-        stack = list(reversed(self._exprs))
-        while stack:  # the order _eval meets the nodes: left before right
-            e = stack.pop()
-            if isinstance(e, (Const, Var)):
-                continue
-            k = key_of(e)
-            if k in uses:  # a held value: its subtrees are not met again
-                uses[k] += 1
-                continue
-            uses[k] = 1
-            stack += (e.arg,) if isinstance(e, Unary) else (e.right, e.left)
-        self._uses = {k: n for k, n in uses.items() if n > 1}
-        self._left = dict(self._uses)
-        self._held: dict[object, object] = {}
-
-    def fresh(self) -> "SharedSubtrees":
-        """A memo with this one's keys and use counts and nothing held."""
-        memo = copy.copy(self)
-        memo._left, memo._held = dict(self._uses), {}
-        return memo
-
-    def take(self, e: Expr):
-        """The held value of ``e`` at one of its uses, or None when none is
-        held; the last use releases it."""
-        k = self._key.get(id(e))
-        value = self._held.get(k)
-        if value is not None:
-            self._left[k] -= 1
-            if self._left[k] == 0:
-                del self._held[k], self._left[k]
-        return value
-
-    def keep(self, e: Expr, value) -> None:
-        """Hold the value of ``e``, computed at its first use, when ``e`` has
-        later uses."""
-        k = self._key.get(id(e))
-        if k in self._left:
-            self._left[k] -= 1
-            self._held[k] = value
-
-
-def _eval(e: Expr, env: Mapping[str, float | np.ndarray], memo: SharedSubtrees | None):
+def _eval(e: Expr, env: Mapping[str, float | np.ndarray]):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -322,59 +244,45 @@ def _eval(e: Expr, env: Mapping[str, float | np.ndarray], memo: SharedSubtrees |
             return env[e.name]
         except KeyError:
             raise EvalDomainError(f"no value bound for variable {e.name!r}") from None
-    if memo is not None:
-        out = memo.take(e)
-        if out is not None:
-            return out
     if isinstance(e, Unary):
-        a = _eval(e.arg, env, memo)
+        a = _eval(e.arg, env)
         if e.op == "neg":
-            out = np.negative(a)
-        else:
-            if e.op == "sqrt":
-                _check(np.asarray(a) >= 0, "sqrt of negative value")
-            out = _FUNCTIONS[e.op](a)
-    else:
-        left = _eval(e.left, env, memo)
-        right = _eval(e.right, env, memo)
-        op = e.op
-        if op == "+":
-            out = np.add(left, right)
-        elif op == "-":
-            out = np.subtract(left, right)
-        elif op == "*":
-            out = np.multiply(left, right)
-        elif op == "/":
-            _check(np.asarray(right) != 0, "division by zero")
-            out = np.divide(left, right)
-        else:
-            # power: integer scalar exponents keep sign freedom, anything
-            # else needs a positive base (no branch cuts)
-            r_arr = np.asarray(right)
-            if r_arr.ndim == 0 and float(r_arr) == int(r_arr):
-                n = int(r_arr)
-                if n < 0:
-                    _check(np.asarray(left) != 0, "zero raised to a negative power")
-                out = np.power(left, float(n))
-            else:
-                _check(np.asarray(left) > 0, "non-integer exponent needs a positive base")
-                out = np.power(left, right)
-    if memo is not None:
-        memo.keep(e, out)
-    return out
+            return np.negative(a)
+        if e.op == "sqrt":
+            _check(np.asarray(a) >= 0, "sqrt of negative value")
+        return _FUNCTIONS[e.op](a)
+    left = _eval(e.left, env)
+    right = _eval(e.right, env)
+    op = e.op
+    if op == "+":
+        return np.add(left, right)
+    if op == "-":
+        return np.subtract(left, right)
+    if op == "*":
+        return np.multiply(left, right)
+    if op == "/":
+        _check(np.asarray(right) != 0, "division by zero")
+        return np.divide(left, right)
+    # power: integer scalar exponents keep sign freedom, anything else needs
+    # a positive base (no branch cuts)
+    r_arr = np.asarray(right)
+    if r_arr.ndim == 0 and float(r_arr) == int(r_arr):
+        n = int(r_arr)
+        if n < 0:
+            _check(np.asarray(left) != 0, "zero raised to a negative power")
+        return np.power(left, float(n))
+    _check(np.asarray(left) > 0, "non-integer exponent needs a positive base")
+    return np.power(left, right)
 
 
-def evaluate(e: Expr, env: Mapping[str, float | np.ndarray],
-             memo: SharedSubtrees | None = None):
+def evaluate(e: Expr, env: Mapping[str, float | np.ndarray]):
     """Evaluate ``e`` with variables bound by ``env``.
 
     Scalar bindings give a float back; array bindings broadcast and give an
     array.  Raises EvalDomainError when the value is not a finite real.
-    ``memo``, a ``SharedSubtrees`` of a list of expressions evaluated in its
-    order on the same ``env``, computes each subtree they share once.
     """
     with np.errstate(all="ignore"):
-        out = _eval(e, env, memo)
+        out = _eval(e, env)
     arr = np.asarray(out)
     if arr.ndim == 0:
         val = float(arr)

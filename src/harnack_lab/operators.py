@@ -21,7 +21,6 @@ from .expressions import (
     EvalDomainError,
     Expr,
     ExprError,
-    SharedSubtrees,
     evaluate,
     differentiate,
     free_variables,
@@ -391,15 +390,10 @@ def check_hypothesis(
     except ExprError as err:
         return failed(f"cannot differentiate beta: {err}")
 
-    # each subtree the derivatives share is evaluated once per slab, from use
-    # counts taken once, and the mass is summed as each derivative arrives
-    shared = SharedSubtrees(exprs)
-
-    def sweep(env, shape):
-        memo = shared.fresh()
+    def sweep(env, shape):  # the mass is summed as each derivative arrives
         mass = np.zeros(shape)
         for i, e in enumerate(exprs):
-            v = evaluate(e, env, memo)
+            v = evaluate(e, env)
             if i == 0:
                 beta_vals = np.broadcast_to(v, shape)
             mass += np.abs(v)
@@ -456,10 +450,11 @@ def classify_regions(
     the lattice must resolve the inner ball as in ``check_hypothesis``.
 
     beta is evaluated slab by slab in the grid form of ``check_hypothesis``,
-    under the open-ball mask and with its fallback to the ball points; an
-    evaluation failure raises the whole lattice's error.  The plus and
-    minus points are read off the masks in C order: the points, bit for
-    bit, of splitting the whole ``ball_lattice``.
+    under the open-ball mask and with its fallback to the ball points.  An
+    evaluation failure raises EvalDomainError with the message ``check``
+    reports: the first failing lattice point in C order and its error.  The
+    plus and minus points are read off the masks in C order: the points,
+    bit for bit, of splitting the whole ``ball_lattice``.
     """
     if not 0 < level < np.inf:
         raise ValueError("level must be positive and finite")
@@ -471,9 +466,9 @@ def classify_regions(
             (beta_vals,) = _slab_values(lambda env, shape: [evaluate(op.beta, env)],
                                         op.y_names, axes, keep)
         except EvalDomainError:
-            # raise the error of evaluating the whole lattice at once
-            op.beta_at(ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=False)[0])
-            raise
+            # earlier slabs evaluated everywhere: the first failing point is here
+            raise EvalDomainError(_locate_eval_failure([op.beta], op.y_names,
+                                                       _nodes(axes, keep))) from None
         plus.append(_nodes(axes, keep & (beta_vals > level)))
         minus.append(_nodes(axes, keep & (beta_vals < -level)))
     plus, minus = np.concatenate(plus), np.concatenate(minus)

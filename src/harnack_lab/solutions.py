@@ -88,17 +88,26 @@ class AnalyticSolution:
 
 
 def _certify(name, fn, op, dom, region) -> AnalyticSolution:
-    """The solution, once u > 0 on the 101 x 101 grid of ``region``
-    (x_lo, x_hi, y_radius); a ValueError at the grid minimum otherwise."""
+    """The solution, once u is finite and u > 0 on the 101 x 101 grid of
+    ``region`` (x_lo, x_hi, y_radius); a ValueError otherwise, at the first
+    grid point in C order where u is not finite, else at the grid minimum."""
+
+    def checked(x, y):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+            u = np.broadcast_to(fn(x, y), (x.shape[0], y.shape[0]))
+        finite = np.isfinite(u)
+        i, j = divmod(int(np.argmin(u if finite.all() else finite)), y.shape[0])
+        at = ", ".join(f"{float(v):g}" for v in (x[i, 0], *y[j]))
+        if not finite[i, j]:
+            raise ValueError(f"{name} is not finite on its certified region: "
+                             f"{float(u[i, j]):g} at ({at})")
+        if u[i, j] <= 0:
+            raise ValueError(f"{name} is not positive on its certified region: "
+                             f"min {float(u[i, j]):g} at ({at})")
+        return u
+
     x_lo, x_hi, radius = region
-    field = ScalarField.sample(fn, box_axes(x_lo, x_hi, 101, radius, 101, op.n_y))
-    i_min = np.unravel_index(np.argmin(field.values), field.values.shape)
-    region_min = float(field.values[i_min])
-    if region_min <= 0:
-        loc = ", ".join(f"{float(a[i]):g}" for a, i in zip(field.axes, i_min))
-        raise ValueError(
-            f"{name} is not positive on its certified region: min {region_min:g} at ({loc})"
-        )
+    ScalarField.sample(checked, box_axes(x_lo, x_hi, 101, radius, 101, op.n_y))
     return AnalyticSolution(name=name, op=op, domain=dom, fn=fn)
 
 
@@ -253,8 +262,9 @@ def separable(
     step of 1e-3 across the outer interval, in both directions from y = 0
     where phi(0) = 1, phi'(0) = 0; values between nodes come from cubic Hermite
     interpolation, matching the integrator's fourth order.  Profiles that
-    are not positive throughout the inner interval are rejected with the
-    first zero location.
+    are not finite throughout the inner interval are rejected with the
+    first non-finite node, and then those that are not positive there with
+    the first zero location; both are the first met marching away from 0.
     """
     if not np.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -268,10 +278,17 @@ def separable(
     nodes, phi, dphi = _integrate_profile(op, lam, gamma0, radius, _PROFILE_STEP)
 
     inner = np.abs(nodes) <= dom.y_inner_radius + 1e-12
+    finite = np.isfinite(phi)
+    if not finite[inner].all():
+        off = nodes[inner & ~finite]  # named: the first met marching away from 0
+        y_bad = off[np.argmin(np.abs(off))]
+        raise ValueError("separable profile is not finite on the inner interval; "
+                         f"first non-finite node at y = {y_bad:.6g}")
     if np.any(phi[inner] <= 0):
         # the first zero met when marching away from 0: the sign change
         # closest to the initial point, located by linear interpolation
-        cross = np.nonzero((phi[:-1] > 0) != (phi[1:] > 0))[0]
+        # between finite nodes
+        cross = np.nonzero(((phi[:-1] > 0) != (phi[1:] > 0)) & finite[:-1] & finite[1:])[0]
         if cross.size:
             frac = phi[cross] / (phi[cross] - phi[cross + 1])
             zeros = nodes[cross] + frac * (nodes[cross + 1] - nodes[cross])

@@ -57,6 +57,12 @@ def test_check_reports_an_evaluation_failure_and_exits_1(tmp_path, capsys, beta,
     report = json.loads((out / "hormander_report.json").read_text())
     assert report["pass"] is False and report["min_derivative_mass"] is None
     assert err == f"error: {report['error']}\n"
+    # regions raises the same located error and leaves no output directory
+    rc, out = run(tmp_path / "regions", "regions", "--set", f"operator.beta={beta}")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation failed at y=(") and message in err
+    assert not out.exists()
 
 
 def test_config_errors_are_aggregated(tmp_path, capsys):

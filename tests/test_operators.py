@@ -9,7 +9,6 @@ import pytest
 from harnack_lab import expressions, operators
 from harnack_lab.expressions import (
     EvalDomainError,
-    SharedSubtrees,
     UnknownIdentifierError,
     evaluate,
     parse,
@@ -268,9 +267,9 @@ def test_eval_failure_is_located_by_bisection(monkeypatch, beta, dim_n, step):
     assert want.startswith("evaluation failed at y=(")
     calls = {"array": 0, "scalar": 0}
 
-    def counted(e, env, memo=None):
+    def counted(e, env):
         calls["array" if np.ndim(next(iter(env.values()))) else "scalar"] += 1
-        return evaluate(e, env, memo)
+        return evaluate(e, env)
 
     monkeypatch.setattr(operators, "evaluate", counted)
     assert _locate_eval_failure(exprs, op.y_names, pts) == want
@@ -301,14 +300,14 @@ def test_grid_form_regions_are_the_point_split(beta, dim_n):
 
 
 def test_grid_form_regions_raise_the_whole_lattice_error():
-    # the first slab fails only at 1/y2, the whole lattice first at the sqrt
+    # the first slab fails only at 1/y2, the whole lattice first there too:
+    # the error names the first failing lattice point, as check does
     op = OperatorSpec.from_strings("sqrt(0.7 - y1) + 1/y2", dim_n=3)
     pts, _ = ball_lattice(1.0, 0.01, 2, closed=False)
-    with pytest.raises(EvalDomainError) as want:
-        op.beta_at(pts)
+    want = scalar_scan_failure([op.beta], op.y_names, pts)
     with pytest.raises(EvalDomainError) as got:
         classify_regions(op, CylinderDomain(), 0.5, 0.01)
-    assert str(got.value) == str(want.value) == "sqrt of negative value"
+    assert str(got.value) == want == "evaluation failed at y=(-0.99, 0): division by zero"
 
 
 def test_check_hypothesis_working_set():
@@ -343,18 +342,10 @@ def test_check_hypothesis_evaluates_each_shared_function_once(monkeypatch):
         monkeypatch.setitem(expressions._FUNCTIONS, name, counted(name, fn))
     report = check_hypothesis(op, CylinderDomain(), order=2)
     # beta, d2/dy1^2 and d/dy2 hold sin(1.3*y1); d/dy1 and d2/dy1dy2 hold
-    # cos(1.3*y1)*1.3: each is computed once per first-axis node
-    assert seen == {"sin": n_y1, "cos": n_y1}
+    # cos(1.3*y1)*1.3: each use is computed once per first-axis node, where a
+    # flat sweep would see the lattice's 125,629 points per use
+    assert seen == {"sin": 3 * n_y1, "cos": 2 * n_y1}
     assert report.passed
-
-
-def test_shared_subtrees_release_each_value_after_its_last_use():
-    exprs = _derivative_exprs(parse("sin(2*y1)*y2 + y1", ("y1", "y2")), ("y1", "y2"), 2)
-    env = {"y1": np.linspace(-1, 1, 5), "y2": np.linspace(0, 2, 5)}
-    memo = SharedSubtrees(exprs)
-    for e in exprs:
-        assert np.array_equal(evaluate(e, env, memo), evaluate(e, env))
-    assert memo._held == {} and memo._left == {}
 
 
 def test_check_hypothesis_precondition_errors():

@@ -206,10 +206,41 @@ def test_separable_refuses_a_non_finite_lambda_before_integrating(lam, monkeypat
 
 
 def test_separable_refuses_an_overflowing_profile_without_a_warning():
-    # at lambda = 1e300, h^2 q^2 overflows the step coefficients; the profile
-    # is refused by the positivity check, and no RuntimeWarning escapes
-    with pytest.raises(ValueError, match="separable profile vanishes"):
-        separable(1e300, OperatorSpec.from_strings("y1", "0"))
+    # at lambda = 1e300, h^2 q^2 overflows the step coefficients; at 1e10 the
+    # profile overflows on most nodes and has nodes <= 0 on the inner
+    # interval.  Each is refused as not finite at the non-finite node
+    # nearest 0, not as a zero at y = nan, and no RuntimeWarning escapes
+    for lam, y_bad in ((1e300, r"-0\.002"), (1e10, r"-0\.084")):
+        with pytest.raises(ValueError, match=r"separable profile is not finite on the inner "
+                                             rf"interval; first non-finite node at y = {y_bad}$"):
+            separable(lam, OperatorSpec.from_strings("y1", "0"))
+
+
+def test_separable_zero_location_skips_crossings_next_to_non_finite_nodes(monkeypatch):
+    # a profile finite on the inner interval, vanishing there at y = +-pi/6,
+    # and not finite past y = 1.9: the crossing into the nans is skipped
+    def profile(op, lam, gamma0, radius, h):
+        nodes = np.linspace(-radius, radius, 401)
+        phi = np.where(nodes > 1.9, np.nan, np.cos(3 * nodes))
+        return nodes, phi, np.zeros_like(phi)
+
+    monkeypatch.setattr(solutions, "_integrate_profile", profile)
+    with pytest.raises(ValueError, match="separable profile vanishes") as err:
+        separable(1.0, OperatorSpec.from_strings("y1", "0"))
+    zero = float(str(err.value).rsplit("= ", 1)[1])
+    assert abs(abs(zero) - np.pi / 6) < 1e-3
+
+
+@pytest.mark.parametrize("text, name", [
+    ("counterexample(200)", r"counterexample\(200\)"),
+    ("separable(-200)", r"separable\(lambda=-200,gamma=0\)"),
+], ids=["counterexample", "separable"])
+def test_certify_refuses_an_overflowing_solution_without_a_warning(text, name):
+    # on beta = 1, e^{200*5} overflows at x = -5: the first grid point in C
+    # order is named
+    message = name + r" is not finite on its certified region: inf at \(-5, -2\)$"
+    with pytest.raises(ValueError, match=message):
+        catalog_entry(text, OperatorSpec.from_strings("1", "0"))
 
 
 def test_cubic_hermite_matches_scipy_bitwise():
