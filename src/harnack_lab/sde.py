@@ -11,7 +11,10 @@ its Y normals z in step order.  Its Y after n steps is the start plus its
 key's Brownian sum, the left fold of sqrt(2 dt) z over those steps.  X, the
 gamma integral and the bridge hazard are left folds seeded with the carried
 state; a row takes their prefix sums only in a block where it may stop,
-except X, whose prefix every row takes when gamma reads x.
+except X, whose prefix every row takes when gamma reads x.  Step blocks are
+step-major with the carry in row 0, so a carry fold is one np.add.reduce,
+which adds row after row; a one-path block, which it would sum pairwise,
+takes np.cumsum.
 Every reduction is written in path-index order, so results are a pure
 function of the inputs: byte-identical for any worker count, chunk size or
 step-block size.  Path i takes the same steps whatever the path count, and
@@ -70,12 +73,15 @@ __all__ = [
 # shares one bit generator and is one thread task.  Each running path draws
 # the normals of _DRAW_STEPS steps per refill; the steps are computed in blocks
 # of _BLOCK_STEPS, small enough for the temporaries to stay in cache, and rows
-# that stopped are dropped after every block.  A chunk holds its keys' normals
-# for _DRAW_STEPS steps, folded in place into their Brownian sums (8 MB at
-# n_y = 1), plus the per-block temporaries (a full 1,024-row chunk at n_y = 1
-# traces a 15-17 MB peak); 1,024 rows keep that working set small while each
-# block's numpy calls still span enough rows to amortize their fixed cost (512
-# rows already slow a 900-row make_solution batch by a seventh)
+# that stopped are dropped after every block.  Block arrays are step-major,
+# (steps + 1, rows), with the carried state in row 0; the gather that adds
+# each row's start to its key's sums transposes into that layout, so a carry
+# folds in one reduction.  A chunk holds its keys' normals for _DRAW_STEPS
+# steps, folded in place into their Brownian sums (8 MB at n_y = 1), plus the
+# per-block temporaries (a full 1,024-row chunk at n_y = 1 traces a 15-17 MB
+# peak); 1,024 rows keep that working set small while each block's numpy calls
+# still span enough rows to amortize their fixed cost (512 rows already slow a
+# 900-row make_solution batch by a seventh)
 _CHUNK_PATHS = 1024
 _DRAW_STEPS = 1024
 _BLOCK_STEPS = 128
@@ -231,31 +237,20 @@ def _time_grid(dt: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     return dt_steps, t_grid
 
 
-def _prefix(carry: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """Prefix sums (rows, steps + 1) of each row: column i is the left fold of
-    ``carry`` and the row's first i increments."""
-    sums = np.empty((inc.shape[0], inc.shape[1] + 1))
-    sums[:, 0] = carry
-    sums[:, 1:] = inc
-    return np.cumsum(sums, axis=1, out=sums)
+def _step_sum(buf: np.ndarray) -> np.ndarray:
+    """Left fold down a step-major buffer (steps + 1, paths) whose row 0 is
+    the carry: bit for bit the last row of ``np.cumsum(buf, axis=0)``, NaN
+    and inf carried through.  np.add.reduce adds row after row, except on a
+    single column, which it sums pairwise; that case takes the cumsum."""
+    if buf.shape[1] == 1:
+        return np.cumsum(buf, axis=0)[-1]
+    return np.add.reduce(buf, axis=0)
 
 
-def _fold(acc: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """Fold the increments ``inc`` (rows, steps) into ``acc`` (rows,) in place,
-    left to right, one step across all rows at a time: bit for bit the last
-    column of ``_prefix(acc, inc)``, NaN and inf carried through.
-    np.add.reduce would not do: on one row it sums pairwise."""
-    for i in range(inc.shape[1]):
-        np.add(acc, inc[:, i], out=acc)
-    return acc
-
-
-def _fold_to_stops(acc: np.ndarray, inc: np.ndarray, idx: np.ndarray, j: np.ndarray):
-    """Fold ``inc`` into ``acc`` in place; return the prefix sums of the
-    stopping rows ``idx`` at their stop columns ``j``."""
-    at_stop = _prefix(acc[idx], inc[idx])[np.arange(idx.size), j]
-    _fold(acc, inc)
-    return at_stop
+def _sums_at_stops(buf: np.ndarray, idx: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Prefix sums of the stopping columns ``idx`` of a step-major buffer at
+    their stop rows ``j``."""
+    return np.cumsum(buf[:, idx], axis=0)[j, np.arange(idx.size)]
 
 
 def _run_chunk(
@@ -315,7 +310,6 @@ def _run_chunk(
     sy = starts_y[start_of]
     y = sy
     r2 = starts_r2[start_of]
-    sx = starts_x[start_of]
     x_disp = np.zeros(live.shape[0])
     g_acc = np.zeros(live.shape[0])
     hazard = np.zeros(live.shape[0])
@@ -348,30 +342,31 @@ def _run_chunk(
         np.cumsum(bsum, axis=1, out=bsum)
         key_sum[drawn] = bsum[:, -1]
         src = np.searchsorted(drawn, live_keys)  # ``bsum`` row of each running row
-        if w0 == 0:
-            clock = key_clock[live_keys]
 
         for b0 in range(w0, w1, _BLOCK_STEPS):
             b1 = min(b0 + _BLOCK_STEPS, w1)
             k = live.size
-            dts = dt_steps[b0:b1]
-            # column 0 is the carried state, column i the state after the
-            # block's i-th step
-            ys = np.empty((k, b1 - b0 + 1, n_y))
-            ys[:, 0] = y
-            np.add(sy[:, None], bsum[src, b0 - w0 : b1 - w0], out=ys[:, 1:])
-            r2s = np.empty((k, b1 - b0 + 1))
-            r2s[:, 0] = r2
-            np.square(ys[:, 1:, 0], out=r2s[:, 1:])
+            n = b1 - b0
+            # all steps but a shorter last one are dt; numpy multiplies by a scalar faster
+            dts = dt_steps[b0:b1, None]
+            if dts[0, 0] == dts[-1, 0]:
+                dts = dts[0, 0]
+            # step-major: row 0 is the carried state, row i the state after
+            # the block's i-th step; the gather from the keys' sums transposes
+            ys = np.empty((n + 1, k, n_y))
+            ys[0] = y
+            np.add(sy[None], bsum[src, b0 - w0 : b1 - w0].swapaxes(0, 1), out=ys[1:])
+            r2s = np.empty((n + 1, k))
+            r2s[0] = r2
+            np.square(ys[1:, :, 0], out=r2s[1:])
             for c in range(1, n_y):
-                r2s[:, 1:] += ys[:, 1:, c] ** 2
-            # column 0 is the carried state, inside the ball, so a row reaches
+                r2s[1:] += ys[1:, :, c] ** 2
+            # row 0 is the carried state, inside the ball, so a row reaches
             # the sphere in this block exactly when its max does
-            r2_top = r2s.max(axis=1)
-            running = b1 - b0 + 1  # past the last ys column
-            first = np.full(k, running)  # ys column of the stopping step
+            r2_top = r2s.max(axis=0)
+            first = np.full(k, n + 1)  # ys row of the stopping step, n + 1 if none
             out_rows = np.flatnonzero(r2_top >= r2_max)
-            first_out = np.argmax(r2s[out_rows, 1:] >= r2_max, axis=1) + 1
+            first_out = np.argmax(r2s[1:, out_rows] >= r2_max, axis=0) + 1
             first[out_rows] = first_out
 
             if bridge:
@@ -389,42 +384,45 @@ def _run_chunk(
                 # step of a row that stays 1% further from the sphere than
                 # sqrt(_HAZARD_CUTOFF*dt), so only the other rows fold any
                 # hazard.  Below 2**-54, -log1p(-p) is p in double precision.
-                reach = max(radius - 1.01 * np.sqrt(_HAZARD_CUTOFF * dts.max()), 0.0)
+                reach = max(radius - 1.01 * np.sqrt(_HAZARD_CUTOFF * np.max(dts)), 0.0)
                 warm = np.flatnonzero(r2_top > reach * reach)
                 if warm.size:
-                    d = radius - np.sqrt(r2s[warm])
-                    expo = d[:, :-1] * d[:, 1:]
+                    d = np.take(r2s, warm, axis=1)
+                    np.subtract(radius, np.sqrt(d, out=d), out=d)
+                    expo = d[:-1] * d[1:]
                     expo /= dts
-                    near = expo < _HAZARD_CUTOFF
+                    # flat indices of the steps that fold a hazard
+                    near = np.flatnonzero(expo < _HAZARD_CUTOFF)
                     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                        h = np.exp(-expo[near])
+                        h = np.exp(np.negative(expo.take(near)))
                         big = np.flatnonzero(h >= 2.0**-54)
                         h[big] = -np.log1p(-h[big])
-                    hs = np.zeros((warm.size, b1 - b0))
-                    hs[near] = h
-                    h0 = hazard[warm]
-                    h1 = _fold(h0.copy(), hs)
+                    hs = np.zeros((n + 1, warm.size))
+                    hs[0] = hazard[warm]
+                    hs[1:].reshape(-1)[near] = h
+                    h1 = _step_sum(hs)
                     hazard[warm] = h1
                     # the fold never decreases until a step with an outside
                     # endpoint turns it NaN, so only rows whose block-end
                     # hazard is not below the clock can cross in this block;
                     # a NaN end may still hide an earlier crossing.  Only
                     # those rows take the prefix sums
-                    late = np.flatnonzero(~(h1 < clock[warm]))
+                    clock = key_clock[key_of[live[warm]]]
+                    late = np.flatnonzero(~(h1 < clock))
                     if late.size:
-                        cross = _prefix(h0[late], hs[late])[:, 1:] >= clock[warm[late], None]
-                        has = cross.any(axis=1)
+                        cross = np.cumsum(hs[:, late], axis=0)[1:] >= clock[late]
+                        has = cross.any(axis=0)
                         rows_h = warm[late[has]]
-                        j_h = np.argmax(cross[has], axis=1) + 1
+                        j_h = np.argmax(cross[:, has], axis=0) + 1
                         first[rows_h] = np.minimum(first[rows_h], j_h)
 
-            stop = first < running
+            stop = first <= n
             idx = np.flatnonzero(stop)
             j = first[idx]
             rows = out_row[live[idx]]
             if idx.size:
-                y_hit = ys[idx, j]
-                r_hit = np.sqrt(r2s[idx, j])
+                y_hit = ys[j, idx]
+                r_hit = np.sqrt(r2s[j, idx])
                 out["stopped_y"][rows] = y_hit * (radius / np.maximum(r_hit, 1e-300))[:, None]
                 out["stop_time"][rows] = t_grid[b0 + j]
                 out["exited"][rows] = True
@@ -433,31 +431,32 @@ def _run_chunk(
             # left endpoint outside the ball comes after its path stopped and
             # feeds no recorded value; pull it back into the ball so beta stays
             # in its domain
-            over = out_rows[first_out < b1 - b0]
+            over = out_rows[first_out < n]
             if over.size:
-                scale = np.minimum(1.0, radius / np.maximum(np.sqrt(r2s[over, 1:-1]), 1e-300))
-                ys[over, 1:-1] *= scale[:, :, None]
-            prev = ys[:, :-1]
+                scale = np.minimum(1.0, radius / np.maximum(np.sqrt(r2s[1:-1, over]), 1e-300))
+                ys[1:-1, over] *= scale[:, :, None]
+            prev = ys[:-1]
             # X and the gamma integral fold only their carries; a stopping row
             # takes its prefix sums, and so does every row when gamma reads x
-            x_inc = np.multiply(op.beta_at(prev), dts)
+            xs = np.empty((n + 1, k))
+            xs[0] = x_disp
+            np.multiply(op.beta_at(prev), dts, out=xs[1:])
             if gamma_x:
-                xs = _prefix(x_disp, x_inc)
-                out["x_disp"][rows] = xs[idx, j]
-                x_disp = xs[:, -1]
-            else:
-                out["x_disp"][rows] = _fold_to_stops(x_disp, x_inc, idx, j)
+                np.cumsum(xs, axis=0, out=xs)
+            out["x_disp"][rows] = xs[j, idx] if gamma_x else _sums_at_stops(xs, idx, j)
+            x_disp = xs[-1] if gamma_x else _step_sum(xs)
             if not gamma_const:
-                g_x = sx[:, None] + xs[:, :-1] if gamma_x else 0.0  # 0.0: gamma reads no x
-                g_inc = np.multiply(op.gamma_at(g_x, prev), dts)
-                out["gamma_integral"][rows] = _fold_to_stops(g_acc, g_inc, idx, j)
+                g_x = starts_x[start_of[live]] + xs[:-1] if gamma_x else 0.0  # 0.0: no x
+                gs = np.empty((n + 1, k))
+                gs[0] = g_acc
+                np.multiply(op.gamma_at(g_x, prev), dts, out=gs[1:])
+                out["gamma_integral"][rows] = _sums_at_stops(gs, idx, j)
+                g_acc = _step_sum(gs)
 
             keep = ~stop
-            live, src, clock = live[keep], src[keep], clock[keep]
-            sy, y, r2 = sy[keep], ys[keep, -1], r2s[keep, -1]
+            live, src = live[keep], src[keep]
+            sy, y, r2 = sy[keep], ys[-1, keep], r2s[-1, keep]
             x_disp, g_acc, hazard = x_disp[keep], g_acc[keep], hazard[keep]
-            if gamma_x:
-                sx = sx[keep]
             if live.size == 0:
                 break
 
@@ -466,8 +465,7 @@ def _run_chunk(
         out["stopped_y"][rows] = y
         out["stop_time"][rows] = t_grid[-1]
         out["x_disp"][rows] = x_disp
-        if not gamma_const:
-            out["gamma_integral"][rows] = g_acc
+        out["gamma_integral"][rows] = g_acc  # replaced when gamma is constant
         out["exited"][rows] = False
 
 

@@ -238,9 +238,10 @@ def _cubic_hermite(nodes: np.ndarray, phi: np.ndarray, dphi: np.ndarray) -> Call
     and PPoly (power basis in s = y - node, summed from the constant term up),
     so the values match it bit for bit."""
     dx = np.diff(nodes)
-    slope = np.diff(phi) / dx
-    t = (dphi[:-1] + dphi[1:] - 2 * slope) / dx
-    c3, c2, c1, c0 = t / dx, (slope - dphi[:-1]) / dx - t, dphi[:-1], phi[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # _certify refuses inf/nan by name
+        slope = np.diff(phi) / dx
+        t = (dphi[:-1] + dphi[1:] - 2 * slope) / dx
+        c3, c2, c1, c0 = t / dx, (slope - dphi[:-1]) / dx - t, dphi[:-1], phi[:-1]
 
     def profile(y):
         i = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, nodes.size - 2)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -715,6 +716,20 @@ def test_average_output_and_bad_z(tmp_path, capsys):
     rc, _ = run(tmp_path / "bad", "average", "--set", "average.z=0.4")
     assert rc == 1
     assert "1/3" in capsys.readouterr().err
+
+
+def test_separable_overflowing_off_the_inner_interval_fails_without_a_warning(tmp_path, capsys):
+    # on beta = y1^2, separable(-5e5)'s profile grows like cosh and overflows
+    # past |y| ~ 1.3 while it is finite and positive on the inner interval
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(tmp_path, "average", "--set", "operator.beta=y1^2",
+                      "--set", "average.solution=separable(-5e5)")
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("error: separable(lambda=-500000,gamma=0) is not finite "
+                                       "on its certified region: nan at (-5, -2)\n")
+    assert not out.exists()
 
 
 def test_harnack_rerun_bitwise_identical(tmp_path):

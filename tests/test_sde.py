@@ -480,18 +480,56 @@ def test_survivor_y_is_its_start_plus_its_keys_brownian_sum(n_y, start_x, start_
         assert batch.stopped_y[rows][alive].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("rows", [1, 2, 1024])
+def left_fold(terms):
+    """Per-step left fold down axis 0, one np.add per step."""
+    acc = terms[0].copy()
+    for inc in terms[1:]:
+        np.add(acc, inc, out=acc)
+    return acc
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 1024])
 def test_fold_equals_the_last_prefix_sum(rows):
-    # magnitudes from 1e-12 to 1e12 make every rounding show
-    rng = np.random.default_rng(rows)
-    inc = rng.standard_normal((rows, 128)) * 10.0 ** rng.integers(-12, 13, (rows, 128))
-    carry = rng.standard_normal(rows) * 1e6
-    want = np.cumsum(np.column_stack([carry, inc]), axis=1)[:, -1]
-    assert sde._fold(carry.copy(), inc).tobytes() == want.tobytes()
-    # NaN and inf reach the end of their row
-    inc[0, 5], inc[-1, 100] = np.nan, np.inf
-    got = sde._fold(carry.copy(), inc)
-    assert np.isnan(got[0])
-    if rows > 1:
-        assert got[-1] == np.inf
-        assert np.array_equal(got[1:-1], want[1:-1])
+    # magnitudes from 1e-12 to 1e12 make every rounding show; on one row
+    # np.add.reduce would sum pairwise from 8 terms on
+    for steps in (1, 7, 8, 16, 127, 128):
+        rng = np.random.default_rng(1000 * rows + steps)
+        buf = rng.standard_normal((steps + 1, rows)) * 10.0 ** rng.integers(-12, 13, (steps + 1, rows))
+        want = left_fold(buf)
+        assert np.cumsum(buf, axis=0)[-1].tobytes() == want.tobytes()
+        assert sde._step_sum(buf).tobytes() == want.tobytes(), steps
+        # NaN and inf reach the end of their column
+        buf[steps, -1] = np.inf
+        buf[steps // 2 + 1, 0] = np.nan
+        got = sde._step_sum(buf)
+        assert np.isnan(got[0])
+        if rows > 1:
+            assert got[-1] == np.inf
+            assert got[1:-1].tobytes() == want[1:-1].tobytes()
+
+
+# one path, so every fold of the engine takes its one-column branch; t_max
+# 0.7 ends on a shorter step
+@pytest.mark.parametrize("t_max", [0.5, 0.7])
+@pytest.mark.parametrize("gamma", ["0", "0.3*y1"])
+def test_one_path_x_is_the_left_fold_of_its_drift(gamma, t_max):
+    dt, seed, start_x, start_y = 2.0**-10, 4, 0.25, 0.1
+    op = engine_op(gamma, 1)
+    cfg = SimConfig(t_max=t_max, dt=dt, n_paths=1, master_seed=seed)
+    batch = simulate_batch(op, DOM, (start_x, [start_y]), cfg)
+    assert not batch.exited[0]
+    n_full = int(t_max / dt)
+    steps = [dt] * n_full + ([t_max - n_full * dt] if t_max > n_full * dt else [])
+    # path 0's key is (master_seed, 0): its exit clock first, then its normals
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    gen.standard_exponential()
+    z = gen.standard_normal(len(steps)).tolist()
+    b_sum, x, g, y_prev = 0.0, 0.0, 0.0, start_y
+    for h, zk in zip(steps, z):
+        x += y_prev * h
+        g += 0.3 * y_prev * h
+        b_sum += zk * np.sqrt(2.0 * h)
+        y_prev = start_y + b_sum
+    assert batch.stopped_y[0, 0] == y_prev
+    assert batch.stopped_x[0] == start_x + x
+    assert batch.gamma_integral[0] == (g if gamma != "0" else 0.0)
