@@ -222,6 +222,9 @@ class RunConfig:
         bins = self.get("simulate", "bins")
         if bins < 1:
             errors.append(f"simulate.bins: must be at least 1, got {bins}")
+        cap = self.get("regions", "cap")
+        if cap < 1:  # A_d lies in the inner-ball lattice: no restricted ratio is below 1
+            errors.append(f"regions.cap: must be at least 1, got {cap:g}")
         catalog = _catalog_names(self.get("harnack", "solutions"))
         if self.get("harnack", "family") == "catalog" and not catalog:
             errors.append("harnack.solutions: empty catalog list")

@@ -20,7 +20,7 @@ a manufactured node with either draws fresh paths.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench patches it here
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +28,13 @@ import numpy as np
 from .expressions import free_variables
 from .fields import ScalarField, grid_points
 from .operators import _SUP_MARGIN, CylinderDomain, OperatorSpec, with_estimated_sups
-from .sde import SimConfig, simulate_batch, starts_per_call
+from .sde import SimConfig, simulate_batch
 
 __all__ = ["FKEstimate", "SandwichReport", "evaluate", "sandwich_check", "make_solution"]
+
+# payoff values one make_solution call evaluates at once (1 MB of floats per
+# array); a call holds as many whole starts as fit, and at least one
+_CALL_PAYOFFS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -193,21 +197,18 @@ def make_solution(
     so checking a node with those draws fresh paths.  Y paths get no
     feedback from x, so when gamma does not depend on x the paths from a
     y-node at x = 0 serve its whole x-row by translation; otherwise every
-    node is a start of its own.  The starts run as multi-start
-    ``simulate_batch`` calls of at most one chunk each, spread over
-    ``workers`` threads.  The node value is the mean of
-    exp(gamma_integral) * g at the stopped state — exited paths use the exit
-    state on the sphere, survivors the horizon state.  ``g`` is evaluated as
-    in ``evaluate``: a constant result is broadcast, and a result that is not
-    one value per stopped state is a ValueError.
+    node is a start of its own.  Each ``simulate_batch(..., workers=workers)``
+    call holds as many whole starts as keep its payoff values within
+    ``_CALL_PAYOFFS``, and at least one; the engine spreads its chunks over
+    the threads and refuses a start outside the outer ball.  The node value
+    is the mean of exp(gamma_integral) * g at the stopped state — exited
+    paths use the exit state on the sphere, survivors the horizon state.
+    ``g`` is evaluated as in ``evaluate``: a constant result is broadcast, and
+    a result that is not one value per stopped state is a ValueError.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != 1 + op.n_y:
         raise ValueError(f"expected {1 + op.n_y} axes (x plus y), got {len(axes)}")
-    radius = dom.y_outer_radius
-    for a in axes[1:]:
-        if np.any(np.abs(a) >= radius):
-            raise ValueError("grid y nodes must lie strictly inside the outer ball")
     op = with_estimated_sups(op, dom)
     cfg = dataclasses.replace(cfg, t_max=float(t_solve))
     x_free = "x" not in free_variables(op.gamma)
@@ -221,12 +222,11 @@ def make_solution(
     n = cfg.n_paths
     # start-major node values: one column per x-node a start serves
     node_vals = np.empty((starts_x.shape[0], node_x.shape[0]))
-    per_call = starts_per_call(n)
-
-    def fill(s0):
+    per_call = max(1, _CALL_PAYOFFS // (n * node_x.shape[0]))
+    for s0 in range(0, starts_x.shape[0], per_call):
         s1 = min(s0 + per_call, starts_x.shape[0])
         batch = simulate_batch(op, dom, (starts_x[s0:s1], starts_y[s0:s1]), cfg,
-                               workers=1, stream=1)
+                               workers=workers, stream=1)
         k = s1 - s0
         # (start, x-node, path): a start's stopped states moved to each x-node
         px = node_x[None, :, None] + batch.stopped_x.reshape(k, 1, n)
@@ -235,13 +235,5 @@ def make_solution(
         payoff = payoff.reshape(px.shape)
         weights = np.exp(batch.gamma_integral).reshape(k, 1, n)
         node_vals[s0:s1] = np.mean(weights * payoff, axis=2)
-
-    groups = range(0, starts_x.shape[0], per_call)
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, groups))
-    else:
-        for s0 in groups:
-            fill(s0)
     values = node_vals.T if x_free else node_vals
     return ScalarField(axes=axes, values=values.reshape(shape), name=name)

@@ -28,7 +28,8 @@ state and stop time the same way.
 A batch may run from k starts at once.  Path i of every start uses the same
 key, whose clock, normals and Brownian sums are computed once for all k rows
 (common random numbers), so each start's rows are bit for bit the batch run
-from that start alone; ``make_solution`` runs its grid nodes this way.
+from that start alone.  The engine alone cuts a batch into chunks and spreads
+them over threads; ``make_solution`` hands it groups of whole grid nodes.
 
 Exit handling: by default each path runs an exit clock.  It stops at the
 first step where its cumulative Brownian-bridge crossing hazard,
@@ -64,12 +65,11 @@ __all__ = [
     "PathBatch",
     "EmpiricalMeasure",
     "simulate_batch",
-    "starts_per_call",
     "measure_from_batch",
 ]
 
 # work unit sizes; results depend on none of them.  A chunk is a range of path
-# ids across all starts (at most _CHUNK_PATHS rows, at least one path); it
+# ids across a range of starts (at most _CHUNK_PATHS rows, at least one path); it
 # shares one bit generator and is one thread task.  Each running path draws
 # the normals of _DRAW_STEPS steps per refill; the steps are computed in blocks
 # of _BLOCK_STEPS, small enough for the temporaries to stay in cache, and rows
@@ -83,6 +83,7 @@ __all__ = [
 # still span enough rows to amortize their fixed cost (512 rows already slow a
 # 900-row make_solution batch by a seventh)
 _CHUNK_PATHS = 1024
+_CHUNK_STARTS = _CHUNK_PATHS  # most starts per chunk: a one-path chunk stays within 1,024 rows
 _DRAW_STEPS = 1024
 _BLOCK_STEPS = 128
 # exponent of a step's bridge-crossing probability from which the bridge
@@ -263,13 +264,15 @@ def _run_chunk(
     t_grid: np.ndarray,
     cfg: SimConfig,
     stream: int,
+    s0: int,
+    s1: int,
     lo: int,
     hi: int,
     bridge: bool,
     out: dict,
 ) -> None:
-    """Paths lo..hi-1 of every start; row s*n_paths + i of ``out`` is path i
-    from start s, and all rows of path i share its key."""
+    """Paths lo..hi-1 of starts s0..s1-1; row s*n_paths + i of ``out`` is path
+    i from start s, and all rows of path i share its key."""
     n_y = op.n_y
     m = hi - lo
     n_steps = dt_steps.shape[0]
@@ -300,8 +303,8 @@ def _run_chunk(
     key_sum = np.zeros((m, n_y))  # each key's Brownian sum sqrt(2) B so far
 
     # chunk rows are start-major: row r runs path lo + r % m from start r // m
-    start_of = np.repeat(np.arange(starts_x.shape[0]), m)
-    key_of = np.tile(np.arange(m), starts_x.shape[0])
+    start_of = np.repeat(np.arange(s0, s1), m)
+    key_of = np.tile(np.arange(m), s1 - s0)
     out_row = start_of * cfg.n_paths + lo + key_of
 
     # carried state of the running rows, aligned with ``live`` (chunk rows);
@@ -494,13 +497,6 @@ def _check_batch(batch: PathBatch, op: OperatorSpec, dom: CylinderDomain) -> Non
         raise RuntimeError("internal error: a path broke the gamma-integral bound")
 
 
-def starts_per_call(n_paths: int) -> int:
-    """How many starts of ``n_paths`` paths each fit in one chunk (at least
-    one), so that a multi-start ``simulate_batch`` call of that many starts
-    is one thread task."""
-    return max(1, _CHUNK_PATHS // n_paths)
-
-
 def simulate_batch(
     op: OperatorSpec,
     dom: CylinderDomain,
@@ -521,8 +517,11 @@ def simulate_batch(
     keeps the starts in the k-point form either way.
 
     ``stream`` selects an independent substream under the same master seed.
-    Results are identical for every ``workers`` value.
+    The chunks run on ``workers`` threads (an integer, at least 1); results
+    are identical for every ``workers`` value.
     """
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     if exit_detection not in ("bridge", "endpoint"):
         raise ValueError("exit_detection must be 'bridge' or 'endpoint'")
     if not 0 <= stream < 2**32:
@@ -531,8 +530,11 @@ def simulate_batch(
     starts_x, starts_y = _normalize_starts(start, op.n_y)
     starts_r2 = np.array([y @ y for y in starts_y])
     radius = dom.y_outer_radius
-    if not np.all(starts_r2 < radius * radius):  # a NaN y fails too
-        raise ValueError("start y must lie strictly inside the outer ball")
+    inside = starts_r2 < radius * radius  # a NaN y fails too
+    if not inside.all():
+        loc = ", ".join(format(v, ".6g") for v in starts_y[np.argmin(inside)])
+        raise ValueError(f"start y = ({loc}) must lie strictly inside the outer ball "
+                         f"of radius {radius:g}")
     if not np.isfinite(starts_x).all():
         raise ValueError("start x must be finite")
     if op.beta_sup * cfg.dt >= 0.1 * radius:
@@ -550,16 +552,19 @@ def simulate_batch(
         "gamma_integral": np.empty(n),
         "exited": np.zeros(n, dtype=bool),
     }
-    # a chunk is a range of path ids across all starts: at most _CHUNK_PATHS
-    # rows, at least one path
-    per = max(1, _CHUNK_PATHS // starts_x.shape[0])
-    spans = [(lo, min(lo + per, cfg.n_paths)) for lo in range(0, cfg.n_paths, per)]
+    # a chunk is a range of at most _CHUNK_STARTS starts times a range of path
+    # ids: at most _CHUNK_PATHS rows, at least one path
+    k = starts_x.shape[0]
+    per_s = min(k, _CHUNK_STARTS)
+    per = max(1, _CHUNK_PATHS // per_s)
+    spans = [(s0, min(s0 + per_s, k), lo, min(lo + per, cfg.n_paths))
+             for s0 in range(0, k, per_s) for lo in range(0, cfg.n_paths, per)]
     bridge = exit_detection == "bridge"
 
     def run(span):
         _run_chunk(
             op, radius, starts_x, starts_y, starts_r2, dt_steps, t_grid, cfg, stream,
-            span[0], span[1], bridge, out,
+            *span, bridge, out,
         )
 
     if workers > 1 and len(spans) > 1:

@@ -70,10 +70,33 @@ def test_config_errors_are_aggregated(tmp_path, capsys):
     rc, _ = run(tmp_path, "check",
                 "--set", "operator.beta=q1",
                 "--set", "sim.dt=fast",
-                "--set", "domain.y_outer_radius=-2")
+                "--set", "domain.y_outer_radius=-2",
+                "--set", "regions.cap=0.5")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("config error:") >= 3
+    assert err.count("config error:") >= 4
+    assert "config error: regions.cap: must be at least 1, got 0.5" in err
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "0.5"])
+def test_a_regions_cap_below_1_is_a_config_error(tmp_path, capsys, cap):
+    # A_d lies in the inner-ball lattice, so no restricted ratio is below 1
+    rc, out = run(tmp_path, "regions", "--set", "regions.solution=kolmogorov(10)",
+                  "--set", f"regions.cap={cap}")
+    assert rc == 2
+    assert f"config error: regions.cap: must be at least 1, got {cap}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_make_solution_names_a_start_outside_the_ball(tmp_path, capsys):
+    # dim_n = 3: the y-box corner (-1.5, -1.5) lies outside the ball of radius 2
+    rc, out = run(tmp_path, "make-solution", "--set", "operator.dim_n=3",
+                  "--set", "domain.y_inner_radius=1.5", "--set", "make_solution.grid_nx=2",
+                  "--set", "make_solution.grid_ny=2", "--set", "sim.n_paths=10")
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: start y = (-1.5, -1.5) must lie strictly inside "
+                                       "the outer ball of radius 2\n")
+    assert not out.exists()
 
 
 # harnack, counterexample and make-solution have no box keys of their own:

@@ -278,34 +278,69 @@ def test_cli_sandwich_sweeps_the_sup_lattice_once(tmp_path, monkeypatch):
     assert counts == {"simulate_batch": 1, "estimate_sups": 1}
 
 
-@pytest.mark.parametrize("gamma, batches", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])
-def test_make_solution_work_counts(monkeypatch, gamma, batches):
-    # above half a chunk of paths, each call holds one start: one per y-node
-    # for an x-free gamma, one per grid node otherwise
-    counts, rows = counted_calls(monkeypatch)
-    op = OperatorSpec.from_strings("y1", gamma)
-    axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
-    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=sde._CHUNK_PATHS // 2 + 1)
-    make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, axes)
-    assert counts == {"simulate_batch": batches, "estimate_sups": 1}
-    assert rows == [cfg.n_paths] * batches
+GROUP_AXES = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
 
 
-@pytest.mark.parametrize("gamma, chunk, batches",
-                         [("0.3*y1", 2048, 1), ("0.2*sin(x)*y1", 2048, 1),
-                          ("0.2*sin(x)*y1", 100, 3)])
-def test_make_solution_groups_starts_by_chunk(monkeypatch, gamma, chunk, batches):
-    # as many starts per call as fit in one chunk; the grouping moves no bit
-    op = OperatorSpec.from_strings("y1", gamma)
-    axes = (np.linspace(0.0, 1.0, 4), np.linspace(-0.5, 0.5, 3))
-    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=20, master_seed=4)
-    plain = make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, axes)
-    monkeypatch.setattr(sde, "_CHUNK_PATHS", chunk)
+@pytest.mark.parametrize("gamma, starts", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])
+def test_make_solution_work_counts(monkeypatch, gamma, starts):
+    # a small grid is one call that holds every start: one per y-node for an
+    # x-free gamma, one per grid node otherwise; the sups are estimated once
     counts, rows = counted_calls(monkeypatch)
-    grouped = make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, axes)
-    assert counts == {"simulate_batch": batches, "estimate_sups": 1}
-    assert max(rows) <= chunk
-    assert np.array_equal(plain.values, grouped.values)
+    op = OperatorSpec.from_strings("y1", gamma)
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=20)
+    make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, GROUP_AXES)
+    assert counts == {"simulate_batch": 1, "estimate_sups": 1}
+    assert rows == [starts * cfg.n_paths]
+
+
+def test_make_solution_fk_field_shape_is_one_engine_call(monkeypatch):
+    # 9 x 9 nodes at 100 paths, gamma free of x: the 9 y-nodes run as one
+    # call of 900 rows
+    counts, rows = counted_calls(monkeypatch)
+    cfg = SimConfig(t_max=0.5, dt=5e-3, n_paths=100)
+    make_solution(DRIFT_Y, DOM, kolmogorov_fn, 0.5, cfg, box_axes(0.0, 1.0, 9, 1.0, 9))
+    assert counts == {"simulate_batch": 1, "estimate_sups": 1}
+    assert rows == [900]
+
+
+@pytest.mark.parametrize("gamma, bound, calls",
+                         [("0.3*y1", 160, [2, 1]), ("0.2*sin(x)*y1", 100, [5, 5, 2]),
+                          ("0.2*sin(x)*y1", 1, [1] * 12)],
+                         ids=["x-free", "x-dependent", "one-start-per-call"])
+def test_make_solution_groups_whole_starts_under_the_bound(monkeypatch, gamma, bound, calls):
+    # a call holds as many whole starts as keep its payoff values (paths times
+    # the x-nodes a start serves: 4 for an x-free gamma, 1 otherwise) within
+    # the bound, and one start when even one does not fit
+    monkeypatch.setattr(feynman_kac, "_CALL_PAYOFFS", bound)
+    counts, rows = counted_calls(monkeypatch)
+    op = OperatorSpec.from_strings("y1", gamma)
+    cfg = SimConfig(t_max=1.0, dt=5e-3, n_paths=20)
+    make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, GROUP_AXES)
+    assert counts == {"simulate_batch": len(calls), "estimate_sups": 1}
+    assert rows == [k * cfg.n_paths for k in calls]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("gamma, starts", [("0.3*y1", 3), ("0.2*sin(x)*y1", 12)])
+def test_make_solution_call_bound_moves_no_bit(monkeypatch, gamma, starts, workers):
+    # one start per call or every start in one call: the same field on any
+    # worker count, and every call runs on the workers it was given
+    op = OperatorSpec.from_strings("y1", gamma)
+    cfg = SimConfig(t_max=0.5, dt=5e-3, n_paths=1100, master_seed=4)
+    plain = make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, GROUP_AXES)
+    seen = []
+
+    def spy(*args, workers, **kwargs):
+        seen.append(workers)
+        return sde.simulate_batch(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(feynman_kac, "simulate_batch", spy)
+    for bound in (1, 1 << 40):
+        monkeypatch.setattr(feynman_kac, "_CALL_PAYOFFS", bound)
+        seen.clear()
+        field = make_solution(op, DOM, kolmogorov_fn, 0.5, cfg, GROUP_AXES, workers=workers)
+        assert np.array_equal(plain.values, field.values)
+        assert seen == [workers] * (starts if bound == 1 else 1)
 
 
 def test_make_solution_translation_consistency():
@@ -334,6 +369,30 @@ def test_make_solution_grid_validation():
     with pytest.raises(ValueError, match="axes"):
         make_solution(DRIFT_Y, DOM, lambda x, y: np.ones_like(x), 0.5, cfg,
                       (np.linspace(0, 1, 3),))
+
+
+def test_make_solution_refuses_a_box_corner_outside_the_ball():
+    # every y-node lies inside the ball on its own axis, but the corner
+    # (-1.5, -1.5) of the n_y = 2 box does not
+    op = OperatorSpec.from_strings("y1 - 0.5*y2", dim_n=3)
+    with pytest.raises(ValueError, match=r"start y = \(-1\.5, -1\.5\) must lie strictly "
+                                         r"inside the outer ball of radius 2"):
+        make_solution(op, DOM, lambda x, y: 1.0, 0.5, SimConfig(t_max=1.0, n_paths=10),
+                      box_axes(0.0, 1.0, 2, 1.5, 2, 2))
+
+
+@pytest.mark.parametrize("workers", [0, -5, 2.5])
+@pytest.mark.parametrize("run", [
+    lambda w: evaluate(DRIFT_Y, DOM, kolmogorov_fn, (0.0, 0.0), t=0.5,
+                       cfg=SimConfig(t_max=1.0, n_paths=10), workers=w),
+    lambda w: sandwich_check(DRIFT_Y, DOM, kolmogorov_fn, (0.0, 0.0),
+                             cfg=SimConfig(t_max=1.0, n_paths=10), workers=w),
+    lambda w: make_solution(DRIFT_Y, DOM, kolmogorov_fn, 0.5, SimConfig(t_max=1.0, n_paths=10),
+                            GROUP_AXES, workers=w),
+], ids=["evaluate", "sandwich_check", "make_solution"])
+def test_a_bad_worker_count_is_refused(run, workers):
+    with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+        run(workers)
 
 
 def test_sandwich_accepts_a_constant_callable():

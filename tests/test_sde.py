@@ -423,6 +423,35 @@ def test_multi_start_bits_independent_of_chunk_size(monkeypatch, gamma):
             assert np.array_equal(getattr(runs[0], attr), getattr(other, attr)), attr
 
 
+@pytest.mark.parametrize("gamma", ["0", "0.2*sin(x)*y1"])
+def test_multi_start_bits_independent_of_starts_per_chunk(monkeypatch, gamma):
+    # chunks of at most 2 starts split the three starts into two ranges, 1
+    # into three; every row keeps its bits and its place
+    op = engine_op(gamma, 2)
+    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=120, master_seed=23)
+    runs = []
+    for per_chunk in (1024, 2, 1):
+        monkeypatch.setattr(sde, "_CHUNK_STARTS", per_chunk)
+        runs.append(simulate_batch(op, DOM, (MULTI_X, MULTI_Y), cfg, workers=2))
+    for other in runs[1:]:
+        for attr in BATCH_ARRAYS:
+            assert np.array_equal(getattr(runs[0], attr), getattr(other, attr)), attr
+
+
+def test_many_start_working_set():
+    # more starts than a chunk holds: the chunks split the starts, so the
+    # traced peak stays near one chunk's working set (100 MB unsplit)
+    op = OperatorSpec.from_strings("y1", "0.2*sin(x)*y1")
+    starts = (np.zeros(12_000), np.linspace(-1.5, 1.5, 12_000)[:, None])
+    tracemalloc.start()
+    try:
+        simulate_batch(op, DOM, starts, SimConfig(t_max=0.2, dt=1e-3, n_paths=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_multi_start_validation():
     op = OperatorSpec.from_strings("y1")
     cfg = SimConfig(t_max=0.5, n_paths=10)
@@ -432,6 +461,30 @@ def test_multi_start_validation():
         simulate_batch(op, DOM, (np.zeros(0), np.zeros((0, 1))), cfg)
     with pytest.raises(ValueError, match="outer ball"):
         simulate_batch(op, DOM, (np.zeros(2), np.array([[0.0], [2.0]])), cfg)
+
+
+def test_start_refusal_names_the_first_bad_start_and_the_radius():
+    op = OperatorSpec.from_strings("y1 - 0.5*y2", dim_n=3)
+    starts = (np.zeros(3), np.array([[0.5, 0.5], [-1.5, -1.5], [1.5, 1.5]]))
+    with pytest.raises(ValueError, match=r"^start y = \(-1\.5, -1\.5\) must lie strictly "
+                                         r"inside the outer ball of radius 2$"):
+        simulate_batch(op, DOM, starts, SimConfig(t_max=0.5, n_paths=10))
+
+
+@pytest.mark.parametrize("workers", [0, -5, 2.5, "2", None])
+def test_simulate_batch_refuses_a_worker_count_that_is_not_a_positive_integer(workers):
+    with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+        simulate_batch(OperatorSpec.from_strings("y1"), DOM, (0.0, 0.0),
+                       SimConfig(t_max=0.5, n_paths=10), workers=workers)
+
+
+def test_simulate_batch_takes_a_numpy_integer_worker_count():
+    op = OperatorSpec.from_strings("y1")
+    cfg = SimConfig(t_max=0.5, n_paths=10)
+    one = simulate_batch(op, DOM, (0.0, 0.0), cfg)
+    two = simulate_batch(op, DOM, (0.0, 0.0), cfg, workers=np.int64(2))
+    for attr in BATCH_ARRAYS:
+        assert np.array_equal(getattr(one, attr), getattr(two, attr)), attr
 
 
 def test_check_batch_fires_on_multi_start_batch():
