@@ -31,22 +31,20 @@ key, whose clock, normals and Brownian sums are computed once for all k rows
 from that start alone.  The engine alone cuts a batch into chunks and spreads
 them over threads; ``make_solution`` hands it groups of whole grid nodes.
 
-Exit handling: by default each path runs an exit clock.  It stops at the
-first step where its cumulative Brownian-bridge crossing hazard,
+Exit handling: every path runs an exit clock, the one exit rule.  It stops
+at the first step where its cumulative Brownian-bridge crossing hazard,
 sum of -log1p(-p_k) with p_k = exp(-(R-r_k)(R-r_{k+1})/dt), reaches its
 Exp(1) draw, so a step whose endpoints are both inside the ball still stops
-the path with conditional probability p_k; the recorded y is the radial
-projection onto the sphere and the recorded time is the endpoint of the
-step.  This keeps the exit-time discretization bias at O(dt) (it halves when
-dt does).  Only steps with p_k >= e^-100 fold any hazard, so only rows that
-come within about sqrt(100*dt) of the sphere pay for the check; the dropped
-terms sum to less than half an ulp of the smallest positive clock numpy
-draws, so every path stops where folding every step would stop it (tested),
-unless its clock is exactly 0.0.  Pass exit_detection="endpoint" to stop
-only when an endpoint lands outside; that variant is simpler but biased high
-by O(sqrt(dt)), which is visible at desk scale (roughly +0.06 on a mean exit
-time of 2.0 at dt = 1e-3).  Both modes draw the clock, so they share every Y
-increment.
+the path with conditional probability p_k, and a step whose endpoint lies
+outside always stops it; the recorded y is the radial projection onto the
+sphere and the recorded time is the endpoint of the step.  This keeps the
+exit-time discretization bias at O(dt) (it halves when dt does); stopping
+only where an endpoint lands outside would leave it at O(sqrt(dt)).  Only
+steps with p_k >= e^-100 fold any hazard, so only rows that come within
+about sqrt(100*dt) of the sphere pay for the check; the dropped terms sum to
+less than half an ulp of the smallest positive clock numpy draws, so every
+path stops where folding every step would stop it (tested), unless its
+clock is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -101,6 +99,9 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_paths", "master_seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not 0 < self.t_max < np.inf:
@@ -268,7 +269,6 @@ def _run_chunk(
     s1: int,
     lo: int,
     hi: int,
-    bridge: bool,
     out: dict,
 ) -> None:
     """Paths lo..hi-1 of starts s0..s1-1; row s*n_paths + i of ``out`` is path
@@ -297,7 +297,7 @@ def _run_chunk(
         "uinteger": 0,
     }
     fresh_key = fresh["state"]["key"]
-    key_base = (stream << 32) | lo
+    key_base = (int(stream) << 32) | lo  # int: a numpy uint32 or int32 would shift to 0
     states = [None] * m  # Philox state of a path that outlives a draw refill
     key_clock = np.empty(m)
     key_sum = np.zeros((m, n_y))  # each key's Brownian sum sqrt(2) B so far
@@ -372,52 +372,50 @@ def _run_chunk(
             first_out = np.argmax(r2s[1:, out_rows] >= r2_max, axis=0) + 1
             first[out_rows] = first_out
 
-            if bridge:
-                # exit clock: the path stops once its cumulative bridge-crossing
-                # hazard h_k = -log1p(-p_k) reaches its Exp(1) draw, so a step
-                # that starts alive stops with p_k = exp(-(R-r_k)(R-r_{k+1})/dt).
-                # Once the exponent passes _HAZARD_CUTOFF = 100, p_k < 3.7e-44
-                # and h_k is taken as 0.  Even 1e10 such steps sum to under
-                # 3.7e-34, below half an ulp (7.7e-34) of the smallest
-                # positive Exp(1) draw numpy's ziggurat returns (7.09e-18:
-                # layer 1, ri = 1), so no stop decision moves.  The one
-                # exception is a clock of exactly 0.0 (probability 2**-53),
-                # which stops at the first step of the path's first block that
-                # folds any hazard.  The exponent passes the cutoff on every
-                # step of a row that stays 1% further from the sphere than
-                # sqrt(_HAZARD_CUTOFF*dt), so only the other rows fold any
-                # hazard.  Below 2**-54, -log1p(-p) is p in double precision.
-                reach = max(radius - 1.01 * np.sqrt(_HAZARD_CUTOFF * np.max(dts)), 0.0)
-                warm = np.flatnonzero(r2_top > reach * reach)
-                if warm.size:
-                    d = np.take(r2s, warm, axis=1)
-                    np.subtract(radius, np.sqrt(d, out=d), out=d)
-                    expo = d[:-1] * d[1:]
-                    expo /= dts
-                    # flat indices of the steps that fold a hazard
-                    near = np.flatnonzero(expo < _HAZARD_CUTOFF)
-                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                        h = np.exp(np.negative(expo.take(near)))
-                        big = np.flatnonzero(h >= 2.0**-54)
-                        h[big] = -np.log1p(-h[big])
-                    hs = np.zeros((n + 1, warm.size))
-                    hs[0] = hazard[warm]
-                    hs[1:].reshape(-1)[near] = h
-                    h1 = _step_sum(hs)
-                    hazard[warm] = h1
-                    # the fold never decreases until a step with an outside
-                    # endpoint turns it NaN, so only rows whose block-end
-                    # hazard is not below the clock can cross in this block;
-                    # a NaN end may still hide an earlier crossing.  Only
-                    # those rows take the prefix sums
-                    clock = key_clock[key_of[live[warm]]]
-                    late = np.flatnonzero(~(h1 < clock))
-                    if late.size:
-                        cross = np.cumsum(hs[:, late], axis=0)[1:] >= clock[late]
-                        has = cross.any(axis=0)
-                        rows_h = warm[late[has]]
-                        j_h = np.argmax(cross[:, has], axis=0) + 1
-                        first[rows_h] = np.minimum(first[rows_h], j_h)
+            # exit clock: the path stops once its cumulative bridge-crossing hazard
+            # h_k = -log1p(-p_k) reaches its Exp(1) draw, so a step that starts
+            # alive stops with p_k = exp(-(R-r_k)(R-r_{k+1})/dt).  Once the exponent
+            # passes _HAZARD_CUTOFF = 100, p_k < 3.7e-44 and h_k is taken as 0.
+            # Even 1e10 such steps sum to under 3.7e-34, below half an ulp (7.7e-34)
+            # of the smallest positive Exp(1) draw numpy's ziggurat returns
+            # (7.09e-18: layer 1, ri = 1), so no stop decision moves.  The one
+            # exception is a clock of exactly 0.0 (probability 2**-53), which stops
+            # at the first step of the path's first block that folds any hazard.
+            # The exponent passes the cutoff on every step of a row that stays 1%
+            # further from the sphere than sqrt(_HAZARD_CUTOFF*dt), so only the
+            # other rows fold any hazard.  Below 2**-54, -log1p(-p) is p in double
+            # precision.
+            reach = max(radius - 1.01 * np.sqrt(_HAZARD_CUTOFF * np.max(dts)), 0.0)
+            warm = np.flatnonzero(r2_top > reach * reach)
+            if warm.size:
+                d = np.take(r2s, warm, axis=1)
+                np.subtract(radius, np.sqrt(d, out=d), out=d)
+                expo = d[:-1] * d[1:]
+                expo /= dts
+                # flat indices of the steps that fold a hazard
+                near = np.flatnonzero(expo < _HAZARD_CUTOFF)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    h = np.exp(np.negative(expo.take(near)))
+                    big = np.flatnonzero(h >= 2.0**-54)
+                    h[big] = -np.log1p(-h[big])
+                hs = np.zeros((n + 1, warm.size))
+                hs[0] = hazard[warm]
+                hs[1:].reshape(-1)[near] = h
+                h1 = _step_sum(hs)
+                hazard[warm] = h1
+                # the fold never decreases until a step with an outside
+                # endpoint turns it NaN, so only rows whose block-end
+                # hazard is not below the clock can cross in this block;
+                # a NaN end may still hide an earlier crossing.  Only
+                # those rows take the prefix sums
+                clock = key_clock[key_of[live[warm]]]
+                late = np.flatnonzero(~(h1 < clock))
+                if late.size:
+                    cross = np.cumsum(hs[:, late], axis=0)[1:] >= clock[late]
+                    has = cross.any(axis=0)
+                    rows_h = warm[late[has]]
+                    j_h = np.argmax(cross[:, has], axis=0) + 1
+                    first[rows_h] = np.minimum(first[rows_h], j_h)
 
             stop = first <= n
             idx = np.flatnonzero(stop)
@@ -518,12 +516,15 @@ def simulate_batch(
 
     ``stream`` selects an independent substream under the same master seed.
     The chunks run on ``workers`` threads (an integer, at least 1); results
-    are identical for every ``workers`` value.
+    are identical for every ``workers`` value.  ``exit_detection`` accepts
+    only "bridge", the engine's one exit rule.
     """
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-    if exit_detection not in ("bridge", "endpoint"):
-        raise ValueError("exit_detection must be 'bridge' or 'endpoint'")
+    if exit_detection != "bridge":
+        raise ValueError(f"exit_detection must be 'bridge', got {exit_detection!r}")
+    if not isinstance(stream, (int, np.integer)):
+        raise ValueError(f"stream must be an integer, got {stream!r}")
     if not 0 <= stream < 2**32:
         raise ValueError("stream must fit in 32 bits")
     op = with_estimated_sups(op, dom)
@@ -559,13 +560,10 @@ def simulate_batch(
     per = max(1, _CHUNK_PATHS // per_s)
     spans = [(s0, min(s0 + per_s, k), lo, min(lo + per, cfg.n_paths))
              for s0 in range(0, k, per_s) for lo in range(0, cfg.n_paths, per)]
-    bridge = exit_detection == "bridge"
 
     def run(span):
-        _run_chunk(
-            op, radius, starts_x, starts_y, starts_r2, dt_steps, t_grid, cfg, stream,
-            *span, bridge, out,
-        )
+        _run_chunk(op, radius, starts_x, starts_y, starts_r2, dt_steps, t_grid, cfg, stream,
+                   *span, out)
 
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -3,9 +3,9 @@
 Each test hashes an output and compares it with a recorded SHA-256 digest,
 so any change to a writer's bytes or to a bit of a profile shows here.  The
 inputs use polynomial drifts and polynomial field values only, so no libm
-result (exp, sin, ...) enters a digest, except in the bridge-mode batches:
-their exit clock folds numpy's exp and log1p, and one gamma calls sin, so
-those digests also pin numpy's float64 kernels on the host's CPU.
+result (exp, sin, ...) enters a digest, except in the path batches: their
+exit clock folds numpy's exp and log1p, and some gammas call sin, so those
+digests also pin numpy's float64 kernels on the host's CPU.
 """
 
 import hashlib
@@ -99,17 +99,17 @@ def test_field_csv_two_y_axes(tmp_path):
 # the test names
 @pytest.mark.parametrize("n_y, beta, gamma, start, want_paths, want_measure", [
     (1, "y1", "0.3*y1", (0.25, [1.5]),
-     "b5a47479ad9a828fd7e12a8aafa70733fbd47eeaa44c4b4da8e3d0600dde5ba6",
-     "2e5e7733104a0fa4c082733f2703303d6d570cd91d8f92ee74bada64fa6aa559"),
+     "b5cf76d924871b23440b951701304318038913d2b615db02d21f40ace4af6b48",
+     "d12ab2fd1923365902bfa0a5cebd0bd984f2c4f50c25901b7bce4e4ab2bce8ea"),
     (2, "y1 - y2*y2", "0.2*x*y2", (-0.5, [0.9, -1.1]),
-     "f8c028089b254b44cacf1ebdc07d595d200b30219afebc77a470e8dcbec92393",
-     "23cc1501025928fe79d81cfa3840d608659eaa139ab0447bf823d7890e6a358d"),
+     "33e6506166276e9de9bba6c92cae0684bbe1a7dd8e6a1ea697978de3b07a5656",
+     "cc335205dd48c912495a6fdd9076a07f912ae3150b676c553ff9949c7553e452"),
 ], ids=["1d", "2d-x-gamma"])
 def test_batch_and_measure_csv(tmp_path, n_y, beta, gamma, start,
                                want_paths, want_measure):
     op = OperatorSpec.from_strings(beta, gamma, dim_n=n_y + 1)
     cfg = SimConfig(t_max=0.3, dt=1e-3, n_paths=64, master_seed=11)
-    batch = simulate_batch(op, CylinderDomain(), start, cfg, exit_detection="endpoint")
+    batch = simulate_batch(op, CylinderDomain(), start, cfg)
     assert 0 < batch.exited.sum() < batch.n_paths
     batch.to_csv(tmp_path / "paths.csv")
     measure_from_batch(batch, CylinderDomain(), bins=6).to_csv(tmp_path / "measure.csv")
@@ -117,7 +117,7 @@ def test_batch_and_measure_csv(tmp_path, n_y, beta, gamma, start,
     assert file_sha(tmp_path / "measure.csv") == want_measure
 
 
-# bridge mode: the horizons outrun one 1,024-step normals refill, and the
+# the horizons outrun one 1,024-step normals refill, and the
 # 3-start batch spans several engine chunks
 @pytest.mark.parametrize("n_y, beta, gamma, start, t_max, n_paths, want", [
     (1, "y1", "0", (0.25, [0.5]), 1.5, 200,

@@ -39,6 +39,11 @@ def test_sim_config_validation():
         SimConfig(t_max=0)
     with pytest.raises(ValueError, match="32 bits"):
         SimConfig(t_max=1.0, n_paths=2**32)
+    # a fractional seed or path count is refused, not truncated
+    with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
+        SimConfig(t_max=0.2, n_paths=50, master_seed=1.5)
+    with pytest.raises(ValueError, match="n_paths must be an integer, got 2.5"):
+        SimConfig(t_max=1.0, n_paths=2.5)
     with pytest.raises(ValueError, match="t_max must be positive and finite"):
         SimConfig(t_max=float("inf"))
     # a horizon of 2**32 or more steps is refused, whatever the two values
@@ -55,11 +60,15 @@ def test_start_and_step_validation():
     with pytest.raises(ValueError):
         # beta_sup ~ 2.1 so dt = 0.2 breaks beta_sup*dt < 0.1*radius
         simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, dt=0.2, n_paths=10))
-    with pytest.raises(ValueError):
-        simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=10),
-                       exit_detection="magic")
+    # the bridge clock is the one exit rule
+    for mode in ("magic", "endpoint"):
+        with pytest.raises(ValueError, match="exit_detection must be 'bridge'"):
+            simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=10),
+                           exit_detection=mode)
     with pytest.raises(ValueError, match="stream must fit in 32 bits"):
         simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=10), stream=2**32)
+    with pytest.raises(ValueError, match="stream must be an integer, got 1.5"):
+        simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=1.0, n_paths=10), stream=1.5)
     with pytest.raises(ValueError, match="start y must have 1 coordinates"):
         simulate_batch(op, DOM, (0.0, (0.1, 0.2)), SimConfig(t_max=1.0, n_paths=10))
     with pytest.raises(ValueError, match="start x must be finite"):
@@ -220,16 +229,36 @@ def test_first_paths_independent_of_path_count(gamma, n_y):
 
 @ENGINE_CASES
 def test_bridge_stops_no_later_than_endpoint(gamma, n_y):
-    # both modes draw the exit clock, so they share every Y increment
+    # the endpoint rule would stop a path at its first step whose endpoint has
+    # r^2 >= R^2, or at the horizon; the bridge clock stops it there or earlier
+    dt, seed = 2e-3, 21
     op = engine_op(gamma, n_y)
-    cfg = SimConfig(t_max=1.0, dt=2e-3, n_paths=1000, master_seed=21)
-    bridge = simulate_batch(op, DOM, engine_start(n_y), cfg, exit_detection="bridge")
-    endpoint = simulate_batch(op, DOM, engine_start(n_y), cfg, exit_detection="endpoint")
-    assert np.all(bridge.stop_time <= endpoint.stop_time)
-    assert np.any(bridge.stop_time < endpoint.stop_time)
-    same = (bridge.stop_time == endpoint.stop_time) & endpoint.exited
-    assert np.any(same)
-    assert np.array_equal(bridge.stopped_y[same], endpoint.stopped_y[same])
+    cfg = SimConfig(t_max=1.0, dt=dt, n_paths=1000, master_seed=seed)
+    batch = simulate_batch(op, DOM, engine_start(n_y), cfg)
+    dt_steps, t_grid = sde._time_grid(dt, cfg.t_max)
+    radius = DOM.y_outer_radius
+    # each path's Y from its key (master_seed, stream << 32 | i), clock first,
+    # folded as the engine folds it (one normals refill: 500 steps)
+    steps = np.sqrt(2 * dt_steps)[:, None]
+    ys = np.empty((cfg.n_paths, dt_steps.size, n_y))
+    for i in range(cfg.n_paths):
+        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
+        gen.standard_exponential()
+        ys[i] = np.cumsum(steps * gen.standard_normal((dt_steps.size, n_y)), axis=0)
+    ys += np.asarray(engine_start(n_y)[1])
+    r2 = np.square(ys[..., 0])
+    for c in range(1, n_y):
+        r2 += ys[..., c] ** 2
+    crossed = (r2 >= radius * radius).any(axis=1)
+    first = np.where(crossed, np.argmax(r2 >= radius * radius, axis=1), dt_steps.size - 1)
+    endpoint_time = t_grid[first + 1]
+    assert np.all(batch.stop_time <= endpoint_time)
+    assert np.any(batch.stop_time < endpoint_time)
+    same = np.flatnonzero((batch.stop_time == endpoint_time) & crossed)
+    assert same.size and batch.exited[same].all()
+    y_out = ys[same, first[same]]
+    projected = y_out * (radius / np.sqrt(r2[same, first[same]]))[:, None]
+    assert batch.stopped_y[same].tobytes() == projected.tobytes()
 
 
 # starts at |y| = 0.5, 1.9 and 1.99, the last two inside the band where rows
@@ -485,6 +514,18 @@ def test_simulate_batch_takes_a_numpy_integer_worker_count():
     two = simulate_batch(op, DOM, (0.0, 0.0), cfg, workers=np.int64(2))
     for attr in BATCH_ARRAYS:
         assert np.array_equal(getattr(one, attr), getattr(two, attr)), attr
+
+
+def test_numpy_integer_seed_path_count_and_stream_run_their_python_int_batch():
+    # a numpy uint32 or int32 stream shifted by 32 bits would land on stream 0
+    op = OperatorSpec.from_strings("y1")
+    want = simulate_batch(op, DOM, (0.0, 0.0), SimConfig(t_max=0.5, n_paths=10, master_seed=3),
+                          stream=5)
+    cfg = SimConfig(t_max=0.5, n_paths=np.int32(10), master_seed=np.uint64(3))
+    for stream in (np.uint32(5), np.int32(5), np.int64(5)):
+        got = simulate_batch(op, DOM, (0.0, 0.0), cfg, stream=stream)
+        for attr in BATCH_ARRAYS:
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (stream, attr)
 
 
 def test_check_batch_fires_on_multi_start_batch():
