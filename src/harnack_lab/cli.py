@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expressions
 from .feynman_kac import evaluate as fk_evaluate, make_solution, sandwich_check
-from .fields import FLOAT_FMT, box_axes, heatmap_svg, write_csv, write_json
+from .fields import FLOAT_FMT, box_axes, heatmap_svg, write_csv, write_json, write_text
 from .harnack import (SubCylinder, counterexample_scan, ratio_plot_svg, region_inequality_check,
                       scan_family, scan_to_csv, window_average_x)
 from .operators import CylinderDomain, OperatorSpec, check_hypothesis, classify_regions
@@ -358,7 +358,7 @@ def cmd_make_solution(cfg: RunConfig) -> int:
         raise ValueError("manufactured field is not positive; boundary data must be > 0")
     field.save(cfg.out_dir, "solution")
     if cfg.svg and cfg.op.n_y == 1:
-        (cfg.out_dir / "solution.svg").write_text(heatmap_svg(field), encoding="ascii")
+        write_text(cfg.out_dir / "solution.svg", heatmap_svg(field))
     print(f"solution field on {'x'.join(str(len(a)) for a in field.axes)} grid: "
           f"min {field.values.min():.6g}, max {field.values.max():.6g}")
     return 0
@@ -375,7 +375,7 @@ def _write_scan(cfg: RunConfig, scan, stem: str) -> None:
     scan_to_csv(scan, cfg.out_dir / f"{stem}.csv")
     write_json(cfg.out_dir / f"{stem}.json", scan.to_json_dict())
     if cfg.svg:
-        (cfg.out_dir / f"{stem}.svg").write_text(ratio_plot_svg(scan), encoding="ascii")
+        write_text(cfg.out_dir / f"{stem}.svg", ratio_plot_svg(scan))
 
 
 def cmd_harnack(cfg: RunConfig) -> int:
@@ -440,7 +440,7 @@ def cmd_average(cfg: RunConfig) -> int:
     averaged = window_average_x(field, z)
     averaged.save(cfg.out_dir, "average")
     if cfg.svg and averaged.n_y == 1:
-        (cfg.out_dir / "average.svg").write_text(heatmap_svg(averaged), encoding="ascii")
+        write_text(cfg.out_dir / "average.svg", heatmap_svg(averaged))
     print(f"window average of {sol.name} with z={z:g}: "
           f"{len(averaged.axes[0])} x-node(s) kept")
     return 0

@@ -7,6 +7,8 @@ this representation.  Serialization is deliberately boring and exact: CSV
 with a '.' decimal and 17 significant digits, which recover the exact float64
 (so files can be diffed across runs), a small JSON header with the grid
 metadata, and a self-contained SVG heatmap for the two-dimensional case.
+Every output file of the package goes through one writer, ``write_text``,
+which replaces any file at the path with a new one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "step_axis",
     "csv_field",
     "format_float",
+    "write_text",
     "write_csv",
     "write_json",
     "heatmap_svg",
@@ -54,9 +57,22 @@ def csv_field(text: str) -> str:
     return text
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as ASCII to a new file at ``path``, unlinking any file
+    there first: a symlink is replaced, not written through, a read-only old
+    file in a writable directory is replaced, and the new file takes the
+    umask mode.  ext4 (``auto_da_alloc``) flushes a truncated and rewritten
+    file on ``close``, a new one it does not.  Text that is not ASCII raises
+    before anything is removed.  Nothing is fsynced."""
+    data = text.encode("ascii")
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
 def write_csv(path, header, fmt: str, rows, footer=()) -> None:
     """Header line, one ``fmt % row`` line per row, then the preformatted
-    ``footer`` lines.
+    ``footer`` lines, written as a new file by ``write_text``.
 
     Rows are tuples of Python numbers and strings (build them by zipping
     ``tolist()`` columns): ``%.17g`` of a Python float is ``format_float`` of
@@ -66,13 +82,13 @@ def write_csv(path, header, fmt: str, rows, footer=()) -> None:
     lines = [",".join(header)]
     lines += [fmt % row for row in rows]
     lines += footer
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="ascii")
+    """Deterministic JSON, sorted keys, two-space indent and a trailing
+    newline, written as a new file by ``write_text``."""
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def grid_points(axes) -> np.ndarray:
@@ -313,7 +329,8 @@ def heatmap_svg(field: ScalarField) -> str:
     A cell's x edges depend only on its column i and its y edges only on its
     row j, so the pixel coordinates and their ``.2f`` strings are computed
     once per column and once per row; the colours of all cells come from one
-    numpy pass over the palette, and each ``<rect>`` is one concatenation.
+    numpy pass over the palette, and each column of ``<rect>`` elements is
+    one ``%`` of a format that holds the rows' strings.
     """
     if field.n_y != 1:
         raise ValueError("heatmap output needs exactly one y axis")
@@ -348,11 +365,13 @@ def heatmap_svg(field: ScalarField) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
+    # the rows' ``.2f`` strings hold no '%', so they can sit in the format
+    column = "\n".join(f'<rect x="%s" y="{y0}" width="%s" height="{rh}" fill="#%06x"/>'
+                       for y0, rh in zip(row_y, row_h))
     for x0, cw, col_fills in zip(col_x, col_w, fills):
-        head = '<rect x="' + x0 + '" y="'
-        tail = '" width="' + cw + '" height="'
-        for y0, rh, c in zip(row_y, row_h, col_fills):
-            parts.append(head + y0 + tail + rh + '" fill="#%06x"/>' % c)
+        args = [x0, cw, 0] * len(row_y)
+        args[2::3] = col_fills
+        parts.append(column % tuple(args))
     parts.append(
         f'<rect x="{m}" y="{m}" width="{pw}" height="{ph}" fill="none" '
         'stroke="black" stroke-width="1"/>'

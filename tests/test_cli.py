@@ -762,6 +762,20 @@ def test_harnack_rerun_bitwise_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_a_rerun_into_the_same_directory_writes_the_same_bytes(tmp_path):
+    # the second run replaces every output file of the first
+    runs = [["average", "--svg"], ["simulate", *SMALL_SIM, "--set", "sim.master_seed=7"]]
+    outputs = []
+    for _ in range(2):
+        for argv in runs:
+            rc, out = run(tmp_path, *argv)
+            assert rc == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["average.csv", "average.json", "average.svg",
+                                  "measure.csv", "paths.csv"]
+    assert outputs[1] == outputs[0]
+
+
 def test_commands_run_without_scipy(tmp_path):
     # a fresh interpreter in which importing scipy fails: the commands that
     # interpolate a field or build a separable profile still run

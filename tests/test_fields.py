@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from harnack_lab.fields import (
     heatmap_svg,
     line_plot_svg,
     step_axis,
+    write_text,
 )
 from harnack_lab.solutions import kolmogorov_poly
 
@@ -178,6 +181,29 @@ def test_csv_round_trip_three_axes(tmp_path):
     p = tmp_path / "f3.csv"
     f.to_csv(p)
     assert_csv_holds(p, f)
+
+
+def test_write_text_writes_a_new_file_each_time(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, "first\n")
+    # a reader that holds the first file open keeps its inode and its bytes
+    with open(path, "rb") as old:
+        write_text(path, "second\n")
+        assert path.read_bytes() == b"second\n"
+        assert os.fstat(old.fileno()).st_ino != path.stat().st_ino
+        assert old.read() == b"first\n"
+    # a symlink at the path is replaced by a regular file, not written through
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"kept\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert not link.is_symlink() and link.read_bytes() == b"new\n"
+    assert target.read_bytes() == b"kept\n"
+    # text that is not ASCII raises and leaves the old file in place
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "\u03bb\n")
+    assert path.read_bytes() == b"second\n"
 
 
 def test_spacing_checks_uniformity():
