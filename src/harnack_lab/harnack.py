@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import FLOAT_FMT, ScalarField, csv_field, line_plot_svg, step_axis, write_csv
 # ``classify_regions`` stays bound here for perfbench, which wraps it at this lookup site
-from .operators import (_SLAB_NODES, CylinderDomain, OperatorSpec, RegionSet, ball_lattice,
+from .operators import (CylinderDomain, OperatorSpec, RegionSet, _grid_slabs, ball_lattice,
                         classify_regions)
 from .solutions import counterexample_family
 
@@ -109,24 +109,15 @@ class RegionCheck:
         return dataclasses.asdict(self)
 
 
-def _grid_slabs(u, x_nodes, y_pts):
-    """u on x_nodes x y_pts, as (first x-node, (slab, m) values) for slabs of
-    consecutive x-nodes from grid ``u.at`` calls of at most _SLAB_NODES
-    points each; one call when the whole grid fits."""
-    rows = max(1, _SLAB_NODES // y_pts.shape[0])
-    for lo in range(0, x_nodes.shape[0], rows):
-        yield lo, np.asarray(u.at(x_nodes[lo:lo + rows, None], y_pts), dtype=float)
-
-
 def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> HarnackReport:
     """Exact grid extrema and their quotient; refuses nonpositive fields.
 
     u is evaluated on the closed subcylinder lattice, the x-nodes times the
     points of the closed ball cut from a box lattice of the same node count,
-    in slabs of x-nodes of at most _SLAB_NODES grid points; each slab is
-    reduced to its extrema before the next is evaluated, and the report has
-    the bits of the whole grid's first argmin and argmax in C order.  A grid
-    whose ball holds no lattice point is refused."""
+    by one grid ``u.at`` call per slab of x-nodes of ``_grid_slabs``; each
+    slab is reduced to its extrema before the next is evaluated, and the
+    report has the bits of the whole grid's first argmin and argmax in C
+    order.  A grid whose ball holds no lattice point is refused."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes per axis")
     sub = sub or SubCylinder()
@@ -136,7 +127,7 @@ def sup_inf_ratio(u, sub: SubCylinder | None = None, grid: int = 101) -> Harnack
                          f"with no lattice point on {u.n_y} y axes")
     x_nodes = np.linspace(sub.x_lo, sub.x_hi, grid)
     lo = hi = None  # (value, x-node, ball point) at the first grid argmin / argmax so far
-    for row, vals in _grid_slabs(u, x_nodes, ball):
+    for row, vals in _grid_slabs(u.at, x_nodes, ball):
         # strict comparisons keep the first extreme in C order, as argmin/argmax do
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         if lo is None or vals[i, j] < lo[0]:
@@ -215,8 +206,8 @@ def region_inequality_check(
     The x interval is the domain's inner interval, at x-nodes the regions'
     lattice step apart, and the inner-ball lattice has that step too.  u is
     evaluated by one grid-form ``u.at`` call per point set (A_d, then the
-    inner-ball lattice) against the x-nodes, in slabs of x-nodes when the
-    grid exceeds _SLAB_NODES points.
+    inner-ball lattice) against the x-nodes, or one per slab of x-nodes of
+    ``_grid_slabs`` when the grid exceeds a slab.
     """
     level, grid_step = regions.level, regions.grid_step
     missing = [tag for tag, pts in (("+", regions.plus_points), ("-", regions.minus_points))
@@ -229,9 +220,9 @@ def region_inequality_check(
         raise ValueError("solution, regions and operator dimensions differ")
     x_nodes = step_axis(dom.inner_x_lo, dom.inner_x_hi, grid_step)
     a_d = np.concatenate([regions.plus_points, regions.minus_points], axis=0)
-    sup_val = max(float(vals.max()) for _, vals in _grid_slabs(u, x_nodes, a_d))
+    sup_val = max(float(vals.max()) for _, vals in _grid_slabs(u.at, x_nodes, a_d))
     ball_pts, _ = ball_lattice(dom.y_inner_radius, grid_step, op.n_y, closed=True)
-    inf_val = min(float(vals.min()) for _, vals in _grid_slabs(u, x_nodes, ball_pts))
+    inf_val = min(float(vals.min()) for _, vals in _grid_slabs(u.at, x_nodes, ball_pts))
     if inf_val <= 0:
         raise ValueError(f"{u.name} is not positive on the inner subcylinder: min {inf_val:g}")
     ratio = sup_val / inf_val

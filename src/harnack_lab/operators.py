@@ -65,7 +65,8 @@ class OperatorSpec:
     ``gamma_sup``, the upper bounds on |beta| and |gamma| behind step-size
     control, horizon defaults and the path checks, are measured, never
     given: they are None here and on every copy ``dataclasses.replace``
-    makes, and only ``with_estimated_sups`` fills them.
+    makes, and only ``with_estimated_sups`` fills them, together with
+    ``sup_domain``, the cylinder they were measured on.
     """
 
     beta: Expr
@@ -73,6 +74,7 @@ class OperatorSpec:
     dim_n: int = 2
     beta_sup: float | None = dataclasses.field(default=None, init=False)
     gamma_sup: float | None = dataclasses.field(default=None, init=False)
+    sup_domain: CylinderDomain | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
         if self.dim_n < 2:
@@ -269,19 +271,31 @@ def _slab_values(fn, names, axes, keep) -> list:
 
     Off the ball the values may be undefined: where the box raises
     EvalDomainError, ``fn`` runs again on the slab's ball points alone and
-    its values are placed on the box, zero off the ball; a failure there
-    is raised.
+    its values are placed on the box, zero off the ball.  A failure there
+    raises EvalDomainError with the message of ``_locate_eval_failure``:
+    after slabs that evaluated everywhere, the first failing lattice point.
     """
     try:
         return fn({name: a.reshape((-1,) + (1,) * (len(axes) - 1 - k))
                    for k, (name, a) in enumerate(zip(names, axes))}, keep.shape)
     except EvalDomainError:
         pts = _nodes(axes, keep)
-        boxed = []
-        for v in fn({name: pts[:, k] for k, name in enumerate(names)}, pts.shape[:1]):
-            boxed.append(np.zeros(keep.shape))
-            boxed[-1][keep] = v
-        return boxed
+        try:
+            vals = fn({name: pts[:, k] for k, name in enumerate(names)}, pts.shape[:1])
+        except EvalDomainError:
+            raise EvalDomainError(_locate_eval_failure(fn, names, pts)) from None
+        boxed = np.zeros((len(vals),) + keep.shape)
+        boxed[:, keep] = vals
+        return list(boxed)
+
+
+def _grid_slabs(fn, x_nodes, y_pts):
+    """``fn(x, y_pts)`` on x_nodes x y_pts, as (first x-node, values) for
+    slabs of consecutive x-nodes, x of shape (slab, 1), of at most
+    _SLAB_NODES grid points each; one call when the whole grid fits."""
+    rows = max(1, _SLAB_NODES // y_pts.shape[0])
+    for lo in range(0, x_nodes.shape[0], rows):
+        yield lo, np.asarray(fn(x_nodes[lo:lo + rows, None], y_pts), dtype=float)
 
 
 def _check_resolves(radius: float, grid_step: float, ball: str) -> None:
@@ -308,39 +322,34 @@ def _derivative_exprs(beta: Expr, names: tuple[str, ...], order: int) -> list[Ex
     return list(table.values())
 
 
-def _locate_eval_failure(exprs, names, pts) -> str:
-    """Find the first grid point where some derivative fails to evaluate.
+def _locate_eval_failure(fn, names, pts) -> str:
+    """Name the first of the points ``pts`` where the sweep function
+    ``fn(env, shape)`` of ``_slab_values`` fails.
 
-    The shortest failing prefix of the points is bisected with array
-    evaluations; its last point is then evaluated one expression at a time
-    on scalars, which names the point and the error of the first failing
-    expression there.
+    The shortest failing prefix of the points is bisected with array calls
+    of ``fn``; ``fn`` is then called on the scalars of the prefix's last
+    point, where it raises the error of its first failing expression, which
+    names the point and that error.
     """
 
-    def fails(k: int) -> bool:
-        env = {name: pts[:k, j] for j, name in enumerate(names)}
+    def error(env, shape) -> EvalDomainError | None:
         try:
-            for e in exprs:
-                evaluate(e, env)
-        except EvalDomainError:
-            return True
-        return False
+            fn(env, shape)
+        except EvalDomainError as err:
+            return err
 
     ok, bad = 0, pts.shape[0]  # the first ``ok`` points evaluate
     while bad - ok > 1:
         mid = (ok + bad) // 2
-        if fails(mid):
+        if error({name: pts[:mid, j] for j, name in enumerate(names)}, (mid,)) is not None:
             bad = mid
         else:
             ok = mid
     for i in range(ok, pts.shape[0]):
-        env = {name: float(pts[i, k]) for k, name in enumerate(names)}
-        for e in exprs:
-            try:
-                evaluate(e, env)
-            except EvalDomainError as err:
-                loc = ", ".join(format(v, ".6g") for v in pts[i])
-                return f"evaluation failed at y=({loc}): {err}"
+        err = error({name: float(pts[i, k]) for k, name in enumerate(names)}, ())
+        if err is not None:
+            loc = ", ".join(format(v, ".6g") for v in pts[i])
+            return f"evaluation failed at y=({loc}): {err}"
     return "evaluation failed on the grid"
 
 
@@ -406,9 +415,8 @@ def check_hypothesis(
             continue
         try:
             beta_vals, mass = _slab_values(sweep, op.y_names, axes, keep)
-        except EvalDomainError:
-            # earlier slabs evaluated everywhere: the first failing point is here
-            return failed(_locate_eval_failure(exprs, op.y_names, _nodes(axes, keep)))
+        except EvalDomainError as err:
+            return failed(str(err))
         min_mass = min(min_mass, float(np.min(mass, where=keep, initial=np.inf)))
         # the first masked extreme in C order is the ball points' argmin /
         # argmax; strict comparisons keep the first across slabs
@@ -462,13 +470,8 @@ def classify_regions(
     slabs, actual_step = _ball_slabs(dom.y_inner_radius, grid_step, op.n_y, closed=False)
     plus, minus = [], []
     for axes, keep in slabs:
-        try:
-            (beta_vals,) = _slab_values(lambda env, shape: [evaluate(op.beta, env)],
-                                        op.y_names, axes, keep)
-        except EvalDomainError:
-            # earlier slabs evaluated everywhere: the first failing point is here
-            raise EvalDomainError(_locate_eval_failure([op.beta], op.y_names,
-                                                       _nodes(axes, keep))) from None
+        (beta_vals,) = _slab_values(lambda env, shape: [evaluate(op.beta, env)],
+                                    op.y_names, axes, keep)
         plus.append(_nodes(axes, keep & (beta_vals > level)))
         minus.append(_nodes(axes, keep & (beta_vals < -level)))
     plus, minus = np.concatenate(plus), np.concatenate(minus)
@@ -531,26 +534,30 @@ def residual(u: ScalarField, op: OperatorSpec) -> ScalarField:
 def estimate_sups(op: OperatorSpec, dom: CylinderDomain) -> tuple[float, float]:
     """Grid maxima of |beta| (outer ball) and |gamma| (full cylinder), each
     inflated by the safety factor _SUP_MARGIN; upper bounds for step-size
-    control and the path checks."""
+    control and the path checks.  A failure of beta is named at the first
+    failing lattice point, as ``check`` names it; gamma is swept over the
+    x-nodes (the first alone when it does not read x) by ``_grid_slabs``."""
     y_pts, _ = ball_lattice(dom.y_outer_radius, _SUP_GRID_STEP, op.n_y, closed=True)
-    beta_max = float(np.abs(op.beta_at(y_pts)).max())
+    try:
+        beta_max = float(np.abs(op.beta_at(y_pts)).max())
+    except EvalDomainError:
+        raise EvalDomainError(_locate_eval_failure(
+            lambda env, shape: [evaluate(op.beta, env)], op.y_names, y_pts)) from None
     xs = step_axis(dom.x_lo, dom.x_hi, _SUP_GRID_STEP)
     if "x" not in free_variables(op.gamma):
         xs = xs[:1]  # every x slice gives the same values
-    gamma_max = 0.0
-    for x in xs:  # one x slice at a time keeps the product grid small
-        g = op.gamma_at(np.full(y_pts.shape[0], x), y_pts)
-        gamma_max = max(gamma_max, float(np.abs(g).max()))
+    gamma_max = max(float(np.abs(g).max()) for _, g in _grid_slabs(op.gamma_at, xs, y_pts))
     return _SUP_MARGIN * beta_max, _SUP_MARGIN * gamma_max
 
 
 def with_estimated_sups(op: OperatorSpec, dom: CylinderDomain) -> OperatorSpec:
-    """A copy of ``op`` with both sup bounds filled from ``estimate_sups``;
-    ``op`` itself when they are filled already, so an op filled once costs
-    no further sweep of the sup lattice."""
-    if op.beta_sup is not None:
+    """A copy of ``op`` with both sup bounds filled from ``estimate_sups`` on
+    ``dom``, recorded as ``sup_domain``; ``op`` itself when it was filled on
+    an equal cylinder, which costs no further sweep of the sup lattice."""
+    if op.sup_domain == dom:
         return op
     filled = dataclasses.replace(op)
-    for name, sup in zip(("beta_sup", "gamma_sup"), estimate_sups(op, dom)):
-        object.__setattr__(filled, name, sup)
+    for name, value in zip(("beta_sup", "gamma_sup", "sup_domain"),
+                           (*estimate_sups(op, dom), dom)):
+        object.__setattr__(filled, name, value)
     return filled

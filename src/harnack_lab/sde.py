@@ -31,20 +31,20 @@ key, whose clock, normals and Brownian sums are computed once for all k rows
 from that start alone.  The engine alone cuts a batch into chunks and spreads
 them over threads; ``make_solution`` hands it groups of whole grid nodes.
 
-Exit handling: every path runs an exit clock, the one exit rule.  It stops
-at the first step where its cumulative Brownian-bridge crossing hazard,
-sum of -log1p(-p_k) with p_k = exp(-(R-r_k)(R-r_{k+1})/dt), reaches its
-Exp(1) draw, so a step whose endpoints are both inside the ball still stops
-the path with conditional probability p_k, and a step whose endpoint lies
-outside always stops it; the recorded y is the radial projection onto the
-sphere and the recorded time is the endpoint of the step.  This keeps the
-exit-time discretization bias at O(dt) (it halves when dt does); stopping
-only where an endpoint lands outside would leave it at O(sqrt(dt)).  Only
-steps with p_k >= e^-100 fold any hazard, so only rows that come within
-about sqrt(100*dt) of the sphere pay for the check; the dropped terms sum to
-less than half an ulp of the smallest positive clock numpy draws, so every
-path stops where folding every step would stop it (tested), unless its
-clock is exactly 0.0.
+Exit handling: every path runs an exit clock, the one exit rule and the one
+stop test.  It stops at the first step where its cumulative Brownian-bridge
+crossing hazard, sum of -log1p(-p_k) with p_k = exp(min(-(R-r_k)(R-r_{k+1})/dt,
+0)), reaches its Exp(1) draw, so a step whose endpoints are both inside the
+ball still stops the path with conditional probability p_k, and a step that
+ends outside has crossed (p_k = 1, hazard +inf) and always stops it; the
+recorded y is the radial projection onto the sphere and the recorded time is
+the endpoint of the step.  This keeps the exit-time discretization bias at
+O(dt) (it halves when dt does); stopping only where an endpoint lands outside
+would leave it at O(sqrt(dt)).  Only steps with p_k >= e^-100 fold any
+hazard, so only rows that come within about sqrt(100*dt) of the sphere pay
+for the check; the dropped terms sum to less than half an ulp of the smallest
+positive clock numpy draws, so every path stops where folding every step would
+stop it (tested), unless its clock is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -368,23 +368,21 @@ def _run_chunk(
             # the sphere in this block exactly when its max does
             r2_top = r2s.max(axis=0)
             first = np.full(k, n + 1)  # ys row of the stopping step, n + 1 if none
-            out_rows = np.flatnonzero(r2_top >= r2_max)
-            first_out = np.argmax(r2s[1:, out_rows] >= r2_max, axis=0) + 1
-            first[out_rows] = first_out
 
-            # exit clock: the path stops once its cumulative bridge-crossing hazard
-            # h_k = -log1p(-p_k) reaches its Exp(1) draw, so a step that starts
-            # alive stops with p_k = exp(-(R-r_k)(R-r_{k+1})/dt).  Once the exponent
-            # passes _HAZARD_CUTOFF = 100, p_k < 3.7e-44 and h_k is taken as 0.
-            # Even 1e10 such steps sum to under 3.7e-34, below half an ulp (7.7e-34)
-            # of the smallest positive Exp(1) draw numpy's ziggurat returns
-            # (7.09e-18: layer 1, ri = 1), so no stop decision moves.  The one
-            # exception is a clock of exactly 0.0 (probability 2**-53), which stops
-            # at the first step of the path's first block that folds any hazard.
-            # The exponent passes the cutoff on every step of a row that stays 1%
-            # further from the sphere than sqrt(_HAZARD_CUTOFF*dt), so only the
-            # other rows fold any hazard.  Below 2**-54, -log1p(-p) is p in double
-            # precision.
+            # exit clock, the one stop test: the path stops once its cumulative
+            # bridge-crossing hazard h_k = -log1p(-p_k) reaches its Exp(1) draw, so a
+            # step that starts alive stops with p_k = exp(min(-(R-r_k)(R-r_{k+1})/dt,
+            # 0)), which is 1 (h_k = +inf) on a step that ends on or outside the sphere.
+            # Once the exponent passes _HAZARD_CUTOFF = 100, p_k < 3.7e-44 and h_k is
+            # taken as 0.  Even 1e10 such steps sum to under 3.7e-34, below half an ulp
+            # (7.7e-34) of the smallest positive Exp(1) draw numpy's ziggurat returns
+            # (7.09e-18: layer 1, ri = 1), so no stop decision moves.  The one exception
+            # is a clock of exactly 0.0 (probability 2**-53), which stops at the first
+            # step of the path's first block that folds any hazard.  The exponent passes
+            # the cutoff on every step of a row that stays 1% further from the sphere
+            # than sqrt(_HAZARD_CUTOFF*dt), so only the other rows fold any hazard;
+            # every row with an endpoint outside is among them, its exponent there <= 0.
+            # Below 2**-54, -log1p(-p) is p in double precision.
             reach = max(radius - 1.01 * np.sqrt(_HAZARD_CUTOFF * np.max(dts)), 0.0)
             warm = np.flatnonzero(r2_top > reach * reach)
             if warm.size:
@@ -394,8 +392,9 @@ def _run_chunk(
                 expo /= dts
                 # flat indices of the steps that fold a hazard
                 near = np.flatnonzero(expo < _HAZARD_CUTOFF)
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    h = np.exp(np.negative(expo.take(near)))
+                with np.errstate(divide="ignore"):  # log1p(-1) = -inf where p_k = 1
+                    h = np.negative(expo.take(near))
+                    np.exp(np.minimum(h, 0.0, out=h), out=h)
                     big = np.flatnonzero(h >= 2.0**-54)
                     h[big] = -np.log1p(-h[big])
                 hs = np.zeros((n + 1, warm.size))
@@ -403,19 +402,14 @@ def _run_chunk(
                 hs[1:].reshape(-1)[near] = h
                 h1 = _step_sum(hs)
                 hazard[warm] = h1
-                # the fold never decreases until a step with an outside
-                # endpoint turns it NaN, so only rows whose block-end
-                # hazard is not below the clock can cross in this block;
-                # a NaN end may still hide an earlier crossing.  Only
-                # those rows take the prefix sums
+                # the fold never decreases, so only rows whose block-end
+                # hazard reaches the clock cross in this block, and only
+                # they take the prefix sums
                 clock = key_clock[key_of[live[warm]]]
-                late = np.flatnonzero(~(h1 < clock))
+                late = np.flatnonzero(h1 >= clock)
                 if late.size:
                     cross = np.cumsum(hs[:, late], axis=0)[1:] >= clock[late]
-                    has = cross.any(axis=0)
-                    rows_h = warm[late[has]]
-                    j_h = np.argmax(cross[:, has], axis=0) + 1
-                    first[rows_h] = np.minimum(first[rows_h], j_h)
+                    first[warm[late]] = np.argmax(cross, axis=0) + 1
 
             stop = first <= n
             idx = np.flatnonzero(stop)
@@ -431,8 +425,9 @@ def _run_chunk(
             # coefficients are evaluated at the left endpoint of each step.  A
             # left endpoint outside the ball comes after its path stopped and
             # feeds no recorded value; pull it back into the ball so beta stays
-            # in its domain
-            over = out_rows[first_out < n]
+            # in its domain (the scale is exactly 1.0 on inside points)
+            out_rows = np.flatnonzero(r2_top >= r2_max)
+            over = out_rows[first[out_rows] < n]
             if over.size:
                 scale = np.minimum(1.0, radius / np.maximum(np.sqrt(r2s[1:-1, over]), 1e-300))
                 ys[1:-1, over] *= scale[:, :, None]

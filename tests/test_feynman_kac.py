@@ -271,6 +271,23 @@ def test_sandwich_sweeps_the_sup_lattice_at_most_once(monkeypatch, gamma):
     assert rep == filled
 
 
+def test_a_sup_fill_is_measured_again_on_another_cylinder():
+    # bounds filled on the radius-1.2 ball are too small for the radius-2
+    # ball, and bounds filled on the radius-2 ball would give the small
+    # cylinder the horizon 1/2.1: each cylinder measures its own
+    op = OperatorSpec.from_strings("y1")
+    small = CylinderDomain(y_outer_radius=1.2, y_inner_radius=0.5)
+    cfg = SimConfig(t_max=1.0, n_paths=2000, master_seed=1)
+    got = sde.simulate_batch(with_estimated_sups(op, small), DOM, (0.0, 1.5), cfg)
+    want = sde.simulate_batch(op, DOM, (0.0, 1.5), cfg)
+    for name in ("stopped_x", "stopped_y", "stop_time", "gamma_integral", "exited"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    rep = sandwich_check(with_estimated_sups(op, DOM), small, kolmogorov_fn, (0.2, 0.1),
+                         cfg=SimConfig(t_max=1.0, dt=5e-3, n_paths=200))
+    assert rep.estimate.horizon == 1.0 / with_estimated_sups(op, small).beta_sup
+    assert rep.estimate.horizon == pytest.approx(1 / 1.26)
+
+
 def test_cli_sandwich_sweeps_the_sup_lattice_once(tmp_path, monkeypatch):
     counts, _ = counted_calls(monkeypatch)
     assert cli.main(["evaluate", "--set", "evaluate.mode=sandwich", "--set", "sim.n_paths=200",

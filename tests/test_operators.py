@@ -142,7 +142,7 @@ def check_each_derivative_alone(op, dom, order, grid_step):
         return HormanderReport(
             passed=False, order_used=order, sign_change_ok=False, sign_witnesses=None,
             min_derivative_mass=None, grid_step=step,
-            error=_locate_eval_failure(exprs, op.y_names, pts[bad - 1:bad]))
+            error=_locate_eval_failure(derivative_sweep(exprs), op.y_names, pts[bad - 1:bad]))
     values = [np.full(pts.shape[0], v) if np.ndim(v) == 0 else v for v in values]
     mass = np.zeros(pts.shape[0])
     for v in values:
@@ -237,6 +237,13 @@ def test_slab_sweep_names_the_first_failing_point():
     assert report.error == "evaluation failed at y=(1, -1.73): division by zero"
 
 
+def derivative_sweep(exprs):
+    """A sweep function for ``_locate_eval_failure``: every expression in
+    order, each through ``operators.evaluate``, so that a monkeypatched
+    ``evaluate`` there sees every call."""
+    return lambda env, shape: [operators.evaluate(e, env) for e in exprs]
+
+
 def scalar_scan_failure(exprs, names, pts) -> str:
     """The first failing point found by evaluating every point on scalars,
     expression by expression, in order."""
@@ -272,7 +279,7 @@ def test_eval_failure_is_located_by_bisection(monkeypatch, beta, dim_n, step):
         return evaluate(e, env)
 
     monkeypatch.setattr(operators, "evaluate", counted)
-    assert _locate_eval_failure(exprs, op.y_names, pts) == want
+    assert _locate_eval_failure(derivative_sweep(exprs), op.y_names, pts) == want
     assert 0 < calls["array"] <= len(exprs) * math.ceil(math.log2(pts.shape[0]))
     assert 0 < calls["scalar"] <= len(exprs)
 
@@ -490,6 +497,63 @@ def test_estimate_sups():
 
     filled = with_estimated_sups(op, CylinderDomain())
     assert filled.beta_sup == beta_sup and filled.gamma_sup == gamma_sup
+
+
+X_GAMMA = "0.2*sin(x)*y1"
+
+
+def per_node_sups(op, dom):
+    """estimate_sups as a loop over single x-nodes: one gamma_at call per
+    x-node on the whole sup lattice."""
+    y_pts, _ = ball_lattice(dom.y_outer_radius, operators._SUP_GRID_STEP, op.n_y)
+    gamma_max = max(float(np.abs(op.gamma_at(np.full(y_pts.shape[0], x), y_pts)).max())
+                    for x in step_axis(dom.x_lo, dom.x_hi, operators._SUP_GRID_STEP))
+    return (operators._SUP_MARGIN * float(np.abs(op.beta_at(y_pts)).max()),
+            operators._SUP_MARGIN * gamma_max)
+
+
+def counted_gamma_calls(monkeypatch) -> list:
+    calls = []
+    gamma_at = OperatorSpec.gamma_at
+
+    def counted(self, x, y):
+        calls.append(np.shape(x))
+        return gamma_at(self, x, y)
+
+    monkeypatch.setattr(OperatorSpec, "gamma_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim_n, slab_nodes, n_calls", [
+    (2, _SLAB_NODES, 1),  # 221 x-nodes times 81 lattice points fit one slab
+    (3, _SLAB_NODES, 37),  # 5,025 lattice points: 6 x-nodes a slab
+    (2, 500, 37),  # 81 lattice points: 6 x-nodes a slab
+    (3, 10, 221),  # the lattice alone exceeds a slab: one x-node each
+])
+def test_gamma_sup_sweep_is_one_call_per_slab_of_x_nodes(monkeypatch, dim_n, slab_nodes,
+                                                          n_calls):
+    # the bits of a loop over single x-nodes, one gamma_at call per slab
+    op = OperatorSpec.from_strings("y1", X_GAMMA, dim_n=dim_n)
+    want = per_node_sups(op, CylinderDomain())
+    monkeypatch.setattr(operators, "_SLAB_NODES", slab_nodes)
+    calls = counted_gamma_calls(monkeypatch)
+    got = estimate_sups(op, CylinderDomain())
+    assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
+    assert len(calls) == n_calls and sum(shape[0] for shape in calls) == 221
+
+
+@pytest.mark.parametrize("beta, dim_n, where", [
+    ("1/y1", 2, "y=(0): division by zero"),
+    ("sqrt(1-y1^2)", 2, "y=(-2): sqrt of negative value"),
+    # the first lattice point in C order on the line y1 = 1 of the radius-2 ball
+    ("1/(y1 - 1)", 3, "y=(1, -1.7): division by zero"),
+])
+def test_sup_sweep_names_where_beta_fails(beta, dim_n, where):
+    # the first failing point of the sup lattice, as check names it on its own
+    op = OperatorSpec.from_strings(beta, dim_n=dim_n)
+    with pytest.raises(EvalDomainError) as err:
+        estimate_sups(op, CylinderDomain())
+    assert str(err.value) == f"evaluation failed at {where}"
 
 
 def test_sup_bounds_are_measured_never_given():
